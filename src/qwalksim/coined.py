@@ -234,21 +234,27 @@ class CoinedWalk:
             yield PureState(self.graph, amps)
 
     def step_matrix(self) -> scipy.sparse.csr_matrix:
-        """The unitary for one step as a sparse matrix over half-edges."""
+        """The unitary for one step as a sparse matrix over half-edges.
+
+        Entry (idx[r, i], idx[r, j]) of the block-diagonal coin is
+        coin[i, j]; the shift then moves row s to row ``target[s]``.
+        """
         n = self.graph.half_edge_count
-        coin = scipy.sparse.lil_matrix((n, n), dtype=np.complex128)
+        rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
         for idx, coin_t in self._coin_plan:
             if coin_t is None:
                 raise UnsupportedDegreeError(
                     f"{self.coin_family} coin undefined for degree "
                     f"{idx.shape[1]}; cannot assemble a full step operator")
-            block = coin_t.T
-            for row in idx:
-                coin[np.ix_(row, row)] = block
-        shift = scipy.sparse.csr_matrix(
-            (np.ones(n), (self._shift_target, np.arange(n))), shape=(n, n),
-            dtype=np.complex128)
-        return (shift @ coin.tocsr()).tocsr()
+            m, d = idx.shape
+            rows.append(np.broadcast_to(idx[:, :, None], (m, d, d)).ravel())
+            cols.append(np.broadcast_to(idx[:, None, :], (m, d, d)).ravel())
+            vals.append(np.broadcast_to(coin_t.T, (m, d, d)).ravel())
+        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+        nonzero = vals != 0
+        return scipy.sparse.csr_matrix(
+            (vals[nonzero], (self._shift_target[rows[nonzero]], cols[nonzero])),
+            shape=(n, n), dtype=np.complex128)
 
 
 def _check_line_headroom(state: PureState, steps: int) -> None:

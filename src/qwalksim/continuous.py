@@ -91,10 +91,14 @@ def evolve_ct_many(h: Hamiltonian, initial: np.ndarray,
 
 
 def column_sizes(depth: int) -> np.ndarray:
-    """Vertices per column of a depth-d glued-trees graph: 1,2,...,2^d,2^d,...,2,1."""
+    """Vertices per column of a depth-d glued-trees graph: 1,2,...,2^d,2^d,...,2,1.
+
+    Float64 holds these powers of two exactly up to depth 1023, where int64
+    would wrap from depth 63.
+    """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    left = 2 ** np.arange(depth + 1)
+    left = 2.0 ** np.arange(depth + 1)
     return np.concatenate([left, left[::-1]])
 
 
@@ -108,26 +112,29 @@ def reduce_columns(depth: int, glue: GlueSpec, gamma: float = 1.0,
     entrance is captured by couplings -g*E_c/sqrt(N_c*N_{c+1}) with E_c
     edges between columns of sizes N_c, N_{c+1}. Uniform-state amplitude in
     column c corresponds to sqrt(N_c) times the per-vertex amplitude.
+
+    Dividing E_c by m = min(N_c, N_{c+1}) and N_c*N_{c+1} by m^2 keeps the
+    coupling, bit for bit since m is a power of two, and leaves small
+    numbers at any depth: inside a tree each vertex of the smaller column
+    has two edges and the sizes differ by 2; at the glue the sizes are
+    equal and each leaf has one (symmetric) or two (random cycle) edges.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     if gamma <= 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     if convention not in HAMILTONIAN_CONVENTIONS:
         raise ValueError(
             f"convention must be one of {HAMILTONIAN_CONVENTIONS}, got {convention!r}")
-    sizes = column_sizes(depth)
     n = 2 * depth + 2
 
-    edge_counts = np.empty(n - 1)
-    for c in range(n - 1):
-        if c < depth:
-            edge_counts[c] = sizes[c + 1]  # each child has one parent edge
-        elif c == depth:
-            edge_counts[c] = sizes[depth] if glue.mode == "symmetric" else 2 * sizes[depth]
-        else:
-            edge_counts[c] = sizes[c]
+    edges_per_vertex = np.full(n - 1, 2.0)
+    edges_per_vertex[depth] = 1.0 if glue.mode == "symmetric" else 2.0
+    size_ratio = np.full(n - 1, 2.0)
+    size_ratio[depth] = 1.0
 
     m = np.zeros((n, n))
-    coupling = -gamma * edge_counts / np.sqrt(sizes[:-1] * sizes[1:])
+    coupling = -gamma * edges_per_vertex / np.sqrt(size_ratio)
     for c in range(n - 1):
         m[c, c + 1] = coupling[c]
         m[c + 1, c] = coupling[c]

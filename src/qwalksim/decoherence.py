@@ -6,6 +6,14 @@ trajectories (unitary step, then an actual collapse with probability p).
 The density route is the oracle; the trajectory route scales to graphs the
 density matrix cannot hold.
 
+A density step never forms a dense step operator. U = S·C (half-edge
+shift after block-diagonal coin) has d nonzeros per row on a degree-d
+graph, so both sides of U rho U† are sparse products over rows with one
+transpose in between: O(H^2·d) per step on H half-edges instead of the
+O(H^3) of dense matmuls, holding three HxH complex matrices (the iterate,
+the transposed half step and the next iterate) besides the real HxH
+dephasing factors.
+
 Trajectory randomness comes from ``numpy.random.default_rng`` (the PCG64
 generator), so records are bit-reproducible for a fixed seed across
 platforms.
@@ -13,6 +21,7 @@ platforms.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +129,34 @@ def apply_channel(rho: DensityState, spec: DecoherenceSpec) -> DensityState:
     return DensityState(rho.graph, rho.matrix * _dephasing_factors(rho.graph, spec))
 
 
+def _density_matrices(rho0: DensityState, spec: DecoherenceSpec, coin: str):
+    """Yield the density matrix after step 1, 2, ... indefinitely.
+
+    Each step is exact for any square matrix, Hermitian or not:
+    (U rho)^T = rho^T U^T, and conj(U) rho^T U^T = (U rho U†)^T. So a sparse
+    row product, one transpose into a reused buffer and a second row
+    product give the transposed result, which the next step consumes with
+    the roles of U and conj(U) swapped. Every other iterate is therefore
+    held transposed and yielded as a transposed view; the dephasing factors
+    are symmetric and apply in either layout. A yielded array is the
+    generator's working state: read it before the next resume, never write.
+    """
+    graph = rho0.graph
+    u = CoinedWalk(graph, coin).step_matrix()
+    u_conj = u.conj()
+    factors = _dephasing_factors(graph, spec)
+    turned = np.empty(rho0.matrix.shape, dtype=np.complex128)
+    held = rho0.matrix  # rho, or rho^T when `transposed`
+    transposed = False
+    while True:
+        first, second = (u_conj, u) if transposed else (u, u_conj)
+        np.copyto(turned, (first @ held).T)
+        held = second @ turned
+        held *= factors
+        transposed = not transposed
+        yield held.T if transposed else held
+
+
 def evolve_density(rho0: DensityState, spec: DecoherenceSpec, steps: int,
                    coin: str = "default") -> DensityState:
     """Iterate (unitary step, then measurement channel) ``steps`` times."""
@@ -128,26 +165,17 @@ def evolve_density(rho0: DensityState, spec: DecoherenceSpec, steps: int,
     graph = rho0.graph
     marginal_state = PureState(graph, np.sqrt(np.abs(np.diag(rho0.matrix))))
     _check_line_headroom(marginal_state, steps)
-    u = CoinedWalk(graph, coin).step_matrix().toarray()
-    u_dag = u.conj().T
-    factors = _dephasing_factors(graph, spec)
     rho = rho0.matrix
-    for _ in range(steps):
-        rho = (u @ rho @ u_dag) * factors
-    return DensityState(graph, rho)
+    for rho in itertools.islice(_density_matrices(rho0, spec, coin), steps):
+        pass
+    return DensityState(graph, np.ascontiguousarray(rho))
 
 
 def iter_density_steps(rho0: DensityState, spec: DecoherenceSpec,
                        coin: str = "default"):
     """Yield the density state after step 1, 2, ... indefinitely."""
-    graph = rho0.graph
-    u = CoinedWalk(graph, coin).step_matrix().toarray()
-    u_dag = u.conj().T
-    factors = _dephasing_factors(graph, spec)
-    rho = rho0.matrix
-    while True:
-        rho = (u @ rho @ u_dag) * factors
-        yield DensityState(graph, rho.copy())
+    for rho in _density_matrices(rho0, spec, coin):
+        yield DensityState(rho0.graph, rho.copy())
 
 
 def _collapse(amps: np.ndarray, graph: Graph, target: str,

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from qwalksim.coined import (CoinedWalk, coin_matrix, coin_toss, dft_coin,
+from qwalksim.coined import (COIN_FAMILIES, CoinedWalk, coin_matrix, coin_toss, dft_coin,
                              evolve, grover_coin, hadamard_coin, initial_state,
                              shift, step)
 from qwalksim.errors import BoundaryOverflowError, UnsupportedDegreeError
-from qwalksim.graphs import GlueSpec, build_cycle, build_glued_trees, build_line
+from qwalksim.graphs import (GlueSpec, build_cycle, build_glued_trees, build_hypercube,
+                             build_line)
 
 R2 = np.sqrt(2.0)
 R8 = np.sqrt(8.0)
@@ -299,3 +301,39 @@ def test_step_matrix_matches_stepping_and_is_unitary():
     s = initial_state(g, 2, "symmetric")
     assert np.allclose(u @ s.amplitudes, walk.step_amplitudes(s.amplitudes),
                        atol=1e-13)
+
+
+def loop_step_matrix(g, family):
+    # reference: one coin block per vertex placed by a Python loop, then the
+    # shift as a permutation matrix; entries are copied, never summed
+    n = g.half_edge_count
+    coin = scipy.sparse.lil_matrix((n, n), dtype=np.complex128)
+    for v in range(g.num_vertices):
+        d = g.degree(v)
+        if d:
+            rows = [g.half_edge(v, c) for c in range(d)]
+            coin[np.ix_(rows, rows)] = coin_matrix(family, d)
+    target = CoinedWalk(g, family)._shift_target
+    shift_m = scipy.sparse.csr_matrix(
+        (np.ones(n), (target, np.arange(n))), shape=(n, n), dtype=np.complex128)
+    return (shift_m @ coin.tocsr()).toarray()
+
+
+@pytest.mark.parametrize("family", COIN_FAMILIES)
+@pytest.mark.parametrize("make_graph", [
+    lambda: build_line(9), lambda: build_cycle(6), lambda: build_hypercube(2),
+    lambda: build_hypercube(4), lambda: build_glued_trees(3, GlueSpec("symmetric")),
+    lambda: build_glued_trees(3, GlueSpec("random-cycle", seed=2))])
+def test_step_matrix_equals_loop_reference(make_graph, family):
+    g = make_graph()
+    walk = CoinedWalk(g, family)
+    try:
+        want = loop_step_matrix(g, family)
+    except UnsupportedDegreeError:
+        with pytest.raises(UnsupportedDegreeError):
+            walk.step_matrix()
+        return
+    u = walk.step_matrix()
+    assert np.array_equal(u.toarray(), want)
+    assert u.nnz == np.count_nonzero(want)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(g.half_edge_count))) < 1e-12

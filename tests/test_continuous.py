@@ -133,6 +133,9 @@ def test_evolve_many_rejects_negative_times():
 def test_column_sizes():
     assert np.array_equal(column_sizes(3), [1, 2, 4, 8, 8, 4, 2, 1])
     assert np.array_equal(column_sizes(1), [1, 2, 2, 1])
+    # exact past int64: 2^63 and beyond
+    assert column_sizes(70)[70] == 2.0 ** 70
+    assert column_sizes(70)[-1] == 1
     with pytest.raises(ValueError):
         column_sizes(0)
 
@@ -161,6 +164,36 @@ def test_reduced_chain_matrix_random_cycle_glue():
     assert h.matrix[2, 2] == pytest.approx(3.0, abs=1e-12)
     assert h.matrix[3, 3] == pytest.approx(3.0, abs=1e-12)
     assert h.matrix[0, 0] == pytest.approx(2.0, abs=1e-12)
+
+
+def analytic_chain(depth, glue_mode):
+    # couplings -sqrt(2) inside both trees, -1 (symmetric) or -2 (random
+    # cycle) across the glue; Laplacian diagonal 2 at the roots, 3 inside,
+    # and 2 or 3 on the two leaf columns
+    n = 2 * depth + 2
+    coupling = np.full(n - 1, -np.sqrt(2.0))
+    coupling[depth] = -1.0 if glue_mode == "symmetric" else -2.0
+    diagonal = np.full(n, 3.0)
+    diagonal[[0, n - 1]] = 2.0
+    diagonal[[depth, depth + 1]] = 2.0 if glue_mode == "symmetric" else 3.0
+    return np.diag(diagonal) + np.diag(coupling, 1) + np.diag(coupling, -1)
+
+
+@pytest.mark.parametrize("depth", [31, 32, 40, 64, 200])
+@pytest.mark.parametrize("glue", [GlueSpec("symmetric"), GlueSpec("random-cycle", seed=7)])
+def test_reduced_chain_at_depth_past_int64(depth, glue):
+    # from depth 32 the column-size product 2^31 * 2^32 leaves int64
+    h = reduce_columns(depth, glue)
+    assert np.allclose(h.matrix, analytic_chain(depth, glue.mode), rtol=0, atol=1e-12)
+
+
+def test_exit_signal_at_depth_40_matches_analytic_chain():
+    glue = GlueSpec("random-cycle", seed=7)
+    times, values = exit_signal(40, glue)
+    h = Hamiltonian(analytic_chain(40, glue.mode), 1.0)
+    amps = evolve_ct_many(h, entrance_state(h.dimension), times)
+    assert np.max(np.abs(values - np.abs(amps[:, -1]) ** 2)) < 1e-9
+    assert 0.0 < values.max() <= 1.0
 
 
 def test_reduction_matches_full_graph():
@@ -260,6 +293,8 @@ def test_exit_series_csv():
 
 
 def test_reduced_chain_validation():
+    with pytest.raises(ValueError):
+        reduce_columns(0, GlueSpec("symmetric"))
     with pytest.raises(ValueError):
         reduce_columns(2, GlueSpec("symmetric"), gamma=-1.0)
     with pytest.raises(ValueError):

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwalksim.classical import evolve_classical_exact, iter_classical_distributions
-from qwalksim.coined import CoinedWalk, PureState, initial_state
+from qwalksim.coined import COIN_FAMILIES, CoinedWalk, PureState, coin_matrix, initial_state
 from qwalksim.decoherence import (DENSITY_DIMENSION_LIMIT, NOT_MEASURED,
                                   DecoherenceSpec, DensityState, apply_channel,
                                   evolve_density, evolve_trajectory,
                                   iter_density_steps, record_to_csv,
-                                  run_ensemble, to_density)
-from qwalksim.errors import InvariantViolationError
-from qwalksim.graphs import build_cycle, build_line
+                                  MEASUREMENT_TARGETS, run_ensemble, to_density)
+from qwalksim.errors import InvariantViolationError, UnsupportedDegreeError
+from qwalksim.graphs import (GlueSpec, build_cycle, build_glued_trees,
+                             build_hypercube, build_line)
 
 
 def random_density(graph, seed):
@@ -242,6 +245,105 @@ def test_density_evolution_rejects_negative_steps():
     s = initial_state(g, 0, "basis0")
     with pytest.raises(ValueError):
         evolve_density(to_density(s), DecoherenceSpec(0.1), -1)
+
+
+# --- structure-aware step against the dense reference ------------------
+
+STEP_GRAPHS = {
+    "line": lambda: build_line(9),
+    "cycle": lambda: build_cycle(7),
+    "hypercube2": lambda: build_hypercube(2),
+    "hypercube3": lambda: build_hypercube(3),
+    "glued-symmetric": lambda: build_glued_trees(3, GlueSpec("symmetric")),
+    "glued-random-cycle": lambda: build_glued_trees(3, GlueSpec("random-cycle", seed=4)),
+}
+
+
+def random_square(graph, seed):
+    # neither Hermitian nor unit-trace: only the exact two-sided form
+    # U rho U^dagger reproduces the reference on such a matrix
+    rng = np.random.default_rng(seed)
+    n = graph.half_edge_count
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+def dense_step_operator(graph, coin):
+    # column k is one step of basis vector k through the coin and shift maps,
+    # a route that does not go through step_matrix
+    walk = CoinedWalk(graph, coin)
+    return np.column_stack([walk.step_amplitudes(e)
+                            for e in np.eye(graph.half_edge_count, dtype=complex)])
+
+
+def coin_defined(graph, coin):
+    try:
+        for v in range(graph.num_vertices):
+            coin_matrix(coin, graph.degree(v))
+    except UnsupportedDegreeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("target", MEASUREMENT_TARGETS)
+@pytest.mark.parametrize("coin", COIN_FAMILIES)
+@pytest.mark.parametrize("graph_name", sorted(STEP_GRAPHS))
+def test_density_step_matches_dense_reference(graph_name, coin, target):
+    g = STEP_GRAPHS[graph_name]()
+    spec = DecoherenceSpec(0.3, target)
+    m = random_square(g, 21)
+    steps = iter_density_steps(DensityState(g, m), spec, coin)
+    if not coin_defined(g, coin):
+        with pytest.raises(UnsupportedDegreeError):
+            next(steps)
+        return
+    u = dense_step_operator(g, coin)
+    for _ in range(3):  # odd and even steps: both layouts of the iterate
+        m = apply_channel(DensityState(g, u @ m @ u.conj().T), spec).matrix
+        got = next(steps).matrix
+        assert np.max(np.abs(got - m)) < 1e-12 * np.max(np.abs(m))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(3, 12), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       target=st.sampled_from(MEASUREMENT_TARGETS),
+       coin=st.sampled_from(COIN_FAMILIES))
+def test_density_step_matches_dense_reference_on_cycles(n, p, seed, target, coin):
+    g = build_cycle(n)
+    spec = DecoherenceSpec(p, target)
+    m = random_square(g, seed)
+    u = dense_step_operator(g, coin)
+    steps = iter_density_steps(DensityState(g, m), spec, coin)
+    for _ in range(2):
+        m = apply_channel(DensityState(g, u @ m @ u.conj().T), spec).matrix
+        assert np.max(np.abs(next(steps).matrix - m)) < 1e-12 * np.max(np.abs(m))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 5])
+def test_evolve_density_matches_dense_reference(steps):
+    g = build_glued_trees(2, GlueSpec("random-cycle", seed=3))
+    spec = DecoherenceSpec(0.2, "position")
+    m = random_square(g, 4)
+    u = dense_step_operator(g, "default")
+    want = m
+    for _ in range(steps):
+        want = apply_channel(DensityState(g, u @ want @ u.conj().T), spec).matrix
+    got = evolve_density(DensityState(g, m), spec, steps).matrix
+    assert got.flags.c_contiguous
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_iter_density_steps_yields_independent_copies():
+    g = build_cycle(5)
+    spec = DecoherenceSpec(0.1, "both")
+    rho0 = random_density(g, 6)
+    before = rho0.matrix.copy()
+    it = iter_density_steps(rho0, spec)
+    first = next(it)
+    first.matrix[:] = 0.0
+    second = next(it)
+    assert np.array_equal(rho0.matrix, before)
+    direct = evolve_density(rho0, spec, 2)
+    assert np.allclose(second.matrix, direct.matrix, atol=1e-14)
 
 
 # --- measured trajectories ----------------------------------------------
