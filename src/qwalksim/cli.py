@@ -184,6 +184,7 @@ def run_walk(cfg: WalkConfig) -> tuple[stats.Distribution, dict]:
     """Execute one configured walk; returns the distribution and a summary."""
     graph = cfg.build_graph()
     start = cfg.start_vertex(graph)
+    summary: dict = {}
 
     if cfg.walk == "classical":
         dist = stats.position_distribution(
@@ -206,9 +207,10 @@ def run_walk(cfg: WalkConfig) -> tuple[stats.Distribution, dict]:
             dist = stats.position_distribution(final)
         elif cfg.trajectories is not None:
             spec = decoherence.DecoherenceSpec(cfg.p, cfg.target)
-            mean, _ = decoherence.run_ensemble(
+            mean, stderr = decoherence.run_ensemble(
                 state, spec, cfg.steps, cfg.trajectories, cfg.seed, cfg.coin)
             dist = stats.Distribution(mean, graph.coordinates)
+            summary["ensemble_max_stderr"] = float(stderr.max())
         else:
             if graph.half_edge_count > decoherence.DENSITY_DIMENSION_LIMIT:
                 raise ConfigError(
@@ -222,7 +224,7 @@ def run_walk(cfg: WalkConfig) -> tuple[stats.Distribution, dict]:
             rho.check()
             dist = stats.position_distribution(rho)
 
-    summary: dict = {"probability_sum": float(dist.probabilities.sum())}
+    summary["probability_sum"] = float(dist.probabilities.sum())
     if dist.coordinates is not None:
         summary["std_dev"] = stats.std_dev(dist)
     summary["tv_to_uniform"] = stats.total_variation(

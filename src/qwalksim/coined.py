@@ -183,14 +183,17 @@ class CoinedWalk:
         self._shift_source = np.empty_like(target)
         self._shift_source[target] = np.arange(graph.half_edge_count)
 
+    def _undefined_coin(self, idx: np.ndarray) -> UnsupportedDegreeError:
+        return UnsupportedDegreeError(
+            f"{self.coin_family} coin undefined for degree "
+            f"{idx.shape[1]} but amplitude occupies such a vertex")
+
     def coin_toss(self, amps: np.ndarray) -> np.ndarray:
         out = amps.copy()
         for idx, coin_t in self._coin_plan:
             if coin_t is None:
                 if np.any(amps[idx]):
-                    raise UnsupportedDegreeError(
-                        f"{self.coin_family} coin undefined for degree "
-                        f"{idx.shape[1]} but amplitude occupies such a vertex")
+                    raise self._undefined_coin(idx)
                 continue
             out[idx] = _apply_coin(amps[idx], coin_t)
         return out
@@ -201,15 +204,37 @@ class CoinedWalk:
     def step_amplitudes(self, amps: np.ndarray) -> np.ndarray:
         return self.shift(self.coin_toss(amps))
 
+    def step_rows(self, amps: np.ndarray) -> np.ndarray:
+        """One step of every row of a (rows, H) batch of independent walkers.
+
+        Row r comes out bit-identical to ``step_amplitudes(amps[r])``: the
+        same coin arithmetic, written straight to the shifted half-edges.
+        Degree 2 keeps ``_apply_coin``'s elementwise form on whole columns;
+        a stacked matmul multiplies each row's (m, d) block on its own.
+        """
+        out = np.empty_like(amps)
+        for idx, coin_t in self._coin_plan:
+            moved = self._shift_target[idx]
+            if coin_t is None:
+                block = amps[:, idx]
+                if np.any(block):
+                    raise self._undefined_coin(idx)
+                out[:, moved] = block
+            elif coin_t.shape[0] == 2:
+                b0, b1 = amps[:, idx[:, 0]], amps[:, idx[:, 1]]
+                out[:, moved[:, 0]] = b0 * coin_t[0, 0] + b1 * coin_t[1, 0]
+                out[:, moved[:, 1]] = b0 * coin_t[0, 1] + b1 * coin_t[1, 1]
+            else:
+                out[:, moved] = amps[:, idx] @ coin_t
+        return out
+
     def inverse_step_amplitudes(self, amps: np.ndarray) -> np.ndarray:
         out = amps[self._shift_target]
         undone = out.copy()
         for idx, coin_t in self._coin_plan:
             if coin_t is None:
                 if np.any(out[idx]):
-                    raise UnsupportedDegreeError(
-                        f"{self.coin_family} coin undefined for degree "
-                        f"{idx.shape[1]} but amplitude occupies such a vertex")
+                    raise self._undefined_coin(idx)
                 continue
             undone[idx] = _apply_coin(out[idx], coin_t.conj().T)
         return undone

@@ -16,7 +16,19 @@ dephasing factors.
 
 Trajectory randomness comes from ``numpy.random.default_rng`` (the PCG64
 generator), so records are bit-reproducible for a fixed seed across
-platforms.
+platforms. Trajectory i of an ensemble uses seed ``seed + i``.
+
+The trajectory engine is batched: a chunk of trajectories is one
+(rows, H) complex array, row r being trajectory r, stepped by one compiled
+``CoinedWalk.step_rows`` per step; only the rows whose measurement fired
+are collapsed, together. Each row keeps its own generator. Its uniforms
+are drawn ahead in blocks of up to ``_DRAW_BLOCK`` (``RowStreams``) and
+read through a per-row cursor, one per step for "measure now?" plus one
+per collapse, so a row reads exactly what a lone trajectory would, and
+``evolve_trajectory`` is the same kernel run on one row. A chunk holds
+about ``_CHUNK_BYTES`` (192 KiB) of amplitudes, a few temporaries of that
+size, and rows x 2 KiB of pre-drawn uniforms; the chunk's row count
+follows from H.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ import numpy as np
 from .coined import CoinedWalk, PureState, _check_line_headroom
 from .errors import InvariantViolationError
 from .graphs import Graph
+from .streams import RowStreams
 
 # Exact density evolution holds an HxH complex matrix (H = half-edge count);
 # above this dimension use trajectory mode instead.
@@ -38,6 +51,16 @@ MEASUREMENT_TARGETS = ("position", "coin", "both")
 
 # sentinel in measurement records for a register that was not measured
 NOT_MEASURED = -1
+
+# Trajectories step together as one (rows, H) complex array of at most
+# this many bytes. A step allocates a few temporaries of about that size;
+# past about 384 KiB the allocator stops reusing them and every step
+# page-faults (line(101), 200 half-edges: 2 us per trajectory-step at
+# 32-96 rows, 8 us at 128 rows); 192 KiB also keeps the peak memory of a
+# run at what the serial loop needed.
+_CHUNK_BYTES = 3 << 16
+# uniform draws each trajectory's stream reads ahead (2 KiB a trajectory)
+_DRAW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -113,8 +136,9 @@ def _sector_ids(graph: Graph, target: str) -> np.ndarray:
     vertex = graph.half_edge_vertex
     if target == "position":
         return vertex
-    offsets = np.array([graph.coin_offset(v) for v in range(graph.num_vertices)])
-    return he - offsets[vertex]
+    # a vertex's half-edges are contiguous, so each one's coin index is its
+    # distance from the first half-edge of its vertex
+    return he - np.searchsorted(vertex, vertex)
 
 
 def _dephasing_factors(graph: Graph, spec: DecoherenceSpec) -> np.ndarray:
@@ -178,32 +202,97 @@ def iter_density_steps(rho0: DensityState, spec: DecoherenceSpec,
         yield DensityState(rho0.graph, rho.copy())
 
 
-def _collapse(amps: np.ndarray, graph: Graph, target: str,
-              rng: np.random.Generator) -> tuple[np.ndarray, int, int]:
-    """Measure the target register, collapse, return (state, position, coin)."""
+def _chunk_rows(width: int) -> int:
+    """Trajectories stepped together, from the half-edge count of the graph."""
+    return max(1, _CHUNK_BYTES // (16 * max(width, 1)))
+
+
+def _uniform_block(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.random(n)
+
+
+def _row_bincount(labels: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
+    """``np.bincount(labels, weights[r], minlength=count)`` for every row r at once.
+
+    Each bin still sums its weights in half-edge order, so every row gets
+    the bits of its own bincount.
+    """
+    rows = weights.shape[0]
+    flat = (labels + count * np.arange(rows)[:, None]).ravel()
+    return np.bincount(flat, weights=weights.ravel(),
+                       minlength=rows * count).reshape(rows, count)
+
+
+def _collapse_rows(amps: np.ndarray, rows: np.ndarray, draws: np.ndarray,
+                   graph: Graph, target: str,
+                   coin_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Measure the target register of the listed rows, collapsing them in place.
+
+    A row's outcome is ``searchsorted(cum, draw * cum[-1], side="right")``
+    over its cumulated outcome probabilities; counting the entries not
+    above the threshold is the same index. Returns each row's measured
+    position and coin, NOT_MEASURED for a register the target leaves alone.
+    """
+    picked = amps[rows]
+    weights = np.abs(picked) ** 2
     if target == "both":
-        probs = np.abs(amps) ** 2
-        cum = np.cumsum(probs)
-        k = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        out = np.zeros_like(amps)
-        out[k] = amps[k] / abs(amps[k])
-        v = int(graph.half_edge_vertex[k])
-        return out, v, k - graph.coin_offset(v)
+        probs = weights
+    elif target == "position":
+        probs = _row_bincount(graph.half_edge_vertex, weights, graph.num_vertices)
+    else:
+        probs = _row_bincount(coin_ids, weights, int(coin_ids.max()) + 1)
+    cum = np.cumsum(probs, axis=1)
+    outcome = (cum <= (draws * cum[:, -1])[:, None]).sum(axis=1)
+    if target == "both":
+        kept = picked[np.arange(len(rows)), outcome]
+        amps[rows] = 0.0
+        # the phase a lone trajectory keeps, amps[k] / abs(amps[k]) on
+        # scalars: abs of a complex scalar is the hypot of its parts, which
+        # np.abs on an array misses in the last bit
+        amps[rows, outcome] = kept / np.hypot(kept.real, kept.imag)
+        return graph.half_edge_vertex[outcome], coin_ids[outcome]
+    labels = graph.half_edge_vertex if target == "position" else coin_ids
+    norm = np.sqrt(probs[np.arange(len(rows)), outcome])
+    amps[rows] = np.where(labels == outcome[:, None], picked, 0.0) / norm[:, None]
+    unmeasured = np.full(len(rows), NOT_MEASURED)
     if target == "position":
-        probs = np.bincount(graph.half_edge_vertex, weights=np.abs(amps) ** 2,
-                            minlength=graph.num_vertices)
-        cum = np.cumsum(probs)
-        v = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        out = np.zeros_like(amps)
-        off, d = graph.coin_offset(v), graph.degree(v)
-        out[off:off + d] = amps[off:off + d] / np.sqrt(probs[v])
-        return out, v, NOT_MEASURED
-    ids = _sector_ids(graph, "coin")
-    probs = np.bincount(ids, weights=np.abs(amps) ** 2)
-    cum = np.cumsum(probs)
-    c = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-    out = np.where(ids == c, amps, 0.0) / np.sqrt(probs[c])
-    return out, NOT_MEASURED, c
+        return outcome, unmeasured
+    return unmeasured, outcome
+
+
+def _trajectories(walk: CoinedWalk, amps0: np.ndarray, spec: DecoherenceSpec,
+                  steps: int, seeds, keep_record: bool):
+    """Run one measured trajectory per seed, as the rows of one array.
+
+    Row r is the trajectory of ``default_rng(seeds[r])``. Each step draws
+    one uniform to decide whether to measure and, when it fires, one more
+    for the outcome, in that order, so a row reads its stream exactly as a
+    lone trajectory would. Returns the final (rows, H) amplitudes and, with
+    ``keep_record``, the (rows, steps, 4) measurement records.
+    """
+    graph = walk.graph
+    rows = len(seeds)
+    amps = np.repeat(amps0[None, :], rows, axis=0)
+    record = None
+    if keep_record:
+        record = np.full((rows, steps, 4), NOT_MEASURED, dtype=np.int64)
+        record[:, :, 0] = np.arange(1, steps + 1)
+        record[:, :, 1] = 0
+    streams = RowStreams(seeds, _uniform_block, max(1, min(2 * steps, _DRAW_BLOCK)))
+    coin_ids = _sector_ids(graph, "coin")
+    everyone = np.arange(rows)
+    for t in range(steps):
+        amps = walk.step_rows(amps)
+        fired = everyone[streams.next(everyone) < spec.p]
+        if fired.size == 0:
+            continue
+        position, coin_out = _collapse_rows(amps, fired, streams.next(fired), graph,
+                                            spec.target, coin_ids)
+        if keep_record:
+            record[fired, t, 1] = 1
+            record[fired, t, 2] = position
+            record[fired, t, 3] = coin_out
+    return amps, record
 
 
 def evolve_trajectory(state0: PureState, spec: DecoherenceSpec, steps: int,
@@ -213,26 +302,15 @@ def evolve_trajectory(state0: PureState, spec: DecoherenceSpec, steps: int,
 
     Returns the final pure state and, when ``keep_record`` is set, an
     integer array with one ``step, measured, position, coin`` row per step
-    (-1 marks a register that was not measured). Deterministic per seed.
+    (-1 marks a register that was not measured). Deterministic per seed;
+    it is the ensemble kernel run on a single row.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     _check_line_headroom(state0, steps)
-    graph = state0.graph
-    walk = CoinedWalk(graph, coin)
-    rng = np.random.default_rng(seed)
-    amps = state0.amplitudes.copy()
-    record = np.empty((steps, 4), dtype=np.int64) if keep_record else None
-    for step_index in range(1, steps + 1):
-        amps = walk.step_amplitudes(amps)
-        measured = rng.random() < spec.p
-        if measured:
-            amps, pos, coin_out = _collapse(amps, graph, spec.target, rng)
-        else:
-            pos, coin_out = NOT_MEASURED, NOT_MEASURED
-        if keep_record:
-            record[step_index - 1] = (step_index, int(measured), pos, coin_out)
-    return PureState(graph, amps), record
+    walk = CoinedWalk(state0.graph, coin)
+    amps, record = _trajectories(walk, state0.amplitudes, spec, steps, [seed], keep_record)
+    return PureState(state0.graph, amps[0]), None if record is None else record[0]
 
 
 def run_ensemble(state0: PureState, spec: DecoherenceSpec, steps: int,
@@ -241,20 +319,27 @@ def run_ensemble(state0: PureState, spec: DecoherenceSpec, steps: int,
     """Average the final position distribution over independent trajectories.
 
     Trajectory i uses seed ``seed + i``, so any subset can be reproduced in
-    isolation and results do not depend on execution order. Returns the
-    per-vertex mean and its standard error.
+    isolation and results do not depend on execution order or batching.
+    Returns the per-vertex mean and its standard error.
     """
     if trajectories < 1:
         raise ValueError(f"trajectories must be >= 1, got {trajectories}")
-    n = state0.graph.num_vertices
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    _check_line_headroom(state0, steps)
+    graph = state0.graph
+    walk = CoinedWalk(graph, coin)
+    n = graph.num_vertices
     total = np.zeros(n)
     total_sq = np.zeros(n)
-    for i in range(trajectories):
-        final, _ = evolve_trajectory(state0, spec, steps, seed + i, coin,
-                                     keep_record=False)
-        p = final.position_distribution()
-        total += p
-        total_sq += p * p
+    chunk = _chunk_rows(graph.half_edge_count)
+    for first in range(0, trajectories, chunk):
+        seeds = range(seed + first, seed + min(first + chunk, trajectories))
+        amps, _ = _trajectories(walk, state0.amplitudes, spec, steps, seeds, False)
+        p = _row_bincount(graph.half_edge_vertex, np.abs(amps) ** 2, n)
+        # running sums in trajectory order, the bits a serial loop adds up
+        total = np.cumsum(np.vstack((total, p)), axis=0)[-1]
+        total_sq = np.cumsum(np.vstack((total_sq, p * p)), axis=0)[-1]
     mean = total / trajectories
     var = np.maximum(total_sq / trajectories - mean ** 2, 0.0)
     stderr = np.sqrt(var / trajectories)

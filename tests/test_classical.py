@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qwalksim import classical
 from qwalksim.classical import (HittingTimeResult, evolve_classical_exact,
                                 hitting_time, hitting_time_exact,
                                 iter_classical_distributions,
@@ -10,6 +15,7 @@ from qwalksim.graphs import (GlueSpec, Graph, build_cycle, build_glued_trees,
                              build_hypercube, build_line,
                              glued_trees_entrance_exit)
 from qwalksim.stats import position_distribution, std_dev, total_variation
+from qwalksim.streams import RowStreams
 
 
 # --- transition matrix ---------------------------------------------------
@@ -217,3 +223,136 @@ def test_hitting_time_validates():
         hitting_time(g, 0, 1, seed=1, num_samples=10, cap=0)
     with pytest.raises(ValueError):
         hitting_time_exact(g, 0, 7)
+
+
+# --- batched sampling keeps every walk's seed stream ---------------------
+#
+# The serial loops below are the sampled engines as they were before
+# batching: one generator per walk, one scalar integers() call per move.
+# The batched engines must reproduce them bit for bit.
+
+def serial_walk(g, start, steps, seed):
+    rng = np.random.default_rng(seed)
+    path = [start]
+    for _ in range(steps):
+        nbrs = g.neighbors(path[-1])
+        path.append(nbrs[rng.integers(len(nbrs))])
+    return np.array(path)
+
+
+def serial_histogram(g, start, steps, num_samples, seed):
+    counts = np.zeros(g.num_vertices)
+    for i in range(num_samples):
+        counts[serial_walk(g, start, steps, seed + i)[-1]] += 1
+    return counts / num_samples
+
+
+def serial_hitting_time(g, start, target, seed, num_samples, cap):
+    hits, censored = [], 0
+    for i in range(num_samples):
+        rng = np.random.default_rng(seed + i)
+        v = start
+        for step in range(1, cap + 1):
+            nbrs = g.neighbors(v)
+            v = nbrs[rng.integers(len(nbrs))]
+            if v == target:
+                hits.append(step)
+                break
+        else:
+            censored += 1
+    if not hits:
+        return HittingTimeResult(None, None, 0, censored, cap)
+    std_error = (float(np.std(hits, ddof=1) / np.sqrt(len(hits)))
+                 if len(hits) > 1 else None)
+    return HittingTimeResult(float(np.mean(hits)), std_error, len(hits), censored, cap)
+
+
+def star(leaves):
+    # a centre of degree `leaves` (not a power of two for 3, 5, 6) and
+    # degree-1 leaves, which draw nothing from the stream
+    return Graph(leaves + 1, [(0, k) for k in range(1, leaves + 1)])
+
+
+SAMPLING_GRAPHS = {
+    "line": lambda: build_line(9),          # degree-1 ends are reached
+    "cycle": lambda: build_cycle(7),
+    "hypercube": lambda: build_hypercube(3),
+    "star": lambda: star(5),
+    "glued-random": lambda: build_glued_trees(3, GlueSpec("random-cycle", 4)),
+    "glued-symmetric": lambda: build_glued_trees(2, GlueSpec("symmetric")),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(SAMPLING_GRAPHS)), data=st.data(),
+       steps=st.integers(0, 40), seed=st.integers(0, 2 ** 31),
+       samples=st.integers(1, 9), chunk=st.integers(1, 4), block=st.integers(1, 5))
+def test_batched_sampling_matches_serial_loop(name, data, steps, seed, samples,
+                                              chunk, block):
+    # small chunks and draw blocks put walks in several chunks and make
+    # rows refill their blocks mid-walk
+    g = SAMPLING_GRAPHS[name]()
+    start = data.draw(st.integers(0, g.num_vertices - 1))
+    target = data.draw(st.integers(0, g.num_vertices - 1))
+    cap = data.draw(st.integers(1, 60))
+    with mock.patch.object(classical, "_CHUNK_ROWS", chunk), \
+            mock.patch.object(classical, "_DRAW_BLOCK", block):
+        path = sample_walk(g, start, steps, seed)
+        hist = sample_endpoint_histogram(g, start, steps, samples, seed)
+        hit = hitting_time(g, start, target, seed, samples, cap)
+    assert np.array_equal(path, serial_walk(g, start, steps, seed))
+    assert np.array_equal(hist, serial_histogram(g, start, steps, samples, seed))
+    if start != target:
+        assert hit == serial_hitting_time(g, start, target, seed, samples, cap)
+
+
+def test_batched_sampling_matches_serial_at_default_chunking():
+    g = build_glued_trees(5, GlueSpec("random-cycle", 11))
+    entrance, exit_vertex = glued_trees_entrance_exit(g)
+    hist = sample_endpoint_histogram(g, entrance, 25, 1100, seed=3)
+    assert np.array_equal(hist, serial_histogram(g, entrance, 25, 1100, 3))
+    # walks longer than one draw block, some of them censored
+    result = hitting_time(g, entrance, exit_vertex, seed=5, num_samples=40, cap=1100)
+    assert result == serial_hitting_time(g, entrance, exit_vertex, 5, 40, 1100)
+    assert result.censored > 0 and result.completed > 0
+
+
+def test_uint32_block_equals_integers_draws():
+    a = np.random.default_rng(8)
+    b = np.random.default_rng(8)
+    blocks = np.concatenate([classical._uint32_block(a, n) for n in (2, 6, 4)])
+    draws = b.integers(0, 2 ** 32 - 1, size=12, dtype=np.uint32, endpoint=True)
+    assert np.array_equal(blocks, draws)
+
+
+@pytest.mark.parametrize("bounds", [(1, 2, 3, 4), (3 * 2 ** 30, 2 ** 31 + 1, 1, 5, 7)])
+def test_bounded_draws_follow_numpy_rejection_rule(bounds):
+    # the large bounds reject about a quarter and a half of all draws, so
+    # this pins numpy's Lemire rule: a rejected row takes its next draw
+    seeds = [21, 22, 23]
+    streams = RowStreams(seeds, classical._uint32_block, 6)
+    scalar = [np.random.default_rng(s) for s in seeds]
+    pick = np.random.default_rng(0)
+    rows = np.arange(len(seeds))
+    for _ in range(400):
+        k = pick.choice(bounds, size=len(seeds)).astype(np.uint64)
+        got = classical._bounded_draws(streams, rows, k)
+        want = [rng.integers(int(kk)) for rng, kk in zip(scalar, k)]
+        assert got.tolist() == want
+    # every row consumed exactly as many draws as its scalar generator
+    assert np.array_equal(
+        streams.next(rows),
+        [rng.integers(0, 2 ** 32 - 1, dtype=np.uint32, endpoint=True) for rng in scalar])
+
+
+def test_sampling_validates_start():
+    g = Graph(3, [(0, 1)])
+    with pytest.raises(ValueError):
+        sample_endpoint_histogram(g, 5, 4, num_samples=3, seed=1)
+    with pytest.raises(ValueError):
+        sample_endpoint_histogram(g, 0, -1, num_samples=3, seed=1)
+    with pytest.raises(ValueError, match="isolated"):
+        sample_walk(g, 2, 3, seed=1)
+    with pytest.raises(ValueError, match="isolated"):
+        hitting_time(g, 2, 0, seed=1, num_samples=3)
+    assert np.array_equal(sample_walk(g, 2, 0, seed=1), [2])

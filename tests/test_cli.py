@@ -83,6 +83,11 @@ def test_walk_trajectory_mode_deterministic(tmp_path):
     assert run(argv + ["-o", a]) == 0
     assert run(argv + ["-o", b]) == 0
     assert open(a, "rb").read() == open(b, "rb").read()
+    # the sampled answer's error reaches the metadata, not the distribution
+    stderr = read_meta(a)["summary"]["ensemble_max_stderr"]
+    assert 0.0 < stderr < 0.2
+    with open(a) as handle:
+        assert "stderr" not in handle.read()
 
 
 def test_walk_continuous_cycle(tmp_path):

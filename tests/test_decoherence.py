@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from qwalksim import decoherence
 
 from qwalksim.classical import evolve_classical_exact, iter_classical_distributions
 from qwalksim.coined import COIN_FAMILIES, CoinedWalk, PureState, coin_matrix, initial_state
@@ -13,6 +17,7 @@ from qwalksim.decoherence import (DENSITY_DIMENSION_LIMIT, NOT_MEASURED,
 from qwalksim.errors import InvariantViolationError, UnsupportedDegreeError
 from qwalksim.graphs import (GlueSpec, build_cycle, build_glued_trees,
                              build_hypercube, build_line)
+from qwalksim.streams import RowStreams
 
 
 def random_density(graph, seed):
@@ -470,3 +475,159 @@ def test_record_csv_format():
     record = np.array([[1, 0, -1, -1], [2, 1, 4, 0]], dtype=np.int64)
     text = record_to_csv(record)
     assert text == "step,measured,position,coin\n1,0,-1,-1\n2,1,4,0\n"
+
+
+# --- batched trajectories keep every trajectory's seed stream ------------
+#
+# The serial loop below is the trajectory engine as it was before
+# batching: one generator per trajectory, the 1-D step, and one scalar
+# random() call per step plus one per collapse. The batched engine must
+# reproduce it bit for bit, amplitudes and records alike.
+
+def serial_collapse(amps, graph, target, rng):
+    if target == "both":
+        cum = np.cumsum(np.abs(amps) ** 2)
+        k = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        out = np.zeros_like(amps)
+        out[k] = amps[k] / abs(amps[k])
+        v = int(graph.half_edge_vertex[k])
+        return out, v, k - graph.coin_offset(v)
+    if target == "position":
+        probs = np.bincount(graph.half_edge_vertex, weights=np.abs(amps) ** 2,
+                            minlength=graph.num_vertices)
+        cum = np.cumsum(probs)
+        v = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        out = np.zeros_like(amps)
+        off, d = graph.coin_offset(v), graph.degree(v)
+        out[off:off + d] = amps[off:off + d] / np.sqrt(probs[v])
+        return out, v, NOT_MEASURED
+    ids = np.array([c for v in range(graph.num_vertices) for c in range(graph.degree(v))])
+    probs = np.bincount(ids, weights=np.abs(amps) ** 2)
+    cum = np.cumsum(probs)
+    c = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+    out = np.where(ids == c, amps, 0.0) / np.sqrt(probs[c])
+    return out, NOT_MEASURED, c
+
+
+def serial_trajectory(state0, spec, steps, seed, coin):
+    graph = state0.graph
+    walk = CoinedWalk(graph, coin)
+    rng = np.random.default_rng(seed)
+    amps = state0.amplitudes.copy()
+    record = np.empty((steps, 4), dtype=np.int64)
+    for t in range(1, steps + 1):
+        amps = walk.step_amplitudes(amps)
+        measured = rng.random() < spec.p
+        pos = coin_out = NOT_MEASURED
+        if measured:
+            amps, pos, coin_out = serial_collapse(amps, graph, spec.target, rng)
+        record[t - 1] = (t, int(measured), pos, coin_out)
+    return amps, record
+
+
+def serial_ensemble(state0, spec, steps, trajectories, seed, coin):
+    n = state0.graph.num_vertices
+    total, total_sq = np.zeros(n), np.zeros(n)
+    for i in range(trajectories):
+        amps, _ = serial_trajectory(state0, spec, steps, seed + i, coin)
+        p = PureState(state0.graph, amps).position_distribution()
+        total += p
+        total_sq += p * p
+    mean = total / trajectories
+    var = np.maximum(total_sq / trajectories - mean ** 2, 0.0)
+    return mean, np.sqrt(var / trajectories)
+
+
+TRAJECTORY_GRAPHS = {
+    "line": lambda: build_line(41),
+    "cycle": lambda: build_cycle(7),
+    "hypercube": lambda: build_hypercube(3),
+    "glued-random": lambda: build_glued_trees(2, GlueSpec("random-cycle", 5)),
+}
+
+
+def start_of(graph):
+    return graph.params["origin"] if graph.kind == "line" else 0
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_GRAPHS))
+@pytest.mark.parametrize("family", COIN_FAMILIES)
+def test_step_rows_matches_single_rows(name, family):
+    g = TRAJECTORY_GRAPHS[name]()
+    walk = CoinedWalk(g, family)
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(5, g.half_edge_count)) + 1j * rng.normal(size=(5, g.half_edge_count))
+    try:
+        singles = [walk.step_amplitudes(r) for r in rows]
+    except UnsupportedDegreeError:
+        with pytest.raises(UnsupportedDegreeError):
+            walk.step_rows(rows)
+        return
+    for _ in range(6):
+        rows = walk.step_rows(rows)
+        for r, single in enumerate(singles):
+            assert np.array_equal(rows[r], single)
+        singles = [walk.step_amplitudes(s) for s in singles]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(TRAJECTORY_GRAPHS)),
+       family=st.sampled_from(COIN_FAMILIES),
+       target=st.sampled_from(MEASUREMENT_TARGETS),
+       p=st.sampled_from([0.0, 0.15, 0.5, 1.0]), steps=st.integers(0, 12),
+       seed=st.integers(0, 2 ** 31), trajectories=st.integers(1, 7),
+       chunk_rows=st.integers(1, 3), block=st.integers(1, 4))
+def test_batched_trajectories_match_serial_loop(name, family, target, p, steps, seed,
+                                                trajectories, chunk_rows, block):
+    g = TRAJECTORY_GRAPHS[name]()
+    d = g.degree(start_of(g))
+    # complex amplitudes from the start, whatever the coin family
+    s = initial_state(g, start_of(g), np.exp(1j * np.arange(d)) / np.sqrt(d))
+    spec = DecoherenceSpec(p, target)
+    try:
+        reference = [serial_trajectory(s, spec, steps, seed + i, family)
+                     for i in range(trajectories)]
+    except UnsupportedDegreeError:
+        with pytest.raises(UnsupportedDegreeError):
+            run_ensemble(s, spec, steps, trajectories, seed, family)
+        return
+    # tiny chunks and draw blocks: several chunks per ensemble, and rows
+    # that refill their blocks at different steps
+    with mock.patch.object(decoherence, "_CHUNK_BYTES", 16 * g.half_edge_count * chunk_rows), \
+            mock.patch.object(decoherence, "_DRAW_BLOCK", block):
+        walk = CoinedWalk(g, family)
+        amps, records = decoherence._trajectories(
+            walk, s.amplitudes, spec, steps, range(seed, seed + trajectories), True)
+        for i, (want_amps, want_record) in enumerate(reference):
+            single, record = evolve_trajectory(s, spec, steps, seed + i, family)
+            assert np.array_equal(amps[i], want_amps)
+            assert np.array_equal(records[i], want_record)
+            assert np.array_equal(single.amplitudes, want_amps)
+            assert np.array_equal(record, want_record)
+        mean, stderr = run_ensemble(s, spec, steps, trajectories, seed, family)
+    want_mean, want_stderr = serial_ensemble(s, spec, steps, trajectories, seed, family)
+    assert np.array_equal(mean, want_mean)
+    assert np.array_equal(stderr, want_stderr)
+
+
+def test_ensemble_matches_serial_across_default_chunk():
+    g = build_line(101)
+    s = initial_state(g, g.params["origin"], "symmetric")
+    spec = DecoherenceSpec(0.1, "both")
+    trajectories = decoherence._chunk_rows(g.half_edge_count) + 2
+    mean, stderr = run_ensemble(s, spec, 20, trajectories, seed=17)
+    want_mean, want_stderr = serial_ensemble(s, spec, 20, trajectories, 17, "default")
+    assert np.array_equal(mean, want_mean)
+    assert np.array_equal(stderr, want_stderr)
+
+
+def test_row_streams_refill_per_row():
+    # rows read at different rates and refill at different times, yet each
+    # sees exactly its own generator's scalar sequence
+    streams = RowStreams([4, 5, 6], lambda rng, n: rng.random(n), 3)
+    scalar = [np.random.default_rng(s) for s in (4, 5, 6)]
+    pick = np.random.default_rng(1)
+    for _ in range(50):
+        rows = np.flatnonzero(pick.random(3) < 0.6)
+        got = streams.next(rows)
+        assert got.tolist() == [scalar[r].random() for r in rows]

@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwalksim.classical import evolve_classical_exact, iter_classical_distributions
 from qwalksim.coined import CoinedWalk, initial_state
@@ -246,6 +248,40 @@ def test_flatness_tv_counts_mass_outside_window():
     # pays the mass left outside
     value = flatness_tv([0.9, 0.0, 0.1])
     assert value == pytest.approx(0.1)  # window {0}: 0.5*(0.1 + 0.1)
+
+
+def flatness_tv_reference(p, tol=1e-12):
+    """flatness_tv as a direct scan: each window's sums taken on their own."""
+    p = np.asarray(p, dtype=float)
+    q = p[p > tol]
+    total = float(p.sum())
+    prefix = np.concatenate(([0.0], np.cumsum(q)))
+    best = np.inf
+    for i in range(len(q)):
+        for j in range(i, len(q)):
+            width = j - i + 1
+            inside = float(np.sum(np.abs(q[i:j + 1] - 1.0 / width)))
+            best = min(best, 0.5 * (inside + total - (prefix[j + 1] - prefix[i])))
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60),
+       gaps=st.integers(0, 3))
+def test_flatness_tv_matches_window_scan(weights, gaps):
+    p = np.array(weights)
+    if p.sum() == 0.0:
+        p[0] = 1.0
+    p /= p.sum()
+    p = np.repeat(p, gaps + 1) * (np.arange(len(p) * (gaps + 1)) % (gaps + 1) == 0)
+    assert flatness_tv(p) == pytest.approx(flatness_tv_reference(p), abs=1e-12)
+
+
+def test_flatness_tv_matches_window_scan_on_a_walk():
+    # the quantum walk profile the command line summarizes: 101 sites
+    g = build_line(201)
+    p = CoinedWalk(g).evolve(initial_state(g, 100, "symmetric"), 100).position_distribution()
+    assert flatness_tv(p) == pytest.approx(flatness_tv_reference(p), abs=1e-12)
 
 
 def test_flatness_empty_distribution_raises():
