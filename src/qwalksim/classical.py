@@ -3,7 +3,9 @@
 The transition rule is degree-uniform: probability mass at a vertex splits
 equally over its neighbors, which on the line interior is the fair +-1
 coin-toss walk. Exact propagation is the oracle for every sampled result
-and for the quantum classical-limit checks.
+and for the quantum classical-limit checks. ``evolve_classical_exact`` is
+the state at step ``steps`` of the generator whose later states
+``iter_classical_distributions`` yields.
 
 The sampled engines are batched. Up to ``_CHUNK_ROWS`` walks move
 together as one vector of current vertices, walk i on its own generator
@@ -28,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import BoundaryOverflowError
-from .graphs import Graph
+from .graphs import Graph, check_line_headroom
 from .streams import RowStreams
 
 # Walks stepped together. Each holds a generator (about 2 KiB of Python
@@ -58,41 +59,34 @@ def transition_matrix(g: Graph) -> np.ndarray:
     return t / degrees[:, None]
 
 
-def _check_line_range(g: Graph, start: int, steps: int) -> None:
-    # the path stands in for the infinite line: the walker may reach an end
-    # vertex on the final step but must never step from one
-    if g.kind != "line":
-        return
-    if start - steps < 0 or start + steps > g.num_vertices - 1:
-        raise BoundaryOverflowError(
-            f"start {start} plus {steps} steps exceeds line of "
-            f"{g.num_vertices} positions; enlarge the graph")
+def _distributions(g: Graph, start: int, steps: int | None = None):
+    """Yield the exact distribution at step 0, 1, 2, ...; never write one.
+
+    A run of known length ``steps`` is checked against the line rule first.
+    """
+    if not 0 <= start < g.num_vertices:
+        raise ValueError(f"start vertex {start} out of range")
+    if steps is not None:
+        check_line_headroom(g.kind, g.num_vertices, [start], steps)
+    t = transition_matrix(g)
+    p = np.zeros(g.num_vertices)
+    p[start] = 1.0
+    while True:
+        yield p
+        p = p @ t
 
 
 def evolve_classical_exact(g: Graph, start: int, steps: int) -> ClassicalDistribution:
     """Exact distribution after ``steps`` moves of the degree-uniform chain."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if not 0 <= start < g.num_vertices:
-        raise ValueError(f"start vertex {start} out of range")
-    _check_line_range(g, start, steps)
-    t = transition_matrix(g)
-    p = np.zeros(g.num_vertices)
-    p[start] = 1.0
-    for _ in range(steps):
-        p = p @ t
+    p = next(itertools.islice(_distributions(g, start, steps), steps, None))
     return ClassicalDistribution(p, steps, g)
 
 
 def iter_classical_distributions(g: Graph, start: int):
     """Yield the exact distribution after step 1, 2, ... indefinitely."""
-    if not 0 <= start < g.num_vertices:
-        raise ValueError(f"start vertex {start} out of range")
-    t = transition_matrix(g)
-    p = np.zeros(g.num_vertices)
-    p[start] = 1.0
-    while True:
-        p = p @ t
+    for p in itertools.islice(_distributions(g, start), 1, None):
         yield p.copy()
 
 

@@ -27,7 +27,8 @@ import numpy as np
 from . import __version__, classical, coined, continuous, decoherence, stats
 from .errors import (BoundaryOverflowError, ConfigError, InvariantViolationError,
                      MissingSeedError)
-from .graphs import Graph, GlueSpec, build_cycle, build_glued_trees, build_hypercube, build_line
+from .graphs import (Graph, GlueSpec, build_cycle, build_glued_trees, build_hypercube,
+                     build_line, check_line_headroom)
 
 THREADS_ENV_VAR = "QWALKSIM_THREADS"
 
@@ -75,9 +76,7 @@ class WalkConfig:
             raise ConfigError("format", f"must be one of {OUTPUT_FORMATS}")
 
         if self.graph == "line":
-            npos = self.num_positions
-            if self.walk != "continuous" and npos is None:
-                npos = 2 * (self.steps or 0) + 1
+            npos = self._line_size()
             if npos is None or npos < 1 or npos % 2 == 0:
                 raise ConfigError("num-positions", "line needs a positive odd size")
         elif self.graph == "cycle":
@@ -105,16 +104,14 @@ class WalkConfig:
             if self.steps is None or self.steps < 0:
                 raise ConfigError("steps", f"{self.walk} walk needs steps >= 0")
             if self.graph == "line":
-                npos = self.num_positions or 2 * self.steps + 1
                 start = self.start if self.start is not None else (npos - 1) // 2
                 if not 0 <= start < npos:
                     raise ConfigError(
                         "start", f"vertex {start} out of range for {npos} positions")
-                if start - self.steps < 0 or start + self.steps > npos - 1:
-                    raise ConfigError(
-                        "num-positions",
-                        f"{self.steps} steps from vertex {start} exceed the line; "
-                        f"need at least {2 * self.steps + 1} positions")
+                try:
+                    check_line_headroom("line", npos, [start], self.steps)
+                except BoundaryOverflowError as exc:
+                    raise ConfigError("num-positions", str(exc)) from None
 
         if self.walk == "coined":
             if self.coin not in coined.COIN_FAMILIES:
@@ -138,12 +135,15 @@ class WalkConfig:
             raise ConfigError(
                 "exit-series", "only available for the continuous glued-trees walk")
 
+    def _line_size(self) -> int | None:
+        """Positions of the line; a stepped walk defaults to 2*steps+1."""
+        if self.num_positions is None and self.walk != "continuous":
+            return 2 * (self.steps or 0) + 1
+        return self.num_positions
+
     def build_graph(self) -> Graph:
         if self.graph == "line":
-            npos = self.num_positions
-            if npos is None and self.walk != "continuous":
-                npos = 2 * (self.steps or 0) + 1
-            return build_line(npos)
+            return build_line(self._line_size())
         if self.graph == "cycle":
             return build_cycle(self.n)
         if self.graph == "hypercube":
@@ -305,6 +305,14 @@ def write_outputs(cfg: WalkConfig, dist: stats.Distribution, summary: dict,
     atomic_write(cfg.output + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
+def run_and_write(cfg: WalkConfig) -> dict:
+    """Run one validated configuration, write its files and return its summary."""
+    started = time.perf_counter()
+    dist, summary = run_walk(cfg)
+    write_outputs(cfg, dist, summary, time.perf_counter() - started)
+    return summary
+
+
 CONFIG_FIELD_NAMES = {f.name for f in dataclasses.fields(WalkConfig)}
 
 
@@ -382,10 +390,7 @@ def cmd_walk(args: argparse.Namespace) -> int:
     if cfg.output is None:
         raise ConfigError("output", "an output path is required")
     cfg.validate()
-    started = time.perf_counter()
-    dist, summary = run_walk(cfg)
-    wall = time.perf_counter() - started
-    write_outputs(cfg, dist, summary, wall)
+    summary = run_and_write(cfg)
     print(f"wrote {cfg.output} " + " ".join(
         f"{k}={v:.6g}" for k, v in sorted(summary.items()) if isinstance(v, float)))
     return 0
@@ -420,52 +425,48 @@ def sweep_thread_count(args: argparse.Namespace) -> int:
     return 1
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    base = config_from_args(args)
-    if args.axis not in SWEEPABLE_AXES:
-        raise ConfigError("axis", f"must be one of {SWEEPABLE_AXES}, got {args.axis!r}")
-    values = parse_sweep_values(args.axis, args.values)
-    outdir = args.output_dir
-    threads = sweep_thread_count(args)
-
+def run_sweep(base: WalkConfig, axis: str, values: list, outdir: str, prefix: str,
+              threads: int) -> None:
+    """Run ``base`` once per value of ``axis`` and write every run plus a summary table."""
     runs: list[WalkConfig] = []
     for i, value in enumerate(values):
-        cfg = apply_axis(base, args.axis, value, i)
-        cfg.output = os.path.join(outdir, f"{args.prefix}{args.axis}={value:g}.{cfg.format}")
+        cfg = apply_axis(base, axis, value, i)
+        cfg.output = os.path.join(outdir, f"{prefix}{axis}={value:g}.{cfg.format}")
         cfg.validate()
         runs.append(cfg)
 
     started = time.perf_counter()
-
-    def one(cfg: WalkConfig) -> dict:
-        t0 = time.perf_counter()
-        dist, summary = run_walk(cfg)
-        write_outputs(cfg, dist, summary, time.perf_counter() - t0)
-        return summary
-
     if threads == 1:
-        summaries = [one(cfg) for cfg in runs]
+        summaries = [run_and_write(cfg) for cfg in runs]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            summaries = list(pool.map(one, runs))
+            summaries = list(pool.map(run_and_write, runs))
 
     known_columns = ["std_dev", "tv_to_uniform", "flatness_ratio", "flatness_tv",
                      "exit_peak_time", "exit_peak_height"]
     columns = [c for c in known_columns if any(c in s for s in summaries)]
-    lines = [",".join([args.axis] + columns)]
+    lines = [",".join([axis] + columns)]
     for value, summary in zip(values, summaries):
         cells = [f"{value:g}"]
         cells += [f"{summary[c]:.15g}" if c in summary else "" for c in columns]
         lines.append(",".join(cells))
-    summary_path = os.path.join(outdir, f"{args.prefix}summary.csv")
+    summary_path = os.path.join(outdir, f"{prefix}summary.csv")
     atomic_write(summary_path, "\n".join(lines) + "\n")
     meta = config_metadata(base)
-    meta["axis"] = args.axis
+    meta["axis"] = axis
     meta["values"] = values
     meta["wall_time_seconds"] = time.perf_counter() - started
     atomic_write(summary_path + ".meta.json",
                  json.dumps(meta, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(runs)} runs and {summary_path}")
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    base = config_from_args(args)
+    if args.axis not in SWEEPABLE_AXES:
+        raise ConfigError("axis", f"must be one of {SWEEPABLE_AXES}, got {args.axis!r}")
+    values = parse_sweep_values(args.axis, args.values)
+    run_sweep(base, args.axis, values, args.output_dir, args.prefix, sweep_thread_count(args))
     return 0
 
 
@@ -517,24 +518,14 @@ def cmd_figures(args: argparse.Namespace) -> int:
                    output=os.path.join(outdir, f"line_t{steps}_classical.csv")))
     for cfg in profile_configs:
         cfg.validate()
-        t0 = time.perf_counter()
-        dist, summary = run_walk(cfg)
-        write_outputs(cfg, dist, summary, time.perf_counter() - t0)
+        run_and_write(cfg)
         made.append(cfg.output)
 
     # decoherence sweep at t=100: the flatness minimum sits at intermediate p
-    sweep_args = argparse.Namespace(
-        config=None, axis="p",
-        values=",".join(str(p) for p in FIG_DECOHERENCE_SWEEP),
-        output_dir=outdir, prefix="decoherence_", threads=args.threads,
-        output=None,
-        **{name: None for name in CONFIG_FIELD_NAMES if name != "output"})
-    sweep_args.walk = "coined"
-    sweep_args.graph = "line"
-    sweep_args.steps = steps
-    sweep_args.initial = "symmetric"
-    sweep_args.target = "both"
-    cmd_sweep(sweep_args)
+    base = WalkConfig(walk="coined", graph="line", steps=steps, initial="symmetric",
+                      target="both")
+    run_sweep(base, "p", list(FIG_DECOHERENCE_SWEEP), outdir, "decoherence_",
+              sweep_thread_count(args))
     made.append(os.path.join(outdir, "decoherence_summary.csv"))
 
     print("\n".join(made))

@@ -7,6 +7,10 @@ moves each amplitude along its edge. The shift relabels the coin on
 arrival so that on a path graph direction 0 keeps travelling towards lower
 coordinates and direction 1 towards higher ones; on any graph it is a
 permutation of half-edges, so the step operator stays unitary.
+
+``CoinedWalk.iter_steps`` is the one evolution path: it checks the step
+count and the line rule and yields the state after every step. ``evolve``
+is its last state, and the module-level ``step`` is ``evolve`` for one step.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse
 
-from .errors import BoundaryOverflowError, UnsupportedDegreeError
-from .graphs import Graph
+from .errors import UnsupportedDegreeError
+from .graphs import Graph, check_line_headroom
 
 COIN_FAMILIES = ("default", "hadamard", "grover", "dft")
 
@@ -240,19 +244,18 @@ class CoinedWalk:
         return undone
 
     def evolve(self, state: PureState, steps: int) -> PureState:
-        if steps < 0:
-            raise ValueError(f"steps must be >= 0, got {steps}")
-        _check_line_headroom(state, steps)
-        amps = state.amplitudes
-        for _ in range(steps):
-            amps = self.step_amplitudes(amps)
-        return PureState(self.graph, amps)
+        """The last state of ``iter_steps``; ``state`` itself for zero steps."""
+        final = state
+        for final in self.iter_steps(state, steps):
+            pass
+        return final
 
     def iter_steps(self, state: PureState, steps: int):
         """Yield the state after each of ``steps`` sequential steps."""
         if steps < 0:
             raise ValueError(f"steps must be >= 0, got {steps}")
-        _check_line_headroom(state, steps)
+        g = state.graph
+        check_line_headroom(g.kind, g.num_vertices, _support(state), steps)
         amps = state.amplitudes
         for _ in range(steps):
             amps = self.step_amplitudes(amps)
@@ -282,24 +285,9 @@ class CoinedWalk:
             shape=(n, n), dtype=np.complex128)
 
 
-def _check_line_headroom(state: PureState, steps: int) -> None:
-    """Refuse a run whose support would spill past the ends of a path graph.
-
-    A path stands in for the infinite line, so reaching an end vertex is
-    only allowed on the final step; one more step would reflect and silently
-    diverge from the line walk.
-    """
-    g = state.graph
-    if g.kind != "line" or g.num_vertices < 2 or steps == 0:
-        return
-    occupied = np.flatnonzero(state.position_distribution() > 0.0)
-    if occupied.size == 0:
-        return
-    lo, hi = int(occupied[0]), int(occupied[-1])
-    if lo - steps < 0 or hi + steps > g.num_vertices - 1:
-        raise BoundaryOverflowError(
-            f"support [{lo}, {hi}] plus {steps} steps exceeds line of "
-            f"{g.num_vertices} positions; enlarge the graph")
+def _support(state: PureState) -> np.ndarray:
+    """Vertices where the walker may be found."""
+    return np.flatnonzero(state.position_distribution() > 0.0)
 
 
 def coin_toss(state: PureState, coin: str = "default") -> PureState:
@@ -314,8 +302,7 @@ def shift(state: PureState) -> PureState:
 
 def step(state: PureState, coin: str = "default") -> PureState:
     """One walk step: coin toss, then shift."""
-    _check_line_headroom(state, 1)
-    return PureState(state.graph, CoinedWalk(state.graph, coin).step_amplitudes(state.amplitudes))
+    return evolve(state, 1, coin)
 
 
 def evolve(state: PureState, steps: int, coin: str = "default") -> PureState:

@@ -3,7 +3,8 @@
 The Hamiltonian is gamma times the graph Laplacian by default (H = g(D - A));
 the pure-adjacency convention (H = -gA) is available as a switch. Evolution
 uses a full dense symmetric eigendecomposition, so any time is exact and
-repeated times reuse the same factorization.
+repeated times reuse the same factorization. ``evolve_ct_many`` is the one
+evolution path; ``evolve_ct`` is its single-time case.
 
 For glued trees the walk started at the entrance stays in the
 column-uniform subspace, so a (2*depth+2)-dimensional chain Hamiltonian
@@ -63,8 +64,19 @@ def hamiltonian(g: Graph, gamma: float = 1.0,
 
 def evolve_ct(h: Hamiltonian, initial: np.ndarray, time: float) -> np.ndarray:
     """Apply exp(-i H t) to the initial amplitude vector."""
-    if time < 0:
-        raise ValueError(f"time must be >= 0, got {time}")
+    return evolve_ct_many(h, initial, [time])[0]
+
+
+def evolve_ct_many(h: Hamiltonian, initial: np.ndarray,
+                   times: np.ndarray) -> np.ndarray:
+    """Amplitudes at each requested time, stacked as rows.
+
+    One time runs as a matrix-vector product, several as a matrix product;
+    their BLAS kernels may round a row differently in the last place.
+    """
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0):
+        raise ValueError(f"times must be >= 0, got {times.min()}")
     initial = np.asarray(initial, dtype=np.complex128)
     if initial.shape != (h.dimension,):
         raise ValueError(
@@ -72,22 +84,9 @@ def evolve_ct(h: Hamiltonian, initial: np.ndarray, time: float) -> np.ndarray:
     if not np.isclose(np.linalg.norm(initial), 1.0, atol=1e-8):
         raise ValueError("initial amplitudes must be a unit vector")
     vals, vecs = h._eig()
-    return vecs @ (np.exp(-1j * vals * time) * (vecs.T @ initial))
-
-
-def evolve_ct_many(h: Hamiltonian, initial: np.ndarray,
-                   times: np.ndarray) -> np.ndarray:
-    """Amplitudes at each requested time, stacked as rows."""
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("times must be >= 0")
-    initial = np.asarray(initial, dtype=np.complex128)
-    if not np.isclose(np.linalg.norm(initial), 1.0, atol=1e-8):
-        raise ValueError("initial amplitudes must be a unit vector")
-    vals, vecs = h._eig()
     coeff = vecs.T @ initial
     phases = np.exp(-1j * np.outer(times, vals))
-    return (phases * coeff) @ vecs.T
+    return (vecs @ (phases * coeff).T).T
 
 
 def column_sizes(depth: int) -> np.ndarray:

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coined import CoinedWalk, PureState, _check_line_headroom
+from .coined import CoinedWalk, PureState, _support
 from .errors import InvariantViolationError
-from .graphs import Graph
+from .graphs import Graph, check_line_headroom
 from .streams import RowStreams
 
 # Exact density evolution holds an HxH complex matrix (H = half-edge count);
@@ -78,15 +78,20 @@ class DecoherenceSpec:
                 f"target must be one of {MEASUREMENT_TARGETS}, got {self.target!r}")
 
 
+def _check_density_dimension(graph: Graph) -> None:
+    n = graph.half_edge_count
+    if n > DENSITY_DIMENSION_LIMIT:
+        raise ValueError(
+            f"graph has {n} half-edges, above the density-matrix limit "
+            f"{DENSITY_DIMENSION_LIMIT}; use trajectory mode")
+
+
 class DensityState:
     """Density operator over half-edge basis states."""
 
     def __init__(self, graph: Graph, matrix: np.ndarray):
+        _check_density_dimension(graph)
         n = graph.half_edge_count
-        if n > DENSITY_DIMENSION_LIMIT:
-            raise ValueError(
-                f"graph has {n} half-edges, above the density-matrix limit "
-                f"{DENSITY_DIMENSION_LIMIT}; use trajectory mode")
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.shape != (n, n):
             raise ValueError(f"matrix must have shape ({n}, {n}), got {matrix.shape}")
@@ -124,6 +129,7 @@ class DensityState:
 
 def to_density(state: PureState) -> DensityState:
     """Rank-1 projector |state><state|."""
+    _check_density_dimension(state.graph)
     a = state.amplitudes
     return DensityState(state.graph, np.outer(a, a.conj()))
 
@@ -187,8 +193,8 @@ def evolve_density(rho0: DensityState, spec: DecoherenceSpec, steps: int,
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     graph = rho0.graph
-    marginal_state = PureState(graph, np.sqrt(np.abs(np.diag(rho0.matrix))))
-    _check_line_headroom(marginal_state, steps)
+    occupied = graph.half_edge_vertex[np.flatnonzero(np.diag(rho0.matrix))]
+    check_line_headroom(graph.kind, graph.num_vertices, occupied, steps)
     rho = rho0.matrix
     for rho in itertools.islice(_density_matrices(rho0, spec, coin), steps):
         pass
@@ -307,10 +313,11 @@ def evolve_trajectory(state0: PureState, spec: DecoherenceSpec, steps: int,
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    _check_line_headroom(state0, steps)
-    walk = CoinedWalk(state0.graph, coin)
+    graph = state0.graph
+    check_line_headroom(graph.kind, graph.num_vertices, _support(state0), steps)
+    walk = CoinedWalk(graph, coin)
     amps, record = _trajectories(walk, state0.amplitudes, spec, steps, [seed], keep_record)
-    return PureState(state0.graph, amps[0]), None if record is None else record[0]
+    return PureState(graph, amps[0]), None if record is None else record[0]
 
 
 def run_ensemble(state0: PureState, spec: DecoherenceSpec, steps: int,
@@ -326,8 +333,8 @@ def run_ensemble(state0: PureState, spec: DecoherenceSpec, steps: int,
         raise ValueError(f"trajectories must be >= 1, got {trajectories}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    _check_line_headroom(state0, steps)
     graph = state0.graph
+    check_line_headroom(graph.kind, graph.num_vertices, _support(state0), steps)
     walk = CoinedWalk(graph, coin)
     n = graph.num_vertices
     total = np.zeros(n)

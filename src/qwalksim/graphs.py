@@ -5,6 +5,11 @@ N-cycle, the n-dimensional hypercube and the glued-binary-trees network;
 every walk engine operates on the same immutable Graph structure. Neighbor
 lists are stored in ascending order so coin-direction indexing is
 deterministic across runs.
+
+The line rule: a line stands in for the infinite line, so a walk may reach
+an end vertex only on its last step; a step from an end would reflect and
+silently diverge from the line walk. ``check_line_headroom`` alone decides
+it, for every engine and for the CLI.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingSeedError
+from .errors import BoundaryOverflowError, MissingSeedError
 
 GLUE_MODES = ("symmetric", "random-cycle")
 
@@ -124,6 +129,18 @@ class Graph:
 def neighbors(g: Graph, v: int) -> list[int]:
     """Neighbors of v in deterministic ascending order."""
     return list(g.neighbors(v))
+
+
+def check_line_headroom(kind: str, num_vertices: int, occupied, steps: int) -> None:
+    """Raise ``BoundaryOverflowError`` if a line walk from ``occupied`` breaks the rule."""
+    occupied = np.asarray(occupied)
+    if kind != "line" or steps == 0 or occupied.size == 0:
+        return
+    lo, hi = int(occupied.min()), int(occupied.max())
+    if lo - steps < 0 or hi + steps > num_vertices - 1:
+        raise BoundaryOverflowError(
+            f"occupied vertices [{lo}, {hi}] plus {steps} steps exceed a line of "
+            f"{num_vertices} positions; enlarge the graph")
 
 
 def build_line(num_positions: int) -> Graph:

@@ -314,7 +314,8 @@ def test_criterion_7d_reruns_byte_identical(tmp_path):
         assert cli.main(argv + ["-o", second]) == 0
         with open(first, "rb") as fa, open(second, "rb") as fb:
             assert fa.read() == fb.read(), f"{tag} rerun differs"
-        meta = json.load(open(first + ".meta.json"))
+        with open(first + ".meta.json") as handle:
+            meta = json.load(handle)
         assert "wall_time_seconds" in meta  # volatile data lives in metadata
     elapsed = time.perf_counter() - started
     report("7d", "reruns-byte-identical", elapsed, 30.0)

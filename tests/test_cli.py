@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ def test_walk_rerun_is_byte_identical(tmp_path):
             "--initial", "symmetric"]
     assert run(argv + ["-o", a]) == 0
     assert run(argv + ["-o", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_walk_classical_matches_module(tmp_path):
@@ -82,7 +83,7 @@ def test_walk_trajectory_mode_deterministic(tmp_path):
     b = str(tmp_path / "t2.csv")
     assert run(argv + ["-o", a]) == 0
     assert run(argv + ["-o", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
     # the sampled answer's error reaches the metadata, not the distribution
     stderr = read_meta(a)["summary"]["ensemble_max_stderr"]
     assert 0.0 < stderr < 0.2
@@ -117,7 +118,7 @@ def test_walk_json_format(tmp_path):
     out = str(tmp_path / "walk.json")
     assert run(["walk", "--graph", "line", "--steps", "3",
                 "--format", "json", "-o", out]) == 0
-    data = json.load(open(out))
+    data = json.loads(Path(out).read_bytes())
     assert data["metadata"]["config"]["steps"] == 3
     total = sum(pt["probability"] for pt in data["points"])
     assert total == pytest.approx(1.0, abs=1e-12)
@@ -203,7 +204,7 @@ def test_sweep_over_p(tmp_path):
     table = {float(r[0]): dict(zip(columns[1:], map(float, r[1:]))) for r in rows}
     # measurement narrows the quantum spread
     assert table[0.0]["std_dev"] > table[0.1]["std_dev"]
-    meta = json.load(open(os.path.join(outdir, "sweep_summary.csv.meta.json")))
+    meta = json.loads(Path(outdir, "sweep_summary.csv.meta.json").read_bytes())
     assert meta["axis"] == "p"
     assert meta["values"] == [0.0, 0.1]
 
@@ -228,8 +229,8 @@ def test_sweep_threads_do_not_change_results(tmp_path, monkeypatch):
     assert run(base + ["--output-dir", serial]) == 0
     monkeypatch.setenv(cli.THREADS_ENV_VAR, "3")
     assert run(base + ["--output-dir", threaded]) == 0
-    a = open(os.path.join(serial, "sweep_summary.csv"), "rb").read()
-    b = open(os.path.join(threaded, "sweep_summary.csv"), "rb").read()
+    a = Path(serial, "sweep_summary.csv").read_bytes()
+    b = Path(threaded, "sweep_summary.csv").read_bytes()
     assert a == b
 
 

@@ -9,7 +9,7 @@ from qwalksim.continuous import (HAMILTONIAN_CONVENTIONS, Hamiltonian,
                                  hamiltonian, reduce_columns,
                                  threshold_crossing_time)
 from qwalksim.graphs import (GlueSpec, Graph, build_cycle, build_glued_trees,
-                             build_line, glued_trees_entrance_exit)
+                             build_hypercube, build_line, glued_trees_entrance_exit)
 
 
 def two_site():
@@ -119,6 +119,8 @@ def test_evolve_many_matches_single_times():
     stacked = evolve_ct_many(h, initial, times)
     assert stacked.shape == (4, 6)
     for k, t in enumerate(times):
+        # one time is a matrix-vector product, several a matrix product;
+        # the two BLAS kernels may round differently in the last place
         assert np.allclose(stacked[k], evolve_ct(h, initial, t), atol=1e-12)
 
 
@@ -126,6 +128,61 @@ def test_evolve_many_rejects_negative_times():
     h = hamiltonian(build_cycle(3))
     with pytest.raises(ValueError):
         evolve_ct_many(h, entrance_state(3), np.array([0.0, -1.0]))
+
+
+def test_evolve_many_validates_initial():
+    h = hamiltonian(build_cycle(3))
+    with pytest.raises(ValueError, match="shape"):
+        evolve_ct_many(h, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="unit"):
+        evolve_ct_many(h, np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0]))
+
+
+# The formulas evolve_ct and evolve_ct_many used before they shared one
+# core; the shared core must give the same bits.
+
+def evolve_ct_gemv_reference(h, initial, time):
+    vals, vecs = h._eig()
+    return vecs @ (np.exp(-1j * vals * time) * (vecs.T @ initial))
+
+
+def evolve_ct_many_rows_reference(h, initial, times):
+    vals, vecs = h._eig()
+    coeff = vecs.T @ initial
+    phases = np.exp(-1j * np.outer(times, vals))
+    return (phases * coeff) @ vecs.T
+
+
+def full_graph_cases():
+    for name, g in (("glued-5-symmetric", build_glued_trees(5, GlueSpec("symmetric"))),
+                    ("glued-7-random", build_glued_trees(7, GlueSpec("random-cycle", seed=4))),
+                    ("line-101", build_line(101)),
+                    ("hypercube-6", build_hypercube(6)),
+                    ("cycle-15", build_cycle(15))):
+        start = g.params.get("origin", 0)
+        for convention in HAMILTONIAN_CONVENTIONS:
+            yield pytest.param(g, start, convention, id=f"{name}-{convention}")
+
+
+@pytest.mark.parametrize("graph, start, convention", full_graph_cases())
+def test_evolve_ct_equals_gemv_reference(graph, start, convention):
+    h = hamiltonian(graph, 1.0, convention)
+    initial = np.zeros(graph.num_vertices, dtype=np.complex128)
+    initial[start] = 1.0
+    for t in (0.0, 0.5, 3.0, 14.0, 100.0):
+        assert np.array_equal(evolve_ct(h, initial, t),
+                              evolve_ct_gemv_reference(h, initial, t)), t
+
+
+@pytest.mark.parametrize("depth", [3, 7, 40])
+@pytest.mark.parametrize("glue", [GlueSpec("symmetric"), GlueSpec("random-cycle", seed=1)],
+                         ids=["symmetric", "random-cycle"])
+def test_evolve_ct_many_equals_rows_reference(depth, glue):
+    h = reduce_columns(depth, glue)
+    initial = entrance_state(h.dimension)
+    times = np.linspace(0.0, 4.0 * depth, 2001)
+    assert np.array_equal(evolve_ct_many(h, initial, times),
+                          evolve_ct_many_rows_reference(h, initial, times))
 
 
 # --- glued-trees column reduction ----------------------------------------

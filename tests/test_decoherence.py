@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -78,6 +79,21 @@ def test_density_dimension_limit():
     assert g.half_edge_count > DENSITY_DIMENSION_LIMIT
     with pytest.raises(ValueError):
         DensityState(g, np.eye(g.half_edge_count) / g.half_edge_count)
+
+
+def test_to_density_refuses_before_allocating(monkeypatch):
+    g = build_line(201)
+    projector_bytes = g.half_edge_count ** 2 * 16
+    state = initial_state(g, g.params["origin"])
+    monkeypatch.setattr(decoherence, "DENSITY_DIMENSION_LIMIT", 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="density-matrix limit 8"):
+            to_density(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < projector_bytes // 10
 
 
 def test_check_accepts_valid_state():
