@@ -11,6 +11,12 @@ permutation of half-edges, so the step operator stays unitary.
 ``CoinedWalk.iter_steps`` is the one evolution path: it checks the step
 count and the line rule and yields the state after every step. ``evolve``
 is its last state, and the module-level ``step`` is ``evolve`` for one step.
+
+``CoinedWalk`` compiles one coin plan per graph, per degree the half-edge
+block, its shifted target and the coin. ``step_amplitudes`` (one walker)
+and ``step_rows`` (a batch) both read it and write each coin output
+straight to its shifted half-edge, in one pass; the result is
+bit-identical to ``shift(coin_toss(amps))``.
 """
 
 from __future__ import annotations
@@ -159,24 +165,6 @@ class CoinedWalk:
         self.graph = graph
         self.coin_family = coin
 
-        by_degree: dict[int, list[int]] = {}
-        for v in range(graph.num_vertices):
-            d = graph.degree(v)
-            if d > 0:
-                by_degree.setdefault(d, []).append(v)
-        # per degree: (half-edge index block (m, d), transposed coin); the
-        # coin may be None for degrees the family does not support, which is
-        # an error only if amplitude ever sits on such a vertex
-        self._coin_plan: list[tuple[np.ndarray, np.ndarray | None]] = []
-        for d, vertices in sorted(by_degree.items()):
-            offs = np.array([graph.coin_offset(v) for v in vertices])
-            idx = offs[:, None] + np.arange(d)[None, :]
-            try:
-                coin_t = coin_matrix(coin, d).T.copy()
-            except UnsupportedDegreeError:
-                coin_t = None
-            self._coin_plan.append((idx, coin_t))
-
         # shift half-edge s=(v,c) to (u, deg(u)-1-slot(v at u)); a permutation
         target = np.empty(graph.half_edge_count, dtype=np.int64)
         for v in range(graph.num_vertices):
@@ -187,6 +175,33 @@ class CoinedWalk:
         self._shift_source = np.empty_like(target)
         self._shift_source[target] = np.arange(graph.half_edge_count)
 
+        by_degree: dict[int, list[int]] = {}
+        for v in range(graph.num_vertices):
+            d = graph.degree(v)
+            if d > 0:
+                by_degree.setdefault(d, []).append(v)
+        # one entry per degree, read by every step method: the (m, d)
+        # half-edge block, where the shift sends it, the transposed coin
+        # (None for a degree the family does not support, an error only if
+        # amplitude ever sits there) and, at degree 2, the four contiguous
+        # columns of block and target with the coin entries as 0-d complex
+        # arrays, which multiply like the scalars but with less overhead
+        self._coin_plan: list[tuple] = []
+        for d, vertices in sorted(by_degree.items()):
+            offs = np.array([graph.coin_offset(v) for v in vertices])
+            idx = offs[:, None] + np.arange(d)[None, :]
+            moved = target[idx]
+            try:
+                coin_t = coin_matrix(coin, d).T.copy()
+            except UnsupportedDegreeError:
+                coin_t = None
+            pair = None
+            if coin_t is not None and d == 2:
+                pair = (idx[:, 0].copy(), idx[:, 1].copy(), moved[:, 0].copy(),
+                        moved[:, 1].copy(),
+                        *(np.array(c, dtype=np.complex128) for c in coin_t.ravel()))
+            self._coin_plan.append((idx, moved, coin_t, pair))
+
     def _undefined_coin(self, idx: np.ndarray) -> UnsupportedDegreeError:
         return UnsupportedDegreeError(
             f"{self.coin_family} coin undefined for degree "
@@ -194,7 +209,7 @@ class CoinedWalk:
 
     def coin_toss(self, amps: np.ndarray) -> np.ndarray:
         out = amps.copy()
-        for idx, coin_t in self._coin_plan:
+        for idx, _, coin_t, _ in self._coin_plan:
             if coin_t is None:
                 if np.any(amps[idx]):
                     raise self._undefined_coin(idx)
@@ -206,36 +221,53 @@ class CoinedWalk:
         return amps[self._shift_source]
 
     def step_amplitudes(self, amps: np.ndarray) -> np.ndarray:
-        return self.shift(self.coin_toss(amps))
+        """One step, coin toss then shift, bit-identical to
+        ``shift(coin_toss(amps))``: each coin output is written straight to
+        its shifted half-edge. Degree 2 keeps ``_apply_coin``'s elementwise
+        form; other degrees multiply the (m, d) block by the coin."""
+        out = np.empty_like(amps)
+        for idx, moved, coin_t, pair in self._coin_plan:
+            if pair is not None:
+                i0, i1, m0, m1, c00, c01, c10, c11 = pair
+                b0, b1 = amps[i0], amps[i1]
+                out[m0] = b0 * c00 + b1 * c10
+                out[m1] = b0 * c01 + b1 * c11
+            elif coin_t is not None:
+                out[moved] = amps[idx] @ coin_t
+            else:
+                block = amps[idx]
+                if np.any(block):
+                    raise self._undefined_coin(idx)
+                out[moved] = block
+        return out
 
     def step_rows(self, amps: np.ndarray) -> np.ndarray:
         """One step of every row of a (rows, H) batch of independent walkers.
 
         Row r comes out bit-identical to ``step_amplitudes(amps[r])``: the
-        same coin arithmetic, written straight to the shifted half-edges.
-        Degree 2 keeps ``_apply_coin``'s elementwise form on whole columns;
-        a stacked matmul multiplies each row's (m, d) block on its own.
+        same plan and arithmetic on whole columns, where a stacked matmul
+        multiplies each row's (m, d) block on its own.
         """
         out = np.empty_like(amps)
-        for idx, coin_t in self._coin_plan:
-            moved = self._shift_target[idx]
-            if coin_t is None:
+        for idx, moved, coin_t, pair in self._coin_plan:
+            if pair is not None:
+                i0, i1, m0, m1, c00, c01, c10, c11 = pair
+                b0, b1 = amps[:, i0], amps[:, i1]
+                out[:, m0] = b0 * c00 + b1 * c10
+                out[:, m1] = b0 * c01 + b1 * c11
+            elif coin_t is not None:
+                out[:, moved] = amps[:, idx] @ coin_t
+            else:
                 block = amps[:, idx]
                 if np.any(block):
                     raise self._undefined_coin(idx)
                 out[:, moved] = block
-            elif coin_t.shape[0] == 2:
-                b0, b1 = amps[:, idx[:, 0]], amps[:, idx[:, 1]]
-                out[:, moved[:, 0]] = b0 * coin_t[0, 0] + b1 * coin_t[1, 0]
-                out[:, moved[:, 1]] = b0 * coin_t[0, 1] + b1 * coin_t[1, 1]
-            else:
-                out[:, moved] = amps[:, idx] @ coin_t
         return out
 
     def inverse_step_amplitudes(self, amps: np.ndarray) -> np.ndarray:
         out = amps[self._shift_target]
         undone = out.copy()
-        for idx, coin_t in self._coin_plan:
+        for idx, _, coin_t, _ in self._coin_plan:
             if coin_t is None:
                 if np.any(out[idx]):
                     raise self._undefined_coin(idx)
@@ -269,7 +301,7 @@ class CoinedWalk:
         """
         n = self.graph.half_edge_count
         rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
-        for idx, coin_t in self._coin_plan:
+        for idx, _, coin_t, _ in self._coin_plan:
             if coin_t is None:
                 raise UnsupportedDegreeError(
                     f"{self.coin_family} coin undefined for degree "

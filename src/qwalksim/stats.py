@@ -5,10 +5,18 @@ total-variation distance, the running time average P_bar(x,T) =
 (1/T) sum_{t=1..T} P(x,t), mixing-time estimation against a target
 distribution, and flatness metrics for spotting the near-uniform profile
 that intermediate decoherence produces.
+
+``mixing_time`` reads its series in blocks of at most 256 items and 64 KiB
+(one item, if an item is larger). It reads no item that a loop taking one
+item at a time would not read: not past the last item its answer depends
+on, nor past ``t_max``. Besides two buffers of one block each, it keeps
+8 bytes of TV history per item read. Its values are bit-identical to a
+loop that keeps one running sum and calls ``total_variation`` per item.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -28,6 +36,9 @@ NORMALIZATION_TOL = 1e-10
 DEFAULT_EPSILON = 0.01
 DEFAULT_T_MAX = 10 ** 5
 MIXING_WINDOW_SAMPLES = 10
+# a mixing-time block: at most this many items and bytes (or one item)
+_MIXING_BLOCK_ROWS = 256
+_MIXING_BLOCK_BYTES = 64 * 1024
 
 
 @dataclass
@@ -137,47 +148,105 @@ def mixing_time(step_distributions: Iterable, target, epsilon: float = DEFAULT_E
     points spanning (T, min(2T, t_max)], which guards against transient
     dips. Returns None when no T <= t_max qualifies (including when the
     iterator runs out first).
+
+    The series is read in blocks (see the module docstring), and no
+    further than a loop reading one item at a time would read. An item
+    whose shape differs from the target's raises ValueError.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    target_probs = _as_probs(target)
-    it: Iterator = iter(step_distributions)
-    tv: list[float] = []
-    running = np.zeros_like(target_probs)
-    exhausted = False
-
-    def extend_to(t: int) -> None:
-        nonlocal exhausted, running
-        while not exhausted and len(tv) < t:
-            try:
-                probs = _as_probs(next(it))
-            except StopIteration:
-                exhausted = True
-                return
-            running = running + probs
-            tv.append(total_variation(running / (len(tv) + 1), target_probs))
-
-    candidate = 1
-    while candidate <= t_max:
-        extend_to(candidate)
-        if len(tv) < candidate:
+    if window_samples < 1:
+        raise ValueError(f"window_samples must be >= 1, got {window_samples}")
+    series = _RunningTV(step_distributions, _as_probs(target))
+    ruled_out = 0  # no T <= ruled_out qualifies
+    while ruled_out < t_max:
+        # any candidate among the next ruled_out + 1 items needs a window
+        # reaching past them, so reading them all reads nothing unneeded
+        series.extend_to(min(2 * ruled_out + 1, t_max))
+        known = series.count
+        if known == ruled_out:
             return None
-        if tv[candidate - 1] <= epsilon:
+        hits = np.flatnonzero(series.tv[ruled_out:known] <= epsilon) + ruled_out + 1
+        for candidate in hits.tolist():
             window_end = min(2 * candidate, t_max)
-            extend_to(window_end)
-            if len(tv) < window_end:
+            if not series.extend_to(window_end):
                 # the series ended inside the look-ahead window, so neither
                 # this candidate nor any later one can be confirmed
                 return None
             checks = np.unique(np.linspace(candidate + 1, window_end,
                                            window_samples).astype(int))
             checks = checks[(checks > candidate) & (checks <= window_end)]
-            if all(tv[t - 1] <= epsilon for t in checks):
+            if np.all(series.tv[checks - 1] <= epsilon):
                 return candidate
-        candidate += 1
+        ruled_out = known
     return None
+
+
+class _RunningTV:
+    """TV distance of the running time average to a target, read in blocks.
+
+    ``tv[t - 1]`` is TV((1/t) sum_{s<=t} P(., s), target), bit-identical to
+    ``total_variation(running / t, target)`` with ``running`` summed one
+    item at a time: a block of items is added to the running sum by one
+    ``cumsum`` down its rows (the same additions in the same order), and
+    each row is reduced as a 1-D sum. A block holds at most
+    ``_MIXING_BLOCK_ROWS`` items and ``_MIXING_BLOCK_BYTES`` (or one item,
+    if an item is larger); it and one scratch block of the same size are
+    the only allocations besides the TV history, 8 bytes per item read.
+    """
+
+    def __init__(self, items: Iterable, target: np.ndarray):
+        self._items: Iterator = iter(items)
+        self._target = target
+        row_bytes = 8 * max(target.size, 1)
+        rows = max(1, min(_MIXING_BLOCK_ROWS, _MIXING_BLOCK_BYTES // row_bytes))
+        self._block = np.empty((rows,) + target.shape)
+        self._scratch = np.empty_like(self._block)
+        self._running = np.zeros(target.shape)
+        self._tv = np.empty(rows)
+        self._exhausted = False
+        self.count = 0
+
+    @property
+    def tv(self) -> np.ndarray:
+        return self._tv[:self.count]
+
+    def extend_to(self, t: int) -> bool:
+        """Read exactly up to item ``t``; False if the series ends first."""
+        while self.count < t and not self._exhausted:
+            self._read_block(min(len(self._block), t - self.count))
+        return self.count >= t
+
+    def _read_block(self, want: int) -> None:
+        block, target = self._block, self._target
+        read = 0
+        for item in itertools.islice(self._items, want):
+            probs = _as_probs(item)
+            if probs.shape != target.shape:
+                raise ValueError(
+                    f"mismatched position spaces: {probs.shape} vs {target.shape}")
+            block[read] = probs
+            read += 1
+        self._exhausted = read < want
+        if read == 0:
+            return
+        rows, scratch = block[:read], self._scratch[:read]
+        rows[0] += self._running
+        np.cumsum(rows, axis=0, out=rows)
+        self._running[...] = rows[-1]
+        steps = np.arange(self.count + 1, self.count + read + 1, dtype=float)
+        np.divide(rows, steps.reshape((read,) + (1,) * target.ndim), out=scratch)
+        np.subtract(scratch, target, out=scratch)
+        np.abs(scratch, out=scratch)
+        tv = 0.5 * scratch.sum(axis=tuple(range(1, scratch.ndim)))
+        if self.count + read > len(self._tv):
+            grown = np.empty(max(2 * len(self._tv), self.count + read))
+            grown[:self.count] = self.tv
+            self._tv = grown
+        self._tv[self.count:self.count + read] = tv
+        self.count += read
 
 
 def occupied_sites(d, tol: float = 1e-12) -> np.ndarray:

@@ -8,7 +8,7 @@ from qwalksim.coined import (COIN_FAMILIES, CoinedWalk, coin_matrix, coin_toss, 
                              evolve, grover_coin, hadamard_coin, initial_state,
                              shift, step)
 from qwalksim.errors import BoundaryOverflowError, UnsupportedDegreeError
-from qwalksim.graphs import (GlueSpec, build_cycle, build_glued_trees, build_hypercube,
+from qwalksim.graphs import (GlueSpec, Graph, build_cycle, build_glued_trees, build_hypercube,
                              build_line)
 
 R2 = np.sqrt(2.0)
@@ -337,3 +337,76 @@ def test_step_matrix_equals_loop_reference(make_graph, family):
     assert np.array_equal(u.toarray(), want)
     assert u.nnz == np.count_nonzero(want)
     assert np.max(np.abs(u.conj().T @ u - np.eye(g.half_edge_count))) < 1e-12
+
+
+# --- fused step against coin toss then shift ----------------------------
+# ``step_amplitudes`` writes each coin output straight to its shifted
+# half-edge; ``shift(coin_toss(amps))`` is the two-pass form it replaced and
+# must agree with it bit for bit, signed zeros included.
+
+def star_with_tail():
+    # degrees 3, 2, 1, 1, 2, 1 and one isolated vertex
+    return Graph(7, [(0, 1), (0, 2), (0, 3), (1, 4), (4, 5)])
+
+
+FUSED_GRAPHS = {
+    "line": lambda: build_line(9),
+    "cycle": lambda: build_cycle(7),
+    "hypercube2": lambda: build_hypercube(2),
+    "hypercube3": lambda: build_hypercube(3),
+    "glued-symmetric": lambda: build_glued_trees(3, GlueSpec("symmetric")),
+    "glued-random-cycle": lambda: build_glued_trees(3, GlueSpec("random-cycle", seed=2)),
+    "star": star_with_tail,
+}
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def two_pass_step(walk, amps):
+    return walk.shift(walk.coin_toss(amps))
+
+
+def undefined_coin_half_edges(g, family):
+    # only the Hadamard family leaves a degree without a coin
+    if family != "hadamard":
+        return np.empty(0, np.int64)
+    return np.flatnonzero(np.array([g.degree(v) for v in g.half_edge_vertex]) != 2)
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_GRAPHS))
+@pytest.mark.parametrize("family", COIN_FAMILIES)
+def test_step_equals_coin_toss_then_shift(name, family):
+    g = FUSED_GRAPHS[name]()
+    walk = CoinedWalk(g, family)
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=g.half_edge_count) + 1j * rng.normal(size=g.half_edge_count)
+    undefined = undefined_coin_half_edges(g, family)
+    if undefined.size:
+        # amplitude on a vertex whose coin is undefined raises in both forms
+        with pytest.raises(UnsupportedDegreeError):
+            two_pass_step(walk, amps)
+        with pytest.raises(UnsupportedDegreeError):
+            walk.step_amplitudes(amps)
+        # zeros there pass, and keep their sign
+        amps[undefined] = complex(-0.0, -0.0)
+    want = amps
+    for _ in range(4):
+        want, got = two_pass_step(walk, want), walk.step_amplitudes(want)
+        assert same_bits(got, want)
+        if undefined.size:
+            # the step may carry amplitude onto an undefined vertex
+            break
+
+
+def test_step_equals_coin_toss_then_shift_over_a_long_run():
+    g = build_cycle(16)
+    walk = CoinedWalk(g)
+    rng = np.random.default_rng(4)
+    want = rng.normal(size=g.half_edge_count) + 1j * rng.normal(size=g.half_edge_count)
+    got = want
+    for _ in range(10 ** 4):
+        want, got = two_pass_step(walk, want), walk.step_amplitudes(got)
+        assert same_bits(got, want)
+

@@ -1,15 +1,18 @@
+import itertools
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwalksim import stats
 from qwalksim.classical import evolve_classical_exact, iter_classical_distributions
 from qwalksim.coined import CoinedWalk, initial_state
 from qwalksim.errors import InvariantViolationError
 from qwalksim.graphs import build_cycle, build_line
-from qwalksim.stats import (Distribution, central_std_dev, flatness_ratio,
+from qwalksim.stats import (Distribution, _as_probs, central_std_dev, flatness_ratio,
                             flatness_tv, mixing_time, occupied_sites,
                             position_distribution, std_dev, time_averaged,
                             total_variation, uniform_distribution)
@@ -206,6 +209,182 @@ def test_mixing_time_validates():
         mixing_time(iter([]), target, epsilon=0.0)
     with pytest.raises(ValueError):
         mixing_time(iter([]), target, t_max=0)
+
+
+@pytest.mark.parametrize("window_samples", [0, -1])
+def test_mixing_time_rejects_window_samples_below_one(window_samples):
+    # with no look-ahead the transient dip of the test above would count
+    target = np.array([0.5, 0.5])
+    series = [np.array([0.5, 0.5]) if t == 1 else np.array([1.0, 0.0])
+              for t in range(1, 31)]
+    with pytest.raises(ValueError, match="window_samples must be >= 1"):
+        mixing_time(iter(series), target, epsilon=0.01, t_max=30,
+                    window_samples=window_samples)
+
+
+def test_mixing_time_rejects_an_item_of_another_length():
+    # a block row must not broadcast a short item or target silently
+    with pytest.raises(ValueError, match="mismatched position spaces"):
+        mixing_time(iter([np.ones(3) / 3] * 5), np.array([0.3]), 0.5, 5)
+    with pytest.raises(ValueError, match="mismatched position spaces"):
+        mixing_time(iter([np.array([1.0])] * 5), np.ones(3) / 3, 0.5, 5)
+
+
+def test_mixing_time_rejects_a_ragged_item():
+    target = np.full(3, 1.0 / 3.0)
+    series = [target, np.full(2, 0.5), target]
+    with pytest.raises(ValueError, match="mismatched position spaces"):
+        mixing_time(iter(series), target, 0.5, 5)
+
+
+def test_mixing_time_reads_no_item_past_its_answer():
+    def series():
+        yield np.array([0.5, 0.5])
+        yield np.array([0.5, 0.5])
+        raise RuntimeError("item 3")
+    # item 2 decides, so item 3 is never read
+    mixed = np.array([0.5, 0.5])
+    assert serial_mixing_time(series(), mixed, 0.01, 10) == 1
+    assert mixing_time(series(), mixed, 0.01, 10) == 1
+    with pytest.raises(RuntimeError, match="item 3"):
+        mixing_time(series(), np.array([1.0, 0.0]), 0.01, 10)
+
+
+# --- mixing time against the per-step loop --------------------------------
+
+def serial_mixing_time(step_distributions, target, epsilon=0.01, t_max=10 ** 5,
+                       window_samples=10):
+    """``mixing_time`` as it was before it read its series in blocks: one
+    running sum and one ``total_variation`` per item. The reference."""
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    target_probs = _as_probs(target)
+    it = iter(step_distributions)
+    tv: list[float] = []
+    running = np.zeros_like(target_probs)
+    exhausted = False
+
+    def extend_to(t: int) -> None:
+        nonlocal exhausted, running
+        while not exhausted and len(tv) < t:
+            try:
+                probs = _as_probs(next(it))
+            except StopIteration:
+                exhausted = True
+                return
+            running = running + probs
+            tv.append(total_variation(running / (len(tv) + 1), target_probs))
+
+    candidate = 1
+    while candidate <= t_max:
+        extend_to(candidate)
+        if len(tv) < candidate:
+            return None
+        if tv[candidate - 1] <= epsilon:
+            window_end = min(2 * candidate, t_max)
+            extend_to(window_end)
+            if len(tv) < window_end:
+                # the series ended inside the look-ahead window, so neither
+                # this candidate nor any later one can be confirmed
+                return None
+            checks = np.unique(np.linspace(candidate + 1, window_end,
+                                           window_samples).astype(int))
+            checks = checks[(checks > candidate) & (checks <= window_end)]
+            if all(tv[t - 1] <= epsilon for t in checks):
+                return candidate
+        candidate += 1
+    return None
+
+
+class Counting:
+    """Iterator over ``items`` that counts the items handed out."""
+
+    def __init__(self, items):
+        self._items = iter(items)
+        self.read = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        item = next(self._items)
+        self.read += 1
+        return item
+
+
+def serial_tv(series, target):
+    running = np.zeros_like(target)
+    out = []
+    for t, probs in enumerate(series, start=1):
+        running = running + probs
+        out.append(total_variation(running / t, target))
+    return out
+
+
+def wandering_series(n, length, seed):
+    """Distributions that drift towards uniform with random excursions, so
+    the running average's TV crosses a threshold more than once."""
+    rng = np.random.default_rng(seed)
+    target = np.full(n, 1.0 / n)
+    series = []
+    for t in range(1, length + 1):
+        weight = rng.uniform() ** 2 if rng.uniform() < 0.3 else rng.uniform() / t
+        series.append((1.0 - weight) * target + weight * rng.dirichlet(np.ones(n)))
+    return target, series
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from([1, 2, 15, 16, 129, 300]), length=st.integers(0, 60),
+       seed=st.integers(0, 2 ** 32 - 1), pick=st.integers(0, 10 ** 6),
+       nudge=st.sampled_from([-1, 0, 1]), t_max_mode=st.sampled_from(["any", "hit", "end"]),
+       t_max_any=st.integers(1, 64), offset=st.integers(-2, 2),
+       window_samples=st.integers(1, 12), rows=st.integers(1, 3), byte_rows=st.integers(1, 3))
+def test_mixing_time_matches_serial_loop(n, length, seed, pick, nudge, t_max_mode, t_max_any,
+                                         offset, window_samples, rows, byte_rows):
+    target, series = wandering_series(n, length, seed)
+    tvs = serial_tv(series, target)
+    # epsilon at, or one ulp either side of, a TV the series reaches
+    epsilon = tvs[pick % length] if length else 0.25
+    epsilon = float(np.nextafter(epsilon, np.inf * nudge)) if nudge else epsilon
+    if epsilon <= 0:
+        epsilon = 0.25
+    first_hit = next((t for t, tv in enumerate(tvs, start=1) if tv <= epsilon), length)
+    t_max = max(1, {"any": t_max_any, "hit": first_hit + offset,
+                    "end": length + offset}[t_max_mode])
+    reference, blocked = Counting(series), Counting(series)
+    want = serial_mixing_time(reference, target, epsilon, t_max, window_samples)
+    with mock.patch.object(stats, "_MIXING_BLOCK_ROWS", rows), \
+            mock.patch.object(stats, "_MIXING_BLOCK_BYTES", 8 * n * byte_rows):
+        got = mixing_time(blocked, target, epsilon, t_max, window_samples)
+        blocks = stats._RunningTV(series, target)
+        blocks.extend_to(length)
+    assert np.array_equal(blocks.tv, tvs)
+    assert got == want and type(got) is type(want)
+    # blocks read nothing past the last item the answer needs
+    assert blocked.read == reference.read
+
+
+@pytest.mark.parametrize("n,engine", [(15, "pure"), (16, "pure"), (15, "classical")])
+def test_mixing_time_matches_serial_loop_on_walks(n, engine):
+    g = build_cycle(n)
+    target = np.full(n, 1.0 / n)
+    steps = 20000
+    if engine == "pure":
+        walk_steps = CoinedWalk(g).iter_steps(initial_state(g, 0, "symmetric"), steps)
+        series = [s.position_distribution() for s in walk_steps]
+    else:
+        series = list(itertools.islice(iter_classical_distributions(g, 0), steps))
+    blocks = stats._RunningTV(series, target)
+    assert blocks.extend_to(steps)
+    assert np.array_equal(blocks.tv, serial_tv(series, target))
+    reference, blocked = Counting(series), Counting(series)
+    want = serial_mixing_time(reference, target, 0.01, steps)
+    got = mixing_time(blocked, target, 0.01, steps)
+    assert got == want
+    assert (want is None) == (engine == "pure" and n == 16)
+    assert blocked.read == reference.read
 
 
 # --- flatness -------------------------------------------------------------
