@@ -52,11 +52,9 @@ class ClassicalDistribution:
 
 def transition_matrix(g: Graph) -> np.ndarray:
     """Row-stochastic matrix T[v, u] = 1/degree(v) for each edge (v, u)."""
-    degrees = np.array([g.degree(v) for v in range(g.num_vertices)], dtype=float)
-    if np.any(degrees == 0):
+    if np.any(g.degrees == 0):
         raise ValueError("graph has an isolated vertex; walk undefined there")
-    t = g.adjacency_matrix()
-    return t / degrees[:, None]
+    return g.adjacency_matrix() / g.degrees[:, None]
 
 
 def _distributions(g: Graph, start: int, steps: int | None = None):
@@ -108,7 +106,7 @@ def _bounded_draws(streams: RowStreams, rows: np.ndarray, k: np.ndarray) -> np.n
     (2^32 - k) mod k is rejected and that row takes its next draw.
     ``k`` is uint64 and at most 2^32 - 1.
     """
-    choice = np.zeros(len(rows), dtype=np.uint64)
+    choice = np.zeros(len(rows), dtype=np.int64)
     pending = (k > 1).nonzero()[0]
     while pending.size:
         bound = k[pending]
@@ -118,16 +116,6 @@ def _bounded_draws(streams: RowStreams, rows: np.ndarray, k: np.ndarray) -> np.n
     return choice
 
 
-def _neighbor_table(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every vertex's degree, its first slot, and all ascending neighbor lists."""
-    lists = [g.neighbors(v) for v in range(g.num_vertices)]
-    degree = np.array([len(ns) for ns in lists], dtype=np.uint64)
-    first = np.concatenate(([0], np.cumsum(degree[:-1]))).astype(np.uint64)
-    flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64,
-                       count=int(degree.sum()))
-    return degree, first, flat
-
-
 class _Walkers:
     """Independent seeded walkers on one graph, one row each.
 
@@ -135,9 +123,10 @@ class _Walkers:
     would, from the row's own stream of uint32 draws.
     """
 
-    def __init__(self, table: tuple[np.ndarray, np.ndarray, np.ndarray], start: int,
-                 seeds, moves: int):
-        self._degree, self._first, self._neighbors = table
+    def __init__(self, g: Graph, start: int, seeds, moves: int):
+        self._degree = g.degrees.astype(np.uint64)
+        self._offsets = g.offsets
+        self._heads = g.heads
         block = max(1, min(moves, _DRAW_BLOCK))
         self._streams = RowStreams(seeds, _uint32_block, block + block % 2)
         self.at = np.full(len(seeds), start, dtype=np.int64)
@@ -146,7 +135,7 @@ class _Walkers:
         """Move each listed row to a uniformly chosen neighbor."""
         here = self.at[rows]
         choice = _bounded_draws(self._streams, rows, self._degree[here])
-        self.at[rows] = self._neighbors[self._first[here] + choice]
+        self.at[rows] = self._heads[self._offsets[here] + choice]
 
 
 def _check_walk_start(g: Graph, start: int, steps: int) -> None:
@@ -163,7 +152,7 @@ def sample_walk(g: Graph, start: int, steps: int, seed: int) -> np.ndarray:
     _check_walk_start(g, start, steps)
     path = np.empty(steps + 1, dtype=np.int64)
     path[0] = start
-    walkers = _Walkers(_neighbor_table(g), start, [seed], steps)
+    walkers = _Walkers(g, start, [seed], steps)
     row = np.zeros(1, dtype=np.intp)
     for k in range(1, steps + 1):
         walkers.move(row)
@@ -182,11 +171,10 @@ def sample_endpoint_histogram(g: Graph, start: int, steps: int,
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     _check_walk_start(g, start, steps)
-    table = _neighbor_table(g)
     counts = np.zeros(g.num_vertices)
     for first in range(0, num_samples, _CHUNK_ROWS):
         seeds = range(seed + first, seed + min(first + _CHUNK_ROWS, num_samples))
-        walkers = _Walkers(table, start, seeds, steps)
+        walkers = _Walkers(g, start, seeds, steps)
         everyone = np.arange(len(seeds))
         for _ in range(steps):
             walkers.move(everyone)
@@ -246,12 +234,11 @@ def hitting_time(g: Graph, start: int, target: int, seed: int,
     if start == target:
         return HittingTimeResult(0.0, 0.0, num_samples, 0, cap)
     _check_walk_start(g, start, cap)
-    table = _neighbor_table(g)
     hits = []
     censored = 0
     for first in range(0, num_samples, _CHUNK_ROWS):
         seeds = range(seed + first, seed + min(first + _CHUNK_ROWS, num_samples))
-        walkers = _Walkers(table, start, seeds, cap)
+        walkers = _Walkers(g, start, seeds, cap)
         hit_at = np.zeros(len(seeds), dtype=np.int64)
         active = np.arange(len(seeds))
         for step in range(1, cap + 1):

@@ -212,12 +212,6 @@ def run_walk(cfg: WalkConfig) -> tuple[stats.Distribution, dict]:
             dist = stats.Distribution(mean, graph.coordinates)
             summary["ensemble_max_stderr"] = float(stderr.max())
         else:
-            if graph.half_edge_count > decoherence.DENSITY_DIMENSION_LIMIT:
-                raise ConfigError(
-                    "graph",
-                    f"{graph.half_edge_count} half-edges exceed the density "
-                    f"limit {decoherence.DENSITY_DIMENSION_LIMIT}; "
-                    "pass --trajectories to sample instead")
             spec = decoherence.DecoherenceSpec(cfg.p, cfg.target)
             rho = decoherence.evolve_density(
                 decoherence.to_density(state), spec, cfg.steps, cfg.coin)
@@ -485,7 +479,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     def emit(step_index: int, s: coined.PureState) -> None:
         for k in np.flatnonzero(np.abs(s.amplitudes) > 1e-14):
             v = int(graph.half_edge_vertex[k])
-            c = k - graph.coin_offset(v)
+            c = k - graph.offsets[v]
             x = int(graph.coordinates[v])
             a = s.amplitudes[k]
             lines.append(f"{step_index},{x},{c},{a.real:.15g},{a.imag:.15g}")

@@ -1,7 +1,9 @@
 """Discrete-time coined walk engine.
 
-The walker state lives on half-edges: one complex amplitude per (vertex,
-direction) pair, where direction c at vertex v points to ``neighbors(v)[c]``.
+The walker state lives on half-edges, laid out by the half-edge table of
+``graphs``: one complex amplitude per (vertex, direction) pair, where
+direction c at vertex v is half-edge ``offsets[v] + c`` and points to
+``neighbors(v)[c]``.
 A step first mixes directions at every vertex with a unitary coin, then
 moves each amplitude along its edge. The shift relabels the coin on
 arrival so that on a path graph direction 0 keeps travelling towards lower
@@ -165,21 +167,15 @@ class CoinedWalk:
         self.graph = graph
         self.coin_family = coin
 
-        # shift half-edge s=(v,c) to (u, deg(u)-1-slot(v at u)); a permutation
-        target = np.empty(graph.half_edge_count, dtype=np.int64)
-        for v in range(graph.num_vertices):
-            for c, u in enumerate(graph.neighbors(v)):
-                back = graph.direction_index(u, v)
-                target[graph.half_edge(v, c)] = graph.half_edge(u, graph.degree(u) - 1 - back)
+        # half-edge h = (v, c) moves to u = heads[h], arriving in direction
+        # deg(u) - 1 - b, where b = reverse[h] - offsets[u] is v's slot at u;
+        # a permutation
+        heads = graph.heads
+        target = graph.offsets[heads] + graph.offsets[heads + 1] - 1 - graph.reverse
         self._shift_target = target
         self._shift_source = np.empty_like(target)
         self._shift_source[target] = np.arange(graph.half_edge_count)
 
-        by_degree: dict[int, list[int]] = {}
-        for v in range(graph.num_vertices):
-            d = graph.degree(v)
-            if d > 0:
-                by_degree.setdefault(d, []).append(v)
         # one entry per degree, read by every step method: the (m, d)
         # half-edge block, where the shift sends it, the transposed coin
         # (None for a degree the family does not support, an error only if
@@ -187,8 +183,8 @@ class CoinedWalk:
         # columns of block and target with the coin entries as 0-d complex
         # arrays, which multiply like the scalars but with less overhead
         self._coin_plan: list[tuple] = []
-        for d, vertices in sorted(by_degree.items()):
-            offs = np.array([graph.coin_offset(v) for v in vertices])
+        for d in np.unique(graph.degrees[graph.degrees > 0]).tolist():
+            offs = graph.offsets[:-1][graph.degrees == d]
             idx = offs[:, None] + np.arange(d)[None, :]
             moved = target[idx]
             try:

@@ -142,9 +142,7 @@ def _sector_ids(graph: Graph, target: str) -> np.ndarray:
     vertex = graph.half_edge_vertex
     if target == "position":
         return vertex
-    # a vertex's half-edges are contiguous, so each one's coin index is its
-    # distance from the first half-edge of its vertex
-    return he - np.searchsorted(vertex, vertex)
+    return he - graph.offsets[vertex]
 
 
 def _dephasing_factors(graph: Graph, spec: DecoherenceSpec) -> np.ndarray:

@@ -2,9 +2,17 @@
 
 Vertices are dense integer indices. Builders cover the centred line, the
 N-cycle, the n-dimensional hypercube and the glued-binary-trees network;
-every walk engine operates on the same immutable Graph structure. Neighbor
-lists are stored in ascending order so coin-direction indexing is
-deterministic across runs.
+every walk engine operates on the same immutable Graph structure.
+
+The half-edge table: edge {u, v} is two half-edges, (u, v) leaving u and
+(v, u) leaving v. ``Graph`` numbers them once, by tail and then by head, so
+each vertex owns one block whose directions are its neighbors in ascending
+order, deterministic across runs. Every engine reads the table instead of
+rebuilding the layout: ``degrees[v]``; ``offsets[v]``, where v's block
+starts (half-edge ``offsets[v] + c`` is direction c at v, and
+``offsets[-1]`` is the count H); ``heads[h]``, the neighbor h points to;
+``reverse[h]``, the half-edge running back along the same edge; and
+``half_edge_vertex[h]``, the tail of h. All five arrays are read-only.
 
 The line rule: a line stands in for the infinite line, so a walk may reach
 an end vertex only on its last step; a step from an end would reflect and
@@ -53,16 +61,13 @@ class Graph:
                  kind: str = "custom", params: dict | None = None):
         if num_vertices < 1:
             raise ValueError(f"num_vertices must be >= 1, got {num_vertices}")
-        canonical: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u} not allowed")
-            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-                raise ValueError(f"edge ({u}, {v}) out of range for {num_vertices} vertices")
-            canonical.add((min(u, v), max(u, v)))
+        lo, hi = _edge_ends(edges, num_vertices)
+        # one key per undirected edge: duplicates and reversed pairs collapse
+        keys = np.unique(lo * num_vertices + hi)
+        lo, hi = np.divmod(keys, num_vertices)
 
         self.num_vertices = num_vertices
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(canonical))
+        self.edges: tuple[tuple[int, int], ...] = tuple(zip(lo.tolist(), hi.tolist()))
         self.labels = dict(labels) if labels is not None else None
         self.coordinates = None if coordinates is None else np.asarray(coordinates, dtype=float)
         if self.coordinates is not None and len(self.coordinates) != num_vertices:
@@ -70,51 +75,48 @@ class Graph:
         self.kind = kind
         self.params = dict(params) if params is not None else {}
 
-        nbrs: list[list[int]] = [[] for _ in range(num_vertices)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        self._neighbors: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(ns)) for ns in nbrs)
-        self._slot: dict[tuple[int, int], int] = {
-            (v, u): c for v in range(num_vertices) for c, u in enumerate(self._neighbors[v])
-        }
-
-        degrees = np.array([len(ns) for ns in self._neighbors], dtype=np.int64)
-        self._offsets = np.concatenate(([0], np.cumsum(degrees)))
-        self.half_edge_count = int(self._offsets[-1])
-        # vertex owning each half-edge slot, for marginalizing over coins
-        self.half_edge_vertex = np.repeat(np.arange(num_vertices), degrees)
+        # half-edge (tail, head) has key tail * num_vertices + head; sorted,
+        # the keys number the half-edges as the module docstring says
+        half = np.sort(np.concatenate((keys, hi * num_vertices + lo)))
+        self.half_edge_vertex, self.heads = np.divmod(half, num_vertices)
+        self.reverse = np.searchsorted(half, self.heads * num_vertices + self.half_edge_vertex)
+        self.degrees = np.bincount(self.half_edge_vertex, minlength=num_vertices)
+        self.offsets = np.concatenate(([0], np.cumsum(self.degrees)))
+        self.half_edge_count = len(half)
+        for table in (self.heads, self.reverse, self.degrees, self.offsets,
+                      self.half_edge_vertex):
+            table.flags.writeable = False
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self._neighbors[v])
+        return int(self.degrees[v])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
-        return self._neighbors[v]
+        return tuple(self.heads[self.offsets[v]:self.offsets[v + 1]].tolist())
 
     def direction_index(self, v: int, u: int) -> int:
         """Slot of neighbor u in v's ascending neighbor list."""
-        try:
-            return self._slot[(v, u)]
-        except KeyError:
-            raise ValueError(f"{u} is not a neighbor of {v}") from None
+        if 0 <= v < self.num_vertices:
+            lo, hi = self.offsets[v], self.offsets[v + 1]
+            h = lo + int(np.searchsorted(self.heads[lo:hi], u))
+            if h < hi and self.heads[h] == u:
+                return int(h - lo)
+        raise ValueError(f"{u} is not a neighbor of {v}")
 
     def coin_offset(self, v: int) -> int:
         """First half-edge index belonging to vertex v."""
         self._check_vertex(v)
-        return int(self._offsets[v])
+        return int(self.offsets[v])
 
     def half_edge(self, v: int, c: int) -> int:
         if not 0 <= c < self.degree(v):
             raise ValueError(f"direction {c} out of range at vertex {v} (degree {self.degree(v)})")
-        return int(self._offsets[v]) + c
+        return int(self.offsets[v]) + c
 
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.num_vertices, self.num_vertices))
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
+        a[self.half_edge_vertex, self.heads] = 1.0
         return a
 
     def _check_vertex(self, v: int) -> None:
@@ -124,6 +126,28 @@ class Graph:
     def __repr__(self) -> str:
         return (f"<Graph {self.kind}: |V|={self.num_vertices}, "
                 f"|E|={len(self.edges)}>")
+
+
+def _edge_ends(edges, num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and the higher end of every edge, each pair checked."""
+    try:
+        pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges))
+    except ValueError:  # sequences of unequal length
+        pairs = np.empty((0, 0))
+    if pairs.shape == (0,):
+        pairs = pairs.astype(np.int64).reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be (u, v) pairs")
+    if pairs.dtype.kind not in "iu":
+        raise ValueError(f"edge endpoints must be integers, got {pairs.dtype}")
+    pairs = pairs.astype(np.int64)
+    lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+    bad = (lo == hi) | (lo < 0) | (hi >= num_vertices)
+    if bad.any():
+        u, v = pairs[np.argmax(bad)].tolist()
+        raise ValueError(f"self-loop at vertex {u} not allowed" if u == v else
+                         f"edge ({u}, {v}) out of range for {num_vertices} vertices")
+    return lo, hi
 
 
 def neighbors(g: Graph, v: int) -> list[int]:
@@ -170,12 +194,9 @@ def build_hypercube(n: int) -> Graph:
     """n-dimensional hypercube: 2^n vertices, edges between labels one bit apart."""
     if n < 1:
         raise ValueError(f"hypercube dimension must be >= 1, got {n}")
-    edges = []
-    for v in range(2 ** n):
-        for bit in range(n):
-            u = v ^ (1 << bit)
-            if u > v:
-                edges.append((v, u))
+    # every vertex with each of its n neighbors; Graph collapses the repeats
+    v = np.arange(2 ** n)
+    edges = np.column_stack((np.repeat(v, n), (v[:, None] ^ (1 << np.arange(n))).ravel()))
     return Graph(2 ** n, edges, kind="hypercube", params={"dimension": n})
 
 
@@ -194,36 +215,24 @@ def build_glued_trees(depth: int, glue: GlueSpec) -> Graph:
         raise MissingSeedError("random-cycle glue requires a seed")
 
     tree_size = 2 ** (depth + 1) - 1
-    edges = []
-    labels: dict[int, int] = {}
+    # each tree in heap order (the parent of i is (i - 1) // 2) and vertex
+    # i in column floor(log2(i + 1)); the right tree is numbered from the
+    # exit root, its columns counted down
+    child = np.arange(1, tree_size)
+    tree = np.column_stack(((child - 1) // 2, child))
+    column = np.frexp(np.arange(1, tree_size + 1))[1] - 1
+    labels = dict(enumerate(np.concatenate((column, 2 * depth + 1 - column)).tolist()))
 
-    # left tree in heap order: children of i are 2i+1, 2i+2
-    for i in range(tree_size):
-        labels[i] = (i + 1).bit_length() - 1
-        for child in (2 * i + 1, 2 * i + 2):
-            if child < tree_size:
-                edges.append((i, child))
-
-    # right tree mirrored: heap order from the exit root, columns counted down
-    for j in range(tree_size):
-        labels[tree_size + j] = 2 * depth + 1 - ((j + 1).bit_length() - 1)
-        for child in (2 * j + 1, 2 * j + 2):
-            if child < tree_size:
-                edges.append((tree_size + j, tree_size + child))
-
-    left_leaves = list(range(2 ** depth - 1, tree_size))
-    right_leaves = [tree_size + j for j in range(2 ** depth - 1, tree_size)]
-
+    left_leaves = np.arange(2 ** depth - 1, tree_size)
+    right_leaves = left_leaves + tree_size
     if glue.mode == "symmetric":
-        edges.extend(zip(left_leaves, right_leaves))
+        glue_edges = np.column_stack((left_leaves, right_leaves))
     else:
-        order = np.array(right_leaves)
+        order = right_leaves.copy()
         np.random.default_rng(glue.seed).shuffle(order)
-        m = len(left_leaves)
-        for i in range(m):
-            edges.append((left_leaves[i], int(order[i])))
-            edges.append((int(order[i]), left_leaves[(i + 1) % m]))
-
+        glue_edges = np.column_stack((np.concatenate((left_leaves, np.roll(left_leaves, -1))),
+                                      np.concatenate((order, order))))
+    edges = np.concatenate((tree, tree + tree_size, glue_edges))
     return Graph(2 * tree_size, edges, labels=labels, kind="glued_trees",
                  params={"depth": depth, "glue_mode": glue.mode, "glue_seed": glue.seed})
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qwalksim import classical, cli
+from qwalksim.decoherence import DENSITY_DIMENSION_LIMIT
 from qwalksim.graphs import build_cycle
 
 
@@ -74,6 +75,15 @@ def test_walk_density_mode(tmp_path):
     meta = read_meta(out)
     assert meta["config"]["p"] == 0.1
     assert meta["summary"]["probability_sum"] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_walk_density_above_limit_exits_2(tmp_path, capsys):
+    # cycle(513) has 1026 half-edges, two above the density limit
+    out = tmp_path / "dens.csv"
+    assert run(["walk", "--graph", "cycle", "--n", "513", "--steps", "1",
+                "--p", "0.1", "-o", str(out)]) == 2
+    assert f"limit {DENSITY_DIMENSION_LIMIT}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_walk_trajectory_mode_deterministic(tmp_path):

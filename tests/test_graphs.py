@@ -110,15 +110,53 @@ def test_direction_index_inverts_neighbors(g):
 
 
 def test_graph_rejects_self_loop_and_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="self-loop"):
         Graph(3, [(0, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of range"):
         Graph(3, [(0, 3)])
+    with pytest.raises(ValueError, match="out of range"):
+        Graph(3, [(0, 1), (-1, 2)])
+    # two triples must not be read as three pairs
+    with pytest.raises(ValueError, match="pairs"):
+        Graph(3, [(0, 1, 2)])
+    with pytest.raises(ValueError, match="pairs"):
+        Graph(3, [(0, 1, 2), (1, 2, 0)])
+    with pytest.raises(ValueError, match="pairs"):
+        Graph(3, [(0, 1), (1, 2, 0)])
+    with pytest.raises(ValueError, match="integers"):
+        Graph(3, [(0, 1.5)])
+
+
+def test_graph_without_edges():
+    g = Graph(3, [])
+    assert g.edges == () and g.half_edge_count == 0
+    assert [g.degree(v) for v in range(3)] == [0, 0, 0]
+    assert list(g.offsets) == [0, 0, 0, 0]
 
 
 def test_duplicate_edges_collapse():
     g = Graph(3, [(0, 1), (1, 0), (0, 1)])
     assert g.edges == ((0, 1),)
+    assert g.half_edge_count == 2
+
+
+def test_direction_index_rejects_non_neighbors():
+    g = Graph(5, [(0, 2), (0, 3), (2, 3)])
+    with pytest.raises(ValueError):
+        g.direction_index(0, 1)  # between two neighbors
+    with pytest.raises(ValueError):
+        g.direction_index(0, 4)  # above every neighbor
+    with pytest.raises(ValueError):
+        g.direction_index(1, 0)  # vertex 1 has no neighbors
+    with pytest.raises(ValueError):
+        g.direction_index(5, 0)  # no such vertex
+
+
+def test_half_edge_table_is_read_only():
+    g = build_cycle(4)
+    for table in (g.heads, g.reverse, g.degrees, g.offsets, g.half_edge_vertex):
+        with pytest.raises(ValueError):
+            table[0] = 1
 
 
 def test_glued_trees_smallest():
