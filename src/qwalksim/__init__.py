@@ -9,8 +9,7 @@ variation, time-averaged mixing).
 from .classical import (ClassicalDistribution, HittingTimeResult,
                         evolve_classical_exact, hitting_time, hitting_time_exact,
                         sample_walk)
-from .coined import (CoinedWalk, PureState, coin_matrix, coin_toss, evolve,
-                     initial_state, shift, step)
+from .coined import CoinedWalk, PureState, coin_matrix, initial_state
 from .continuous import (Hamiltonian, evolve_ct, exit_signal, first_peak_time,
                          hamiltonian, reduce_columns)
 from .decoherence import (DecoherenceSpec, DensityState, apply_channel,
@@ -19,7 +18,7 @@ from .decoherence import (DecoherenceSpec, DensityState, apply_channel,
 from .errors import (BoundaryOverflowError, ConfigError, InvariantViolationError,
                      MissingSeedError, UnsupportedDegreeError)
 from .graphs import (GlueSpec, Graph, build_cycle, build_glued_trees,
-                     build_hypercube, build_line, neighbors)
+                     build_hypercube, build_line)
 from .stats import (Distribution, flatness_ratio, flatness_tv, mixing_time,
                     position_distribution, std_dev, time_averaged,
                     total_variation)
@@ -48,8 +47,6 @@ __all__ = [
     "build_hypercube",
     "build_line",
     "coin_matrix",
-    "coin_toss",
-    "evolve",
     "evolve_classical_exact",
     "evolve_ct",
     "evolve_density",
@@ -63,14 +60,11 @@ __all__ = [
     "hitting_time_exact",
     "initial_state",
     "mixing_time",
-    "neighbors",
     "position_distribution",
     "reduce_columns",
     "run_ensemble",
     "sample_walk",
-    "shift",
     "std_dev",
-    "step",
     "time_averaged",
     "to_density",
     "total_variation",

@@ -25,12 +25,9 @@ import time
 import numpy as np
 
 from . import __version__, classical, coined, continuous, decoherence, stats
-from .errors import (BoundaryOverflowError, ConfigError, InvariantViolationError,
-                     MissingSeedError)
-from .graphs import (Graph, GlueSpec, build_cycle, build_glued_trees, build_hypercube,
-                     build_line, check_line_headroom)
-
-THREADS_ENV_VAR = "QWALKSIM_THREADS"
+from .errors import BoundaryOverflowError, ConfigError, InvariantViolationError
+from .graphs import (GLUE_MODES, Graph, GlueSpec, build_cycle, build_glued_trees,
+                     build_hypercube, build_line, check_line_headroom)
 
 WALK_KINDS = ("coined", "continuous", "classical")
 GRAPH_KINDS = ("line", "cycle", "hypercube", "glued-trees")
@@ -88,8 +85,8 @@ class WalkConfig:
         else:
             if self.depth is None or self.depth < 1:
                 raise ConfigError("depth", "glued-trees needs depth >= 1")
-            if self.glue_mode not in ("symmetric", "random-cycle"):
-                raise ConfigError("glue-mode", "must be symmetric or random-cycle")
+            if self.glue_mode not in GLUE_MODES:
+                raise ConfigError("glue-mode", f"must be one of {GLUE_MODES}")
             if self.glue_mode == "random-cycle" and self.glue_seed is None:
                 raise ConfigError("glue-seed", "random-cycle glue requires a seed")
 
@@ -98,8 +95,9 @@ class WalkConfig:
                 raise ConfigError("time", "continuous walk needs time >= 0")
             if self.gamma <= 0:
                 raise ConfigError("gamma", "hopping rate must be > 0")
-            if self.convention not in ("laplacian", "adjacency"):
-                raise ConfigError("convention", "must be laplacian or adjacency")
+            if self.convention not in continuous.HAMILTONIAN_CONVENTIONS:
+                raise ConfigError(
+                    "convention", f"must be one of {continuous.HAMILTONIAN_CONVENTIONS}")
         else:
             if self.steps is None or self.steps < 0:
                 raise ConfigError("steps", f"{self.walk} walk needs steps >= 0")
@@ -126,10 +124,7 @@ class WalkConfig:
                     raise ConfigError("trajectories", "must be >= 1")
                 if self.seed is None:
                     raise ConfigError("seed", "trajectory mode requires a seed")
-            if (not self.initial.replace("-", "").isalnum()
-                    and "," not in self.initial
-                    and self.initial not in coined.INITIAL_COIN_PRESETS):
-                raise ConfigError("initial", "unknown coin preset")
+            self.initial_coin()
         if self.exit_series is not None and not (
                 self.walk == "continuous" and self.graph == "glued-trees"):
             raise ConfigError(
@@ -159,25 +154,17 @@ class WalkConfig:
             return graph.params["origin"]
         return 0
 
-    def initial_coin(self, graph: Graph, start: int):
+    def initial_coin(self) -> str | list[complex]:
+        """``initial`` parsed for ``coined.initial_state``, which checks it against the start."""
         if self.initial in coined.INITIAL_COIN_PRESETS:
             return self.initial
         try:
-            parts = [complex(part) for part in self.initial.split(",")]
+            return [complex(part) for part in self.initial.split(",")]
         except ValueError:
             raise ConfigError(
                 "initial",
                 f"must be a preset {coined.INITIAL_COIN_PRESETS} or "
                 "comma-separated complex amplitudes") from None
-        vec = np.array(parts, dtype=np.complex128)
-        if vec.shape != (graph.degree(start),):
-            raise ConfigError(
-                "initial",
-                f"needs {graph.degree(start)} amplitudes at vertex {start}, "
-                f"got {len(vec)}")
-        if not np.isclose(np.linalg.norm(vec), 1.0):
-            raise ConfigError("initial", "amplitudes must form a unit vector")
-        return vec
 
 
 def run_walk(cfg: WalkConfig) -> tuple[stats.Distribution, dict]:
@@ -201,7 +188,11 @@ def run_walk(cfg: WalkConfig) -> tuple[stats.Distribution, dict]:
                 t_max=cfg.time, convention=cfg.convention)
             atomic_write(cfg.exit_series, continuous.exit_series_csv(times, values))
     else:
-        state = coined.initial_state(graph, start, cfg.initial_coin(graph, start))
+        coin = cfg.initial_coin()
+        try:
+            state = coined.initial_state(graph, start, coin)
+        except ValueError as exc:
+            raise ConfigError("initial", str(exc)) from None
         if cfg.p == 0.0:
             final = coined.CoinedWalk(graph, cfg.coin).evolve(state, cfg.steps)
             dist = stats.position_distribution(final)
@@ -336,8 +327,7 @@ def add_walk_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, help="cycle size")
     parser.add_argument("--dimension", type=int, help="hypercube dimension")
     parser.add_argument("--depth", type=int, help="glued-trees depth")
-    parser.add_argument("--glue-mode", dest="glue_mode",
-                        choices=("symmetric", "random-cycle"),
+    parser.add_argument("--glue-mode", dest="glue_mode", choices=GLUE_MODES,
                         help="how glued-trees leaf layers are joined")
     parser.add_argument("--glue-seed", type=int, dest="glue_seed",
                         help="seed for the random-cycle glue")
@@ -355,7 +345,7 @@ def add_walk_arguments(parser: argparse.ArgumentParser) -> None:
                         help="sample this many Monte-Carlo trajectories instead "
                              "of exact density evolution")
     parser.add_argument("--gamma", type=float, help="continuous hopping rate")
-    parser.add_argument("--convention", choices=("laplacian", "adjacency"),
+    parser.add_argument("--convention", choices=continuous.HAMILTONIAN_CONVENTIONS,
                         help="continuous Hamiltonian convention")
     parser.add_argument("--seed", type=int, help="base random seed")
     parser.add_argument("--format", choices=OUTPUT_FORMATS, help="output format")
@@ -379,8 +369,6 @@ def config_from_args(args: argparse.Namespace) -> WalkConfig:
 
 def cmd_walk(args: argparse.Namespace) -> int:
     cfg = config_from_args(args)
-    if args.output is not None:
-        cfg.output = args.output
     if cfg.output is None:
         raise ConfigError("output", "an output path is required")
     cfg.validate()
@@ -405,18 +393,6 @@ def apply_axis(cfg: WalkConfig, axis: str, value, index: int) -> WalkConfig:
     field = axis.replace("-", "_")
     derived = dict(seed=cfg.seed + index if cfg.seed is not None else None)
     return dataclasses.replace(cfg, **{field: value}, **derived)
-
-
-def sweep_thread_count(args: argparse.Namespace) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError("threads", f"bad {THREADS_ENV_VAR}: {env!r}") from exc
-    return 1
 
 
 def run_sweep(base: WalkConfig, axis: str, values: list, outdir: str, prefix: str,
@@ -460,7 +436,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.axis not in SWEEPABLE_AXES:
         raise ConfigError("axis", f"must be one of {SWEEPABLE_AXES}, got {args.axis!r}")
     values = parse_sweep_values(args.axis, args.values)
-    run_sweep(base, args.axis, values, args.output_dir, args.prefix, sweep_thread_count(args))
+    run_sweep(base, args.axis, values, args.output_dir, args.prefix, max(1, args.threads))
     return 0
 
 
@@ -519,7 +495,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     base = WalkConfig(walk="coined", graph="line", steps=steps, initial="symmetric",
                       target="both")
     run_sweep(base, "p", list(FIG_DECOHERENCE_SWEEP), outdir, "decoherence_",
-              sweep_thread_count(args))
+              max(1, args.threads))
     made.append(os.path.join(outdir, "decoherence_summary.csv"))
 
     print("\n".join(made))
@@ -549,8 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--output-dir", dest="output_dir", default=".",
                        help="directory for per-value files and the summary")
     sweep.add_argument("--prefix", default="sweep_", help="output file name prefix")
-    sweep.add_argument("--threads", type=int,
-                       help=f"concurrent runs (default ${THREADS_ENV_VAR} or 1)")
+    sweep.add_argument("--threads", type=int, default=1, help="concurrent runs")
     sweep.set_defaults(handler=cmd_sweep)
 
     trace = sub.add_parser(
@@ -565,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
         "figures", help="emit the canned figure datasets (line profiles at "
                         "t=100 and the decoherence flatness sweep)")
     figures.add_argument("--outdir", default="figures_data")
-    figures.add_argument("--threads", type=int)
+    figures.add_argument("--threads", type=int, default=1, help="concurrent runs")
     figures.set_defaults(handler=cmd_figures)
     return parser
 
@@ -574,12 +549,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    except MissingSeedError as exc:
-        print(f"error: invalid configuration: seed: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2

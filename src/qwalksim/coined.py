@@ -12,7 +12,7 @@ permutation of half-edges, so the step operator stays unitary.
 
 ``CoinedWalk.iter_steps`` is the one evolution path: it checks the step
 count and the line rule and yields the state after every step. ``evolve``
-is its last state, and the module-level ``step`` is ``evolve`` for one step.
+is its last state.
 
 ``CoinedWalk`` compiles one coin plan per graph, per degree the half-edge
 block, its shifted target and the coin. ``step_amplitudes`` (one walker)
@@ -138,7 +138,7 @@ def initial_state(graph: Graph, vertex: int, coin: str | np.ndarray = "basis0") 
         if not np.isclose(np.linalg.norm(vec), 1.0):
             raise ValueError("coin amplitudes must be a unit vector")
     amps = np.zeros(graph.half_edge_count, dtype=np.complex128)
-    off = graph.coin_offset(vertex)
+    off = graph.offsets[vertex]
     amps[off:off + d] = vec
     return PureState(graph, amps)
 
@@ -260,17 +260,6 @@ class CoinedWalk:
                 out[:, moved] = block
         return out
 
-    def inverse_step_amplitudes(self, amps: np.ndarray) -> np.ndarray:
-        out = amps[self._shift_target]
-        undone = out.copy()
-        for idx, _, coin_t, _ in self._coin_plan:
-            if coin_t is None:
-                if np.any(out[idx]):
-                    raise self._undefined_coin(idx)
-                continue
-            undone[idx] = _apply_coin(out[idx], coin_t.conj().T)
-        return undone
-
     def evolve(self, state: PureState, steps: int) -> PureState:
         """The last state of ``iter_steps``; ``state`` itself for zero steps."""
         final = state
@@ -317,22 +306,3 @@ def _support(state: PureState) -> np.ndarray:
     """Vertices where the walker may be found."""
     return np.flatnonzero(state.position_distribution() > 0.0)
 
-
-def coin_toss(state: PureState, coin: str = "default") -> PureState:
-    """Apply the per-vertex coin unitary without moving the walker."""
-    return PureState(state.graph, CoinedWalk(state.graph, coin).coin_toss(state.amplitudes))
-
-
-def shift(state: PureState) -> PureState:
-    """Move every amplitude along its edge, relabelling the coin on arrival."""
-    return PureState(state.graph, CoinedWalk(state.graph).shift(state.amplitudes))
-
-
-def step(state: PureState, coin: str = "default") -> PureState:
-    """One walk step: coin toss, then shift."""
-    return evolve(state, 1, coin)
-
-
-def evolve(state: PureState, steps: int, coin: str = "default") -> PureState:
-    """Run ``steps`` walk steps and return the final state."""
-    return CoinedWalk(state.graph, coin).evolve(state, steps)

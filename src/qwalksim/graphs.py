@@ -67,7 +67,6 @@ class Graph:
         lo, hi = np.divmod(keys, num_vertices)
 
         self.num_vertices = num_vertices
-        self.edges: tuple[tuple[int, int], ...] = tuple(zip(lo.tolist(), hi.tolist()))
         self.labels = dict(labels) if labels is not None else None
         self.coordinates = None if coordinates is None else np.asarray(coordinates, dtype=float)
         if self.coordinates is not None and len(self.coordinates) != num_vertices:
@@ -87,6 +86,12 @@ class Graph:
                       self.half_edge_vertex):
             table.flags.writeable = False
 
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge once as a (lower, higher) pair of ints, in ascending order."""
+        lower = self.half_edge_vertex < self.heads
+        return tuple(zip(self.half_edge_vertex[lower].tolist(), self.heads[lower].tolist()))
+
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return int(self.degrees[v])
@@ -104,11 +109,6 @@ class Graph:
                 return int(h - lo)
         raise ValueError(f"{u} is not a neighbor of {v}")
 
-    def coin_offset(self, v: int) -> int:
-        """First half-edge index belonging to vertex v."""
-        self._check_vertex(v)
-        return int(self.offsets[v])
-
     def half_edge(self, v: int, c: int) -> int:
         if not 0 <= c < self.degree(v):
             raise ValueError(f"direction {c} out of range at vertex {v} (degree {self.degree(v)})")
@@ -125,7 +125,7 @@ class Graph:
 
     def __repr__(self) -> str:
         return (f"<Graph {self.kind}: |V|={self.num_vertices}, "
-                f"|E|={len(self.edges)}>")
+                f"|E|={self.half_edge_count // 2}>")
 
 
 def _edge_ends(edges, num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
@@ -148,11 +148,6 @@ def _edge_ends(edges, num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"self-loop at vertex {u} not allowed" if u == v else
                          f"edge ({u}, {v}) out of range for {num_vertices} vertices")
     return lo, hi
-
-
-def neighbors(g: Graph, v: int) -> list[int]:
-    """Neighbors of v in deterministic ascending order."""
-    return list(g.neighbors(v))
 
 
 def check_line_headroom(kind: str, num_vertices: int, occupied, steps: int) -> None:

@@ -44,7 +44,7 @@ def amplitude_table(state, tol=1e-14):
     table = {}
     for k in np.flatnonzero(np.abs(state.amplitudes) > tol):
         v = int(g.half_edge_vertex[k])
-        c = int(k - g.coin_offset(v))
+        c = int(k - g.offsets[v])
         table[(int(g.coordinates[v]), c)] = complex(state.amplitudes[k])
     return table
 

@@ -7,6 +7,7 @@ import pytest
 
 from qwalksim import classical, cli
 from qwalksim.decoherence import DENSITY_DIMENSION_LIMIT
+from qwalksim.errors import ConfigError
 from qwalksim.graphs import build_cycle
 
 
@@ -171,12 +172,22 @@ def test_config_file_with_flag_override(tmp_path):
      "start"),
     (["walk", "--graph", "line", "--steps", "2",
       "--exit-series", "x.csv"], "exit-series"),
+    (["walk", "--graph", "hypercube", "--dimension", "3", "--steps", "2",
+      "--initial", "symmetric"], "initial"),  # the preset needs degree 2
+    (["walk", "--graph", "line", "--steps", "2", "--initial", "1"], "initial"),
+    (["walk", "--graph", "line", "--steps", "2", "--initial", "1,1"], "initial"),
 ])
 def test_bad_configuration_exits_2(tmp_path, capsys, argv, field):
     out = str(tmp_path / "never.csv")
     assert run(argv + ["-o", out]) == 2
-    assert field in capsys.readouterr().err
+    assert f"invalid configuration: {field}:" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_validate_parses_initial_before_any_computation():
+    with pytest.raises(ConfigError) as info:
+        cli.WalkConfig(graph="line", steps=2, initial="sideways").validate()
+    assert info.value.field == "initial"
 
 
 def test_walk_requires_output(capsys):
@@ -230,15 +241,13 @@ def test_sweep_increments_seed_per_run(tmp_path):
     assert meta_b["config"]["seed"] == 101
 
 
-def test_sweep_threads_do_not_change_results(tmp_path, monkeypatch):
+def test_sweep_threads_do_not_change_results(tmp_path):
     base = ["sweep", "--graph", "line", "--steps", "10", "--axis", "p",
             "--values", "0,0.05,0.2"]
     serial = str(tmp_path / "serial")
     threaded = str(tmp_path / "threaded")
-    monkeypatch.delenv(cli.THREADS_ENV_VAR, raising=False)
     assert run(base + ["--output-dir", serial]) == 0
-    monkeypatch.setenv(cli.THREADS_ENV_VAR, "3")
-    assert run(base + ["--output-dir", threaded]) == 0
+    assert run(base + ["--output-dir", threaded, "--threads", "3"]) == 0
     a = Path(serial, "sweep_summary.csv").read_bytes()
     b = Path(threaded, "sweep_summary.csv").read_bytes()
     assert a == b
@@ -254,13 +263,6 @@ def test_sweep_validates_before_running(tmp_path):
     assert run(["sweep", "--graph", "cycle", "--axis", "n", "--values", "5,2",
                 "--steps", "3", "--output-dir", outdir]) == 2
     assert not os.path.exists(outdir)
-
-
-def test_bad_threads_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(cli.THREADS_ENV_VAR, "many")
-    assert run(["sweep", "--graph", "line", "--steps", "2", "--axis", "p",
-                "--values", "0", "--output-dir", str(tmp_path)]) == 2
-    assert "threads" in capsys.readouterr().err
 
 
 # --- trace command --------------------------------------------------------

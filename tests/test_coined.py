@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qwalksim.coined import (COIN_FAMILIES, CoinedWalk, coin_matrix, coin_toss, dft_coin,
-                             evolve, grover_coin, hadamard_coin, initial_state,
-                             shift, step)
+from qwalksim.coined import (COIN_FAMILIES, CoinedWalk, PureState, coin_matrix, dft_coin,
+                             grover_coin, hadamard_coin, initial_state)
 from qwalksim.errors import BoundaryOverflowError, UnsupportedDegreeError
 from qwalksim.graphs import (GlueSpec, Graph, build_cycle, build_glued_trees, build_hypercube,
                              build_line)
@@ -105,10 +106,11 @@ def test_initial_state_rejects_bad_preset():
 
 def test_coin_toss_on_basis_states():
     g, origin = centered_line(2)
-    tossed = coin_toss(initial_state(g, origin, (1.0, 0.0)), "hadamard")
+    walk = CoinedWalk(g, "hadamard")
+    tossed = PureState(g, walk.coin_toss(initial_state(g, origin, (1.0, 0.0)).amplitudes))
     assert amp(tossed, 0, 0) == pytest.approx(1 / R2, abs=1e-15)
     assert amp(tossed, 0, 1) == pytest.approx(1 / R2, abs=1e-15)
-    tossed = coin_toss(initial_state(g, origin, (0.0, 1.0)), "hadamard")
+    tossed = PureState(g, walk.coin_toss(initial_state(g, origin, (0.0, 1.0)).amplitudes))
     assert amp(tossed, 0, 0) == pytest.approx(1 / R2, abs=1e-15)
     assert amp(tossed, 0, 1) == pytest.approx(-1 / R2, abs=1e-15)
 
@@ -116,22 +118,25 @@ def test_coin_toss_on_basis_states():
 def test_coin_toss_twice_is_identity():
     g, origin = centered_line(3)
     s = initial_state(g, origin, "symmetric")
-    twice = coin_toss(coin_toss(s, "hadamard"), "hadamard")
-    assert np.allclose(twice.amplitudes, s.amplitudes, atol=1e-14)
+    walk = CoinedWalk(g, "hadamard")
+    twice = walk.coin_toss(walk.coin_toss(s.amplitudes))
+    assert np.allclose(twice, s.amplitudes, atol=1e-14)
 
 
 def test_shift_moves_basis_states():
     g, origin = centered_line(2)
-    moved = shift(initial_state(g, origin, (1.0, 0.0)))
+    walk = CoinedWalk(g)
+    moved = PureState(g, walk.shift(initial_state(g, origin, (1.0, 0.0)).amplitudes))
     assert amp(moved, -1, 0) == pytest.approx(1.0, abs=1e-15)
-    moved = shift(initial_state(g, origin, (0.0, 1.0)))
+    moved = PureState(g, walk.shift(initial_state(g, origin, (0.0, 1.0)).amplitudes))
     assert amp(moved, 1, 1) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_shift_of_balanced_state():
     g, origin = centered_line(2)
-    s = coin_toss(initial_state(g, origin, (1.0, 0.0)), "hadamard")
-    moved = shift(s)
+    walk = CoinedWalk(g, "hadamard")
+    tossed = walk.coin_toss(initial_state(g, origin, (1.0, 0.0)).amplitudes)
+    moved = PureState(g, walk.shift(tossed))
     assert amp(moved, -1, 0) == pytest.approx(1 / R2, abs=1e-15)
     assert amp(moved, 1, 1) == pytest.approx(1 / R2, abs=1e-15)
 
@@ -139,8 +144,9 @@ def test_shift_of_balanced_state():
 def test_step_is_shift_after_coin_toss():
     g, origin = centered_line(3)
     s = initial_state(g, origin, "symmetric")
-    assert np.allclose(step(s, "hadamard").amplitudes,
-                       shift(coin_toss(s, "hadamard")).amplitudes, atol=1e-15)
+    walk = CoinedWalk(g, "hadamard")
+    assert np.allclose(walk.evolve(s, 1).amplitudes,
+                       walk.shift(walk.coin_toss(s.amplitudes)), atol=1e-15)
 
 
 def test_shift_is_a_permutation_everywhere():
@@ -190,7 +196,7 @@ def test_three_step_trace_exact():
 
 def test_three_step_distribution():
     g, origin = centered_line(3)
-    final = evolve(initial_state(g, origin, (1.0, 0.0)), 3, "hadamard")
+    final = CoinedWalk(g, "hadamard").evolve(initial_state(g, origin, (1.0, 0.0)), 3)
     p = final.position_distribution()
     by_x = {int(g.coordinates[v]): p[v] for v in range(g.num_vertices)}
     assert by_x[-3] == pytest.approx(1 / 8, abs=1e-12)
@@ -204,18 +210,19 @@ def test_destructive_interference_at_origin():
     # doubles the coin-0 one before the shift disperses them
     g, origin = centered_line(3)
     s = initial_state(g, origin, (1.0, 0.0))
-    two = evolve(s, 2, "hadamard")
-    tossed = coin_toss(two, "hadamard")
+    walk = CoinedWalk(g, "hadamard")
+    two = walk.evolve(s, 2)
+    tossed = PureState(g, walk.coin_toss(two.amplitudes))
     assert amp(tossed, 0, 1) == 0.0
     assert amp(tossed, 0, 0) == pytest.approx(2 / R8, abs=1e-15)
-    three = evolve(s, 3, "hadamard")
+    three = walk.evolve(s, 3)
     assert amp(three, 0, 1) == 0.0
 
 
 def test_zero_steps_identity():
     g, origin = centered_line(2)
     s = initial_state(g, origin, "symmetric")
-    assert np.array_equal(evolve(s, 0).amplitudes, s.amplitudes)
+    assert np.array_equal(CoinedWalk(g).evolve(s, 0).amplitudes, s.amplitudes)
 
 
 # --- global properties ---------------------------------------------------
@@ -241,9 +248,10 @@ def test_reversibility():
     g = build_cycle(12)
     s = initial_state(g, 0, "symmetric")
     walk = CoinedWalk(g)
+    inverse = walk.step_matrix().conj().T
     amps = walk.evolve(s, 40).amplitudes
     for _ in range(40):
-        amps = walk.inverse_step_amplitudes(amps)
+        amps = inverse @ amps
     assert np.max(np.abs(amps - s.amplitudes)) < 1e-9
 
 
@@ -301,6 +309,41 @@ def test_step_matrix_matches_stepping_and_is_unitary():
     s = initial_state(g, 2, "symmetric")
     assert np.allclose(u @ s.amplitudes, walk.step_amplitudes(s.amplitudes),
                        atol=1e-13)
+
+
+@st.composite
+def builder_graphs(draw):
+    kind = draw(st.sampled_from(["line", "cycle", "hypercube", "glued-symmetric",
+                                 "glued-random-cycle"]))
+    if kind == "line":
+        return build_line(2 * draw(st.integers(1, 12)) + 1)
+    if kind == "cycle":
+        return build_cycle(draw(st.integers(3, 24)))
+    if kind == "hypercube":
+        return build_hypercube(draw(st.integers(1, 5)))
+    depth = draw(st.integers(1, 4))
+    if kind == "glued-symmetric":
+        return build_glued_trees(depth, GlueSpec("symmetric"))
+    return build_glued_trees(depth, GlueSpec("random-cycle", draw(st.integers(0, 2 ** 32 - 1))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=builder_graphs(), family=st.sampled_from(COIN_FAMILIES),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_step_matrix_is_unitary_and_is_the_step(g, family, seed):
+    walk = CoinedWalk(g, family)
+    if family == "hadamard" and np.any(g.degrees != 2):
+        # every builder graph has a vertex of degree 1 or 3+ except cycles
+        # and the square
+        with pytest.raises(UnsupportedDegreeError):
+            walk.step_matrix()
+        return
+    u = walk.step_matrix()
+    dense = u.toarray()
+    assert np.linalg.norm(dense.conj().T @ dense - np.eye(g.half_edge_count)) <= 1e-12
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=g.half_edge_count) + 1j * rng.normal(size=g.half_edge_count)
+    assert np.max(np.abs(u @ a - walk.step_amplitudes(a))) <= 1e-12
 
 
 def loop_step_matrix(g, family):

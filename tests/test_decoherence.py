@@ -21,12 +21,21 @@ from qwalksim.graphs import (GlueSpec, build_cycle, build_glued_trees,
 from qwalksim.streams import RowStreams
 
 
-def random_density(graph, seed):
+def random_density(graph, seed, rank=None):
     rng = np.random.default_rng(seed)
     n = graph.half_edge_count
-    b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    shape = (n, n if rank is None else rank)
+    b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     m = b @ b.conj().T
     return DensityState(graph, m / np.trace(m).real)
+
+
+TRAJECTORY_GRAPHS = {
+    "line": lambda: build_line(41),
+    "cycle": lambda: build_cycle(7),
+    "hypercube": lambda: build_hypercube(3),
+    "glued-random": lambda: build_glued_trees(2, GlueSpec("random-cycle", 5)),
+}
 
 
 # --- spec validation -----------------------------------------------------
@@ -163,7 +172,7 @@ def test_position_measurement_keeps_coin_coherence():
     rho = random_density(g, 10)
     out = apply_channel(rho, DecoherenceSpec(1.0, "position"))
     for v in range(g.num_vertices):
-        lo = g.coin_offset(v)
+        lo = g.offsets[v]
         hi = lo + g.degree(v)
         assert np.array_equal(out.matrix[lo:hi, lo:hi], rho.matrix[lo:hi, lo:hi])
         assert np.all(out.matrix[lo:hi, hi:] == 0.0)
@@ -178,7 +187,7 @@ def test_channel_matches_explicit_projector_sum():
     acc = np.zeros_like(rho.matrix)
     for v in range(g.num_vertices):
         mask = np.zeros(g.half_edge_count)
-        lo = g.coin_offset(v)
+        lo = g.offsets[v]
         mask[lo:lo + g.degree(v)] = 1.0
         proj = np.diag(mask)
         acc += proj @ rho.matrix @ proj
@@ -201,6 +210,20 @@ def test_coin_channel_matches_explicit_projector_sum():
     expected = (1 - p) * rho.matrix + p * acc
     out = apply_channel(rho, DecoherenceSpec(p, "coin"))
     assert np.allclose(out.matrix, expected, atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(TRAJECTORY_GRAPHS)),
+       target=st.sampled_from(MEASUREMENT_TARGETS), p=st.floats(0.0, 1.0),
+       rank=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_channel_keeps_a_density_matrix(name, target, p, rank, seed):
+    # low rank leaves most eigenvalues at zero, where a channel that is
+    # not positive would push some below it
+    rho = random_density(TRAJECTORY_GRAPHS[name](), seed, rank)
+    out = apply_channel(rho, DecoherenceSpec(p, target)).matrix
+    assert abs(np.trace(out) - np.trace(rho.matrix)) <= 1e-12
+    assert np.max(np.abs(out - out.conj().T)) <= 1e-12
+    assert np.linalg.eigvalsh(out).min() >= -1e-12
 
 
 # --- density evolution ---------------------------------------------------
@@ -430,7 +453,7 @@ def test_collapse_preserves_phase():
         stepped[k] / abs(stepped[k]), abs=1e-14)
     assert abs(final.amplitudes[k]) == pytest.approx(1.0, abs=1e-14)
     v = int(record[0, 2])
-    assert g.coin_offset(v) + record[0, 3] == k
+    assert g.offsets[v] + record[0, 3] == k
 
 
 def test_trajectory_norm_stays_one():
@@ -507,14 +530,14 @@ def serial_collapse(amps, graph, target, rng):
         out = np.zeros_like(amps)
         out[k] = amps[k] / abs(amps[k])
         v = int(graph.half_edge_vertex[k])
-        return out, v, k - graph.coin_offset(v)
+        return out, v, k - graph.offsets[v]
     if target == "position":
         probs = np.bincount(graph.half_edge_vertex, weights=np.abs(amps) ** 2,
                             minlength=graph.num_vertices)
         cum = np.cumsum(probs)
         v = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
         out = np.zeros_like(amps)
-        off, d = graph.coin_offset(v), graph.degree(v)
+        off, d = graph.offsets[v], graph.degree(v)
         out[off:off + d] = amps[off:off + d] / np.sqrt(probs[v])
         return out, v, NOT_MEASURED
     ids = np.array([c for v in range(graph.num_vertices) for c in range(graph.degree(v))])
@@ -552,14 +575,6 @@ def serial_ensemble(state0, spec, steps, trajectories, seed, coin):
     mean = total / trajectories
     var = np.maximum(total_sq / trajectories - mean ** 2, 0.0)
     return mean, np.sqrt(var / trajectories)
-
-
-TRAJECTORY_GRAPHS = {
-    "line": lambda: build_line(41),
-    "cycle": lambda: build_cycle(7),
-    "hypercube": lambda: build_hypercube(3),
-    "glued-random": lambda: build_glued_trees(2, GlueSpec("random-cycle", 5)),
-}
 
 
 def start_of(graph):

@@ -6,7 +6,7 @@ import pytest
 from qwalksim.errors import MissingSeedError
 from qwalksim.graphs import (GlueSpec, Graph, build_cycle, build_glued_trees,
                              build_hypercube, build_line, dump_edge_list,
-                             glued_trees_entrance_exit, neighbors)
+                             glued_trees_entrance_exit)
 
 ALL_BUILDERS = [
     build_line(7),
@@ -87,9 +87,9 @@ def test_hypercube_rejects_zero():
 
 
 def test_neighbors_ordering():
-    assert neighbors(build_cycle(4), 0) == [1, 3]
-    assert neighbors(build_line(3), 0) == [1]
-    assert neighbors(build_hypercube(2), 0) == [1, 2]
+    assert build_cycle(4).neighbors(0) == (1, 3)
+    assert build_line(3).neighbors(0) == (1,)
+    assert build_hypercube(2).neighbors(0) == (1, 2)
 
 
 def test_neighbors_out_of_range():

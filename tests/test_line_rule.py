@@ -11,7 +11,7 @@ import pytest
 
 from qwalksim import cli
 from qwalksim.classical import evolve_classical_exact
-from qwalksim.coined import CoinedWalk, evolve, initial_state, step
+from qwalksim.coined import CoinedWalk, initial_state
 from qwalksim.decoherence import (DecoherenceSpec, DensityState, evolve_density,
                                   evolve_trajectory, run_ensemble, to_density)
 from qwalksim.errors import BoundaryOverflowError
@@ -20,19 +20,11 @@ from qwalksim.graphs import build_cycle, build_line
 SPEC = DecoherenceSpec(0.2, "both")
 
 
-def repeated_step(state, steps):
-    for _ in range(steps):
-        state = step(state)
-    return state
-
-
 # each entry point runs `steps` steps of a walk started at vertex v
 ENTRY_POINTS = {
     "CoinedWalk.evolve": lambda g, v, steps: CoinedWalk(g).evolve(initial_state(g, v), steps),
     "CoinedWalk.iter_steps": lambda g, v, steps: list(
         CoinedWalk(g).iter_steps(initial_state(g, v), steps)),
-    "coined.evolve": lambda g, v, steps: evolve(initial_state(g, v), steps),
-    "coined.step": lambda g, v, steps: repeated_step(initial_state(g, v), steps),
     "evolve_density": lambda g, v, steps: evolve_density(
         to_density(initial_state(g, v)), SPEC, steps),
     "evolve_trajectory": lambda g, v, steps: evolve_trajectory(
