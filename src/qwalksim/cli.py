@@ -124,16 +124,17 @@ class WalkConfig:
                     raise ConfigError("trajectories", "must be >= 1")
                 if self.seed is None:
                     raise ConfigError("seed", "trajectory mode requires a seed")
-            self.initial_coin()
+            parse_initial_coin(self.initial)
         if self.exit_series is not None and not (
                 self.walk == "continuous" and self.graph == "glued-trees"):
             raise ConfigError(
                 "exit-series", "only available for the continuous glued-trees walk")
 
     def _line_size(self) -> int | None:
-        """Positions of the line; a stepped walk defaults to 2*steps+1."""
+        """Positions of the line; a stepped walk defaults to 2*max(steps, 1)+1,
+        so even a zero-step walk starts at a vertex with two neighbors."""
         if self.num_positions is None and self.walk != "continuous":
-            return 2 * (self.steps or 0) + 1
+            return 2 * max(self.steps or 0, 1) + 1
         return self.num_positions
 
     def build_graph(self) -> Graph:
@@ -154,17 +155,28 @@ class WalkConfig:
             return graph.params["origin"]
         return 0
 
-    def initial_coin(self) -> str | list[complex]:
-        """``initial`` parsed for ``coined.initial_state``, which checks it against the start."""
-        if self.initial in coined.INITIAL_COIN_PRESETS:
-            return self.initial
-        try:
-            return [complex(part) for part in self.initial.split(",")]
-        except ValueError:
-            raise ConfigError(
-                "initial",
-                f"must be a preset {coined.INITIAL_COIN_PRESETS} or "
-                "comma-separated complex amplitudes") from None
+
+def parse_initial_coin(text: str) -> str | list[complex]:
+    """An ``--initial`` value parsed for ``coined.initial_state``: a preset
+    name or comma-separated complex amplitudes."""
+    if text in coined.INITIAL_COIN_PRESETS:
+        return text
+    try:
+        return [complex(part) for part in text.split(",")]
+    except ValueError:
+        raise ConfigError(
+            "initial",
+            f"must be a preset {coined.INITIAL_COIN_PRESETS} or "
+            "comma-separated complex amplitudes") from None
+
+
+def start_state(graph: Graph, start: int, text: str) -> coined.PureState:
+    """``coined.initial_state`` from an ``--initial`` value; a refusal names ``initial``."""
+    coin = parse_initial_coin(text)
+    try:
+        return coined.initial_state(graph, start, coin)
+    except ValueError as exc:
+        raise ConfigError("initial", str(exc)) from None
 
 
 def run_walk(cfg: WalkConfig) -> tuple[stats.Distribution, dict]:
@@ -188,11 +200,7 @@ def run_walk(cfg: WalkConfig) -> tuple[stats.Distribution, dict]:
                 t_max=cfg.time, convention=cfg.convention)
             atomic_write(cfg.exit_series, continuous.exit_series_csv(times, values))
     else:
-        coin = cfg.initial_coin()
-        try:
-            state = coined.initial_state(graph, start, coin)
-        except ValueError as exc:
-            raise ConfigError("initial", str(exc)) from None
+        state = start_state(graph, start, cfg.initial)
         if cfg.p == 0.0:
             final = coined.CoinedWalk(graph, cfg.coin).evolve(state, cfg.steps)
             dist = stats.position_distribution(final)
@@ -206,7 +214,7 @@ def run_walk(cfg: WalkConfig) -> tuple[stats.Distribution, dict]:
             spec = decoherence.DecoherenceSpec(cfg.p, cfg.target)
             rho = decoherence.evolve_density(
                 decoherence.to_density(state), spec, cfg.steps, cfg.coin)
-            rho.check()
+            summary["density_check"] = rho.check()
             dist = stats.position_distribution(rho)
 
     summary["probability_sum"] = float(dist.probabilities.sum())
@@ -448,7 +456,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     # every row carries the two-direction coin labels
     graph = build_line(2 * max(steps, 1) + 3)
     origin = graph.params["origin"]
-    state = coined.initial_state(graph, origin, args.initial)
+    state = start_state(graph, origin, args.initial)
     walk = coined.CoinedWalk(graph, args.coin)
     lines = ["step,x,coin,amplitude_re,amplitude_im"]
 

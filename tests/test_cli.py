@@ -48,6 +48,43 @@ def test_walk_coined_line(tmp_path, capsys):
     assert meta["version"] == cli.__version__
 
 
+@pytest.mark.parametrize("extra", [[], ["--walk", "classical"], ["--p", "0.3"]])
+def test_zero_step_walk_on_the_default_line(tmp_path, extra):
+    out = tmp_path / "zero.csv"
+    assert run(["walk", "--graph", "line", "--steps", "0", "-o", str(out)] + extra) == 0
+    assert out.read_text() == "x,probability\n0,1\n"
+
+
+def test_one_step_default_line_keeps_its_size(tmp_path):
+    # steps >= 1 still get 2*steps+1 positions, so their bytes do not move
+    for walk in ("coined", "classical"):
+        default, sized = tmp_path / f"{walk}_a.csv", tmp_path / f"{walk}_b.csv"
+        assert run(["walk", "--walk", walk, "--graph", "line", "--steps", "1",
+                    "-o", str(default)]) == 0
+        assert run(["walk", "--walk", walk, "--graph", "line", "--steps", "1",
+                    "--num-positions", "3", "-o", str(sized)]) == 0
+        assert default.read_bytes() == sized.read_bytes()
+
+
+def test_density_check_residuals_reach_the_metadata_only(tmp_path, capsys):
+    out = str(tmp_path / "dens.csv")
+    assert run(["walk", "--graph", "line", "--steps", "6", "--p", "0.2", "-o", out]) == 0
+    residuals = read_meta(out)["summary"]["density_check"]
+    assert sorted(residuals) == ["hermiticity_deviation", "live_dimension",
+                                 "min_eigenvalue", "trace_deviation"]
+    # the 7 even sites: two half-edges at the 5 inside, one at each end
+    assert residuals["live_dimension"] == 12
+    assert residuals["min_eigenvalue"] >= -1e-12
+    printed = capsys.readouterr().out.split()[2:]
+    assert [item.split("=")[0] for item in printed] == [
+        "flatness_ratio", "flatness_tv", "probability_sum", "std_dev", "tv_to_uniform"]
+    outdir = tmp_path / "sweep"
+    assert run(["sweep", "--graph", "line", "--steps", "4", "--axis", "p",
+                "--values", "0,0.2", "--output-dir", str(outdir)]) == 0
+    header = (outdir / "sweep_summary.csv").read_text().split("\n")[0]
+    assert header == "p,std_dev,tv_to_uniform,flatness_ratio,flatness_tv"
+
+
 def test_walk_rerun_is_byte_identical(tmp_path):
     a = str(tmp_path / "a.csv")
     b = str(tmp_path / "b.csv")
@@ -295,6 +332,25 @@ def test_trace_to_file(tmp_path):
     header, rows = read_csv(out)
     assert header == "step,x,coin,amplitude_re,amplitude_im"
     assert [r[0] for r in rows] == ["0", "1", "1"]
+
+
+def test_trace_takes_comma_separated_amplitudes(capsys):
+    assert run(["trace", "--steps", "1", "--initial", "0.6,0.8"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    table = {}
+    for line in rows:
+        step, x, coin, re, im = line.split(",")
+        table[(int(step), int(x), int(coin))] = complex(float(re), float(im))
+    assert table[(0, 0, 0)] == 0.6 and table[(0, 0, 1)] == 0.8
+    assert table[(1, -1, 0)].real == pytest.approx(1.4 / np.sqrt(2.0), abs=1e-12)
+    assert table[(1, 1, 1)].real == pytest.approx(-0.2 / np.sqrt(2.0), abs=1e-12)
+    assert len(table) == 4
+
+
+@pytest.mark.parametrize("initial", ["0.6,zebra", "1", "sideways"])
+def test_trace_rejects_a_bad_initial_naming_it(initial, capsys):
+    assert run(["trace", "--steps", "1", "--initial", initial]) == 2
+    assert "invalid configuration: initial:" in capsys.readouterr().err
 
 
 def test_trace_rejects_negative_steps(capsys):

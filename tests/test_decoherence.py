@@ -1,8 +1,10 @@
+import itertools
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,6 +134,46 @@ def test_check_rejects_negative_eigenvalue():
     m[0, 0], m[1, 1] = 1.5, -0.5
     with pytest.raises(InvariantViolationError):
         DensityState(g, m).check()
+
+
+def test_check_finds_a_negative_eigenvalue_behind_a_zero_diagonal():
+    # [[0, 1/2], [1/2, 0]] on half-edges 2 and 5 has eigenvalue -1/2; a live
+    # set read off the diagonal would drop both and see only the 1 at 7
+    g = build_cycle(4)
+    m = np.zeros((8, 8), dtype=complex)
+    m[2, 5] = m[5, 2] = 0.5
+    m[7, 7] = 1.0
+    with pytest.raises(InvariantViolationError, match="negative eigenvalue"):
+        DensityState(g, m).check()
+
+
+@settings(max_examples=50, deadline=None)
+@given(rank=st.integers(1, 6), live=st.integers(1, 20), seed=st.integers(0, 2 ** 32 - 1))
+def test_check_on_the_live_block_matches_the_full_spectrum(rank, live, seed):
+    g = build_line(11)
+    n = g.half_edge_count
+    rng = np.random.default_rng(seed)
+    keep = np.sort(rng.choice(n, size=live, replace=False))
+    b = rng.normal(size=(live, rank)) + 1j * rng.normal(size=(live, rank))
+    m = np.zeros((n, n), dtype=complex)
+    m[np.ix_(keep, keep)] = b @ b.conj().T
+    m /= np.trace(m).real
+    residuals = DensityState(g, m).check()
+    assert residuals["live_dimension"] == live
+    assert abs(residuals["min_eigenvalue"] - np.linalg.eigvalsh(m)[0]) <= 1e-12
+    assert residuals["hermiticity_deviation"] == np.max(np.abs(m - m.conj().T))
+    assert residuals["trace_deviation"] == abs(np.trace(m) - 1.0)
+
+
+def test_check_returns_its_residuals():
+    g = build_cycle(4)
+    rho = random_density(g, 3)
+    residuals = rho.check()
+    assert sorted(residuals) == ["hermiticity_deviation", "live_dimension",
+                                 "min_eigenvalue", "trace_deviation"]
+    assert residuals["live_dimension"] == g.half_edge_count
+    assert residuals["min_eigenvalue"] == np.linalg.eigvalsh(rho.matrix)[0]
+    assert residuals["trace_deviation"] <= 1e-12
 
 
 def test_copy_is_independent():
@@ -388,6 +430,185 @@ def test_iter_density_steps_yields_independent_copies():
     assert np.array_equal(rho0.matrix, before)
     direct = evolve_density(rho0, spec, 2)
     assert np.allclose(second.matrix, direct.matrix, atol=1e-14)
+
+
+# --- light-cone window against the full-range step ----------------------
+#
+# The loop below is the density step as it was before the window: every
+# step multiplies the whole HxH matrix. The windowed engine must give the
+# same bits at every step, signed zeros included, from any start.
+
+def full_range_density_matrices(rho0, spec, coin):
+    graph = rho0.graph
+    u = CoinedWalk(graph, coin).step_matrix()
+    u_conj = u.conj()
+    factors = decoherence._dephasing_factors(graph, spec)
+    turned = np.empty(rho0.matrix.shape, dtype=np.complex128)
+    held = rho0.matrix
+    transposed = False
+    while True:
+        first, second = (u_conj, u) if transposed else (u, u_conj)
+        np.copyto(turned, (first @ held).T)
+        held = second @ turned
+        held *= factors
+        transposed = not transposed
+        yield held.T if transposed else held
+
+
+def bits(matrix):
+    return np.ascontiguousarray(matrix).view(np.uint64)
+
+
+def assert_same_bits_as_full_range(rho0, spec, coin, steps):
+    reference = full_range_density_matrices(rho0, spec, coin)
+    windowed = iter_density_steps(rho0, spec, coin)
+    if not coin_defined(rho0.graph, coin):
+        with pytest.raises(UnsupportedDegreeError):
+            next(reference)
+        with pytest.raises(UnsupportedDegreeError):
+            next(windowed)
+        return
+    for _ in range(steps):
+        assert np.array_equal(bits(next(windowed).matrix), bits(next(reference)))
+
+
+def line_start(g, kind, rng):
+    """A start on the line: a pure state at one site, or a matrix on a sub-range."""
+    n = g.num_vertices
+    sites = {"origin": g.params["origin"], "first": 0, "last": n - 1,
+             "second": 1, "second-last": n - 2}
+    h = g.half_edge_count
+    if kind in sites:
+        d = g.degree(sites[kind])
+        coin = rng.normal(size=d) + 1j * rng.normal(size=d)
+        return to_density(initial_state(g, sites[kind], coin / np.linalg.norm(coin)))
+    a = int(rng.integers(0, h))
+    b = int(rng.integers(a + 1, h + 1))
+    block = rng.normal(size=(b - a, b - a)) + 1j * rng.normal(size=(b - a, b - a))
+    m = np.zeros((h, h), dtype=complex)
+    if kind == "density":
+        m[a:b, a:b] = block @ block.conj().T
+        m /= np.trace(m).real
+    else:
+        # coherences only: rows and columns with a zero diagonal are live
+        m[a:b, a:b] = block - np.diag(np.diag(block))
+    return DensityState(g, m)
+
+
+LINE_STARTS = ("origin", "first", "last", "second", "second-last", "density", "coherence")
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 20).map(lambda k: 2 * k + 1),
+       start=st.sampled_from(LINE_STARTS), coin=st.sampled_from(COIN_FAMILIES),
+       target=st.sampled_from(MEASUREMENT_TARGETS),
+       p=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_windowed_density_step_is_the_full_range_step_on_lines(n, start, coin, target,
+                                                               p, seed):
+    # past n steps the state has met both ends of the line and come back
+    g = build_line(n)
+    rho0 = line_start(g, start, np.random.default_rng(seed))
+    assert_same_bits_as_full_range(rho0, DecoherenceSpec(p, target), coin, n + 3)
+
+
+@pytest.mark.parametrize("target", MEASUREMENT_TARGETS)
+def test_evolve_density_on_a_line_is_the_full_range_result(target):
+    g = build_line(61)
+    rho0 = to_density(initial_state(g, g.params["origin"], np.array([0.6, 0.8j])))
+    spec = DecoherenceSpec(0.07, target)
+    for steps in (0, 1, 17, 30):
+        want = rho0.matrix
+        for want in itertools.islice(full_range_density_matrices(rho0, spec, "default"),
+                                     steps):
+            pass
+        got = evolve_density(rho0, spec, steps).matrix
+        assert got.flags.c_contiguous
+        assert np.array_equal(bits(got), bits(want))
+
+
+def test_coherence_without_diagonal_starts_the_window():
+    # |a><b| + |b><a| has a zero diagonal; a window read off the diagonal
+    # would be empty and every step would come out zero
+    g = build_line(21)
+    m = np.zeros((g.half_edge_count, g.half_edge_count), dtype=complex)
+    m[18, 21] = m[21, 18] = 0.5
+    steps = iter_density_steps(DensityState(g, m), DecoherenceSpec(0.2, "position"))
+    assert np.any(next(steps).matrix != 0)
+    assert_same_bits_as_full_range(DensityState(g, m), DecoherenceSpec(0.2, "position"),
+                                   "default", 12)
+
+
+def test_zero_matrix_stays_zero():
+    g = build_line(9)
+    m = np.zeros((g.half_edge_count, g.half_edge_count), dtype=complex)
+    assert_same_bits_as_full_range(DensityState(g, m), DecoherenceSpec(0.3), "default", 3)
+
+
+FULL_RANGE_GRAPHS = {
+    "cycle": lambda: build_cycle(9),
+    "hypercube": lambda: build_hypercube(3),
+    "glued-symmetric": lambda: build_glued_trees(3, GlueSpec("symmetric")),
+    "glued-random-cycle": lambda: build_glued_trees(3, GlueSpec("random-cycle", seed=4)),
+}
+
+
+@pytest.mark.parametrize("target", MEASUREMENT_TARGETS)
+@pytest.mark.parametrize("coin", COIN_FAMILIES)
+@pytest.mark.parametrize("graph_name", sorted(FULL_RANGE_GRAPHS))
+def test_density_step_on_graphs_that_do_not_localise(graph_name, coin, target):
+    g = FULL_RANGE_GRAPHS[graph_name]()
+    spec = DecoherenceSpec(0.3, target)
+    assert_same_bits_as_full_range(random_density(g, 5), spec, coin, 6)
+    d = g.degree(0)
+    start = to_density(initial_state(g, 0, np.exp(1j * np.arange(d)) / np.sqrt(d)))
+    assert_same_bits_as_full_range(start, spec, coin, 6)
+
+
+def test_full_window_runs_on_the_step_operator_itself():
+    g = build_cycle(7)
+    u = CoinedWalk(g).step_matrix()
+    u_conj = u.conj()
+    n = g.half_edge_count
+    lo, hi, indptr, indices, data, data_conj = decoherence._LightCone(u, u_conj).grow(0, n)
+    assert (lo, hi) == (0, n)
+    assert indptr is u.indptr and indices is u.indices
+    assert data is u.data and data_conj is u_conj.data
+
+
+def test_light_cone_grows_to_the_rows_that_touch_the_window():
+    g = build_line(21)
+    u = CoinedWalk(g).step_matrix()
+    n = g.half_edge_count
+    cone = decoherence._LightCone(u, u.conj())
+    dense = u.toarray()
+    for lo, hi in [(0, 1), (3, 4), (18, 22), (n - 1, n), (5, 5), (0, n - 1)]:
+        lo_next, hi_next, indptr, indices, data, data_conj = cone.grow(lo, hi)
+        touched = np.flatnonzero(np.any(dense[:, lo:hi] != 0, axis=1))
+        if touched.size:
+            assert lo_next == min(lo, touched[0]) and hi_next == max(hi, touched[-1] + 1)
+        block = scipy.sparse.csr_matrix((data, indices, indptr),
+                                        shape=(hi_next - lo_next, hi - lo))
+        assert np.array_equal(block.toarray(), dense[lo_next:hi_next, lo:hi])
+        conj_block = scipy.sparse.csr_matrix((data_conj, indices, indptr),
+                                             shape=(hi_next - lo_next, hi - lo))
+        assert np.array_equal(conj_block.toarray(), dense[lo_next:hi_next, lo:hi].conj())
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 12), vecs=st.integers(1, 12),
+       density=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_sparse_product_is_scipy_matmul(rows, cols, vecs, density, seed):
+    rng = np.random.default_rng(seed)
+    a = scipy.sparse.random(rows, cols, density=density, format="csr", rng=rng,
+                            dtype=np.complex128)
+    a.data = rng.normal(size=a.nnz) + 1j * rng.normal(size=a.nnz)
+    x = rng.normal(size=(cols, vecs)) + 1j * rng.normal(size=(cols, vecs))
+    x[rng.random(x.shape) < 0.3] = -0.0
+    out = np.full((rows, vecs), np.nan, dtype=np.complex128)
+    got = decoherence._sparse_product(a.indptr, a.indices, a.data, x, out)
+    assert got is out
+    assert np.array_equal(bits(got), bits(a @ x))
 
 
 # --- measured trajectories ----------------------------------------------
