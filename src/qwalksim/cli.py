@@ -203,6 +203,7 @@ def run_walk(cfg: WalkConfig) -> tuple[stats.Distribution, dict]:
         state = start_state(graph, start, cfg.initial)
         if cfg.p == 0.0:
             final = coined.CoinedWalk(graph, cfg.coin).evolve(state, cfg.steps)
+            summary["pure_check"] = {"norm_deviation": abs(final.norm() - 1.0)}
             dist = stats.position_distribution(final)
         elif cfg.trajectories is not None:
             spec = decoherence.DecoherenceSpec(cfg.p, cfg.target)

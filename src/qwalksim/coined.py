@@ -15,10 +15,14 @@ count and the line rule and yields the state after every step. ``evolve``
 is its last state.
 
 ``CoinedWalk`` compiles one coin plan per graph, per degree the half-edge
-block, its shifted target and the coin. ``step_amplitudes`` (one walker)
-and ``step_rows`` (a batch) both read it and write each coin output
-straight to its shifted half-edge, in one pass; the result is
-bit-identical to ``shift(coin_toss(amps))``.
+block, its shifted target and the coin. All degree-2 vertices share one
+gather table instead, indexed by output half-edge: the two half-edges each
+output reads and the coin entries that weigh them. ``step_amplitudes``
+(one walker) and ``step_rows`` (a batch) run a step as one gather, one
+multiply and one add over that table (plus a scatter unless degree 2
+covers every half-edge, as on cycles), and a block matmul per other
+degree, writing each coin output straight to its shifted half-edge; the
+result is bit-identical to ``shift(coin_toss(amps))``.
 """
 
 from __future__ import annotations
@@ -86,6 +90,15 @@ class PureState:
                 f"got {amplitudes.shape}")
         self.graph = graph
         self.amplitudes = amplitudes
+
+    @classmethod
+    def _wrap(cls, graph: Graph, amplitudes: np.ndarray) -> "PureState":
+        """A state around a complex128 array of shape (H,), unchecked: for
+        arrays the step itself has just made."""
+        state = cls.__new__(cls)
+        state.graph = graph
+        state.amplitudes = amplitudes
+        return state
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -176,27 +189,42 @@ class CoinedWalk:
         self._shift_source = np.empty_like(target)
         self._shift_source[target] = np.arange(graph.half_edge_count)
 
-        # one entry per degree, read by every step method: the (m, d)
-        # half-edge block, where the shift sends it, the transposed coin
+        # one entry per degree, read by coin_toss and step_matrix: the (m, d)
+        # half-edge block, where the shift sends it and the transposed coin
         # (None for a degree the family does not support, an error only if
-        # amplitude ever sits there) and, at degree 2, the four contiguous
-        # columns of block and target with the coin entries as 0-d complex
-        # arrays, which multiply like the scalars but with less overhead
+        # amplitude ever sits there)
         self._coin_plan: list[tuple] = []
         for d in np.unique(graph.degrees[graph.degrees > 0]).tolist():
             offs = graph.offsets[:-1][graph.degrees == d]
             idx = offs[:, None] + np.arange(d)[None, :]
-            moved = target[idx]
             try:
                 coin_t = coin_matrix(coin, d).T.copy()
             except UnsupportedDegreeError:
                 coin_t = None
-            pair = None
-            if coin_t is not None and d == 2:
-                pair = (idx[:, 0].copy(), idx[:, 1].copy(), moved[:, 0].copy(),
-                        moved[:, 1].copy(),
-                        *(np.array(c, dtype=np.complex128) for c in coin_t.ravel()))
-            self._coin_plan.append((idx, moved, coin_t, pair))
+            self._coin_plan.append((idx, target[idx], coin_t))
+
+        # the step methods take degree 2 from one gather table, sorted by
+        # output half-edge: output dest[k] of n is
+        # amps[src[k]] * coef[k] + amps[src[n + k]] * coef[n + k], the first
+        # half of src and coef being the terms from direction 0 and the
+        # second those from direction 1, added in _apply_coin's order (kept
+        # flat, as halves of one array: two-row indexing cost more per step
+        # than the step's arithmetic on a small graph); dest is None when
+        # the table covers every half-edge in order
+        self._gather = None
+        self._block_plan = []
+        for idx, moved, coin_t in self._coin_plan:
+            if coin_t is None or idx.shape[1] != 2:
+                self._block_plan.append((idx, moved, coin_t))
+                continue
+            dest = moved.T.ravel()
+            order = np.argsort(dest, kind="stable")
+            src = np.tile(idx.T, 2)[:, order].ravel()
+            coef = np.repeat(coin_t, len(idx), axis=1)[:, order].ravel().astype(np.complex128)
+            dest = dest[order]
+            if np.array_equal(dest, np.arange(graph.half_edge_count)):
+                dest = None
+            self._gather = (src, coef, len(order), dest)
 
     def _undefined_coin(self, idx: np.ndarray) -> UnsupportedDegreeError:
         return UnsupportedDegreeError(
@@ -205,7 +233,7 @@ class CoinedWalk:
 
     def coin_toss(self, amps: np.ndarray) -> np.ndarray:
         out = amps.copy()
-        for idx, _, coin_t, _ in self._coin_plan:
+        for idx, _, coin_t in self._coin_plan:
             if coin_t is None:
                 if np.any(amps[idx]):
                     raise self._undefined_coin(idx)
@@ -220,15 +248,20 @@ class CoinedWalk:
         """One step, coin toss then shift, bit-identical to
         ``shift(coin_toss(amps))``: each coin output is written straight to
         its shifted half-edge. Degree 2 keeps ``_apply_coin``'s elementwise
-        form; other degrees multiply the (m, d) block by the coin."""
-        out = np.empty_like(amps)
-        for idx, moved, coin_t, pair in self._coin_plan:
-            if pair is not None:
-                i0, i1, m0, m1, c00, c01, c10, c11 = pair
-                b0, b1 = amps[i0], amps[i1]
-                out[m0] = b0 * c00 + b1 * c10
-                out[m1] = b0 * c01 + b1 * c11
-            elif coin_t is not None:
+        form through the gather table; other degrees multiply the (m, d)
+        block by the coin."""
+        if self._gather is None:
+            out = np.empty_like(amps)
+        else:
+            src, coef, n, dest = self._gather
+            x = amps[src]
+            x *= coef
+            if dest is None:
+                return x[:n] + x[n:]
+            out = np.empty_like(amps)
+            out[dest] = x[:n] + x[n:]
+        for idx, moved, coin_t in self._block_plan:
+            if coin_t is not None:
                 out[moved] = amps[idx] @ coin_t
             else:
                 block = amps[idx]
@@ -241,17 +274,25 @@ class CoinedWalk:
         """One step of every row of a (rows, H) batch of independent walkers.
 
         Row r comes out bit-identical to ``step_amplitudes(amps[r])``: the
-        same plan and arithmetic on whole columns, where a stacked matmul
+        same table and arithmetic on whole columns, where a stacked matmul
         multiplies each row's (m, d) block on its own.
         """
-        out = np.empty_like(amps)
-        for idx, moved, coin_t, pair in self._coin_plan:
-            if pair is not None:
-                i0, i1, m0, m1, c00, c01, c10, c11 = pair
-                b0, b1 = amps[:, i0], amps[:, i1]
-                out[:, m0] = b0 * c00 + b1 * c10
-                out[:, m1] = b0 * c01 + b1 * c11
-            elif coin_t is not None:
+        if self._gather is None:
+            out = np.empty_like(amps)
+        else:
+            src, coef, n, dest = self._gather
+            x = amps[:, src]
+            x *= coef
+            if dest is None:
+                return x[:, :n] + x[:, n:]
+            # summed in place: a batch-sized temporary next to out made
+            # glibc hand the heap top back and fault it in again every step
+            total = x[:, :n]
+            total += x[:, n:]
+            out = np.empty_like(amps)
+            out[:, dest] = total
+        for idx, moved, coin_t in self._block_plan:
+            if coin_t is not None:
                 out[:, moved] = amps[:, idx] @ coin_t
             else:
                 block = amps[:, idx]
@@ -276,7 +317,7 @@ class CoinedWalk:
         amps = state.amplitudes
         for _ in range(steps):
             amps = self.step_amplitudes(amps)
-            yield PureState(self.graph, amps)
+            yield PureState._wrap(self.graph, amps)
 
     def step_matrix(self) -> scipy.sparse.csr_matrix:
         """The unitary for one step as a sparse matrix over half-edges.
@@ -286,7 +327,7 @@ class CoinedWalk:
         """
         n = self.graph.half_edge_count
         rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
-        for idx, _, coin_t, _ in self._coin_plan:
+        for idx, _, coin_t in self._coin_plan:
             if coin_t is None:
                 raise UnsupportedDegreeError(
                     f"{self.coin_family} coin undefined for degree "

@@ -85,6 +85,16 @@ def test_density_check_residuals_reach_the_metadata_only(tmp_path, capsys):
     assert header == "p,std_dev,tv_to_uniform,flatness_ratio,flatness_tv"
 
 
+def test_pure_run_norm_residual_reaches_the_metadata_only(tmp_path, capsys):
+    out = str(tmp_path / "pure.csv")
+    assert run(["walk", "--graph", "line", "--steps", "100", "--initial", "symmetric",
+                "-o", out]) == 0
+    residuals = read_meta(out)["summary"]["pure_check"]
+    assert sorted(residuals) == ["norm_deviation"]
+    assert 0.0 <= residuals["norm_deviation"] < 1e-12
+    assert "pure_check" not in capsys.readouterr().out
+
+
 def test_walk_rerun_is_byte_identical(tmp_path):
     a = str(tmp_path / "a.csv")
     b = str(tmp_path / "b.csv")

@@ -453,3 +453,55 @@ def test_step_equals_coin_toss_then_shift_over_a_long_run():
         want, got = two_pass_step(walk, want), walk.step_amplitudes(got)
         assert same_bits(got, want)
 
+
+def random_amplitudes(rng, shape):
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # signed zeros among the values, in either part
+    amps.real[rng.random(shape) < 0.2] = -0.0
+    amps.imag[rng.random(shape) < 0.2] = 0.0
+    return amps
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=builder_graphs(), family=st.sampled_from(COIN_FAMILIES),
+       seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 4))
+def test_step_is_the_two_pass_step_on_every_builder(g, family, seed, rows):
+    walk = CoinedWalk(g, family)
+    rng = np.random.default_rng(seed)
+    batch = random_amplitudes(rng, (rows, g.half_edge_count))
+    undefined = undefined_coin_half_edges(g, family)
+    if undefined.size:
+        # amplitude on a vertex whose coin is undefined raises in both forms
+        batch[:, undefined[0]] = 1.0
+        with pytest.raises(UnsupportedDegreeError):
+            walk.step_amplitudes(batch[0])
+        with pytest.raises(UnsupportedDegreeError):
+            walk.step_rows(batch)
+        batch[:, undefined] = complex(-0.0, -0.0)
+    stepped = walk.step_rows(batch)
+    for amps, row in zip(batch, stepped):
+        want = two_pass_step(walk, amps)
+        assert same_bits(walk.step_amplitudes(amps), want)
+        assert same_bits(row, want)
+
+
+@pytest.mark.parametrize("g", [build_cycle(9), build_line(21)], ids=["cycle", "line"])
+def test_iter_steps_yields_distinct_arrays(g):
+    # on the cycle the step returns its table sum itself, on the line it
+    # scatters into a fresh array; neither may hand out shared memory
+    walk = CoinedWalk(g)
+    start = initial_state(g, g.num_vertices // 2, "symmetric")
+    states = list(walk.iter_steps(start, 5))
+    arrays = [start.amplitudes] + [s.amplitudes for s in states]
+    assert len(states) == 5
+    for s in states:
+        assert s.graph is g
+        assert s.amplitudes.dtype == np.complex128
+        assert s.amplitudes.shape == (g.half_edge_count,)
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+    want = start.amplitudes
+    for s in states:
+        want = walk.step_amplitudes(want)
+        assert same_bits(s.amplitudes, want)

@@ -1,14 +1,18 @@
-"""Pinned output bytes of density runs through the command line.
+"""Pinned output bytes of density and pure runs through the command line.
 
 Each case runs ``qwalksim`` and compares the SHA-256 of every file it
 writes (the ``.meta.json`` records aside, which hold wall times) with a
-digest recorded before the density engine learned to skip the rows and
-columns the walker cannot reach yet. A change that moves one bit of a
+digest recorded before the engine it runs was last rewritten for speed:
+the density cases before the density engine learned to skip the rows and
+columns the walker cannot reach yet, the pure cases before the degree-2
+step became one gather table. A change that moves one bit of a
 distribution or a sweep summary fails here.
 
-Only engines that call no BLAS or LAPACK routine write these files: sparse
-density steps, the degree-2 pure step and numpy reductions. So the digests
-do not depend on the BLAS library or its thread count.
+The engines that write these files are sparse density steps, the degree-2
+pure step and numpy reductions, none of which calls BLAS or LAPACK. The
+one product that may reach BLAS is the 1x1 coin block at the two ends of
+the line in the pure line case; its digest reads the same with OpenBLAS
+at one thread and at two.
 """
 
 import hashlib
@@ -54,6 +58,17 @@ CASES = {
          "--glue-seed", "5", "--steps", "10", "--p", "0.2", "--start", "4"],
         {"out.csv":
              "c290a52de4df46cd9e64e418a0c8a35607db03a80e6ccb4b98bc1c2e0cb68be8"},
+    ),
+    "line-pure": (
+        ["walk", "--graph", "line", "--steps", "100", "--initial", "symmetric"],
+        {"out.csv":
+             "be886951898edb16f3bda3c12d7599c0655def5c4654d50cf95ea4941f308583"},
+    ),
+    "cycle-pure": (
+        ["walk", "--graph", "cycle", "--n", "15", "--steps", "100", "--coin", "dft",
+         "--initial", "0.6,0.8j"],
+        {"out.csv":
+             "815ce1ed74f916d6059d8a7651f05130350949bd91873488917f8da6b6001b72"},
     ),
     "line-sweep": (
         ["sweep", "--graph", "line", "--steps", "20", "--axis", "p",

@@ -3,7 +3,8 @@
 ``ReferenceLayout`` builds the layout as ``graphs``, ``coined`` and
 ``classical`` each built it before the table: neighbor lists and a dict of
 direction slots, the ``direction_index`` loop for the shift, per-degree
-vertex lists for the coin plan and flattened neighbor lists for the
+vertex lists for the coin plan, one output half-edge at a time for the
+degree-2 gather table, and flattened neighbor lists for the
 sampled walkers. The table and everything compiled from it must match the
 reference exactly, on random edge lists (duplicates, both orientations,
 isolated vertices) and on every builder.
@@ -18,6 +19,8 @@ from qwalksim.coined import COIN_FAMILIES, CoinedWalk, coin_matrix
 from qwalksim.errors import UnsupportedDegreeError
 from qwalksim.graphs import (GlueSpec, Graph, build_cycle, build_glued_trees, build_hypercube,
                              build_line)
+
+from test_coined import same_bits
 
 
 class ReferenceLayout:
@@ -67,11 +70,29 @@ class ReferenceLayout:
                 coin_t = coin_matrix(coin, d).T.copy()
             except UnsupportedDegreeError:
                 coin_t = None
-            pair = None
-            if coin_t is not None and d == 2:
-                pair = (idx[:, 0], idx[:, 1], moved[:, 0], moved[:, 1], *coin_t.ravel())
-            plan.append((idx, moved, coin_t, pair))
+            plan.append((idx, moved, coin_t))
         return plan
+
+    def gather_table(self, coin):
+        """The degree-2 table, one output half-edge at a time: the half-edge
+        it is shifted from takes direction j of vertex v, so it reads both
+        of v's half-edges weighted by row j of v's coin."""
+        rows = {}
+        for v, d in enumerate(self.degrees.tolist()):
+            if d == 2:
+                c = coin_matrix(coin, 2)
+                for j in range(2):
+                    out = self.shift_target[self.offsets[v] + j]
+                    rows[int(out)] = (self.offsets[v], self.offsets[v] + 1, c[j, 0], c[j, 1])
+        if not rows:
+            return None
+        dest = np.array(sorted(rows))
+        src0, src1, coef0, coef1 = (np.array(col) for col in zip(*(rows[h] for h in dest)))
+        src = np.concatenate((src0, src1))
+        coef = np.concatenate((coef0, coef1)).astype(np.complex128)
+        if np.array_equal(dest, np.arange(len(self.flat))):
+            dest = None
+        return src, coef, len(src0), dest
 
     def step_matrix(self, coin):
         """Dense U = S·C, one coin block per vertex copied into place."""
@@ -105,13 +126,19 @@ def assert_matches_reference(g, ref, coin):
     assert np.array_equal(walk._shift_target, ref.shift_target)
     want_plan = ref.coin_plan(coin)
     assert len(walk._coin_plan) == len(want_plan)
-    for (idx, moved, coin_t, pair), want in zip(walk._coin_plan, want_plan):
+    for (idx, moved, coin_t), want in zip(walk._coin_plan, want_plan):
         assert np.array_equal(idx, want[0]) and np.array_equal(moved, want[1])
         assert (coin_t is None) == (want[2] is None)
         assert coin_t is None or np.array_equal(coin_t, want[2])
-        assert (pair is None) == (want[3] is None)
-        if pair is not None:
-            assert all(np.array_equal(a, b) for a, b in zip(pair, want[3], strict=True))
+    want_table = ref.gather_table(coin)
+    assert (walk._gather is None) == (want_table is None)
+    if want_table is not None:
+        src, coef, n, dest = walk._gather
+        assert np.array_equal(src, want_table[0]) and src.dtype == np.int64
+        assert same_bits(coef, want_table[1])
+        assert n == want_table[2]
+        assert (dest is None) == (want_table[3] is None)
+        assert dest is None or np.array_equal(dest, want_table[3])
     try:
         want_u = ref.step_matrix(coin)
     except UnsupportedDegreeError:
