@@ -7,6 +7,11 @@ sibling ``<output>.meta.json`` record that also echoes the full
 configuration, so any output can be regenerated from its metadata alone.
 Files are written atomically (temp file then rename).
 
+``walk`` and ``sweep`` read a ``--config`` JSON object of ``WalkConfig``
+fields as ``--field=value`` flags ahead of the command line's, through the
+same parser, so explicit flags win. ``WalkConfig.validate`` keeps only what a
+parser cannot state: ranges, required fields and cross-field rules.
+
 Exit codes: 0 success, 2 invalid configuration (the message names the
 offending field), 3 numeric invariant failure during the run.
 """
@@ -35,6 +40,7 @@ OUTPUT_FORMATS = ("csv", "json")
 SWEEPABLE_AXES = ("p", "steps", "num-positions", "n", "depth", "dimension", "gamma")
 
 FIG_DECOHERENCE_SWEEP = (0.0, 0.003, 0.01, 0.03, 0.1)
+GLUED_TREES_ENTRANCE = 0  # the vertex build_glued_trees gives the entrance root
 
 
 @dataclasses.dataclass
@@ -65,13 +71,7 @@ class WalkConfig:
     exit_series: str | None = None
 
     def validate(self) -> None:
-        if self.walk not in WALK_KINDS:
-            raise ConfigError("walk", f"must be one of {WALK_KINDS}, got {self.walk!r}")
-        if self.graph not in GRAPH_KINDS:
-            raise ConfigError("graph", f"must be one of {GRAPH_KINDS}, got {self.graph!r}")
-        if self.format not in OUTPUT_FORMATS:
-            raise ConfigError("format", f"must be one of {OUTPUT_FORMATS}")
-
+        """Ranges, required fields and cross-field rules; the parser checks choices."""
         if self.graph == "line":
             npos = self._line_size()
             if npos is None or npos < 1 or npos % 2 == 0:
@@ -85,8 +85,6 @@ class WalkConfig:
         else:
             if self.depth is None or self.depth < 1:
                 raise ConfigError("depth", "glued-trees needs depth >= 1")
-            if self.glue_mode not in GLUE_MODES:
-                raise ConfigError("glue-mode", f"must be one of {GLUE_MODES}")
             if self.glue_mode == "random-cycle" and self.glue_seed is None:
                 raise ConfigError("glue-seed", "random-cycle glue requires a seed")
 
@@ -95,9 +93,6 @@ class WalkConfig:
                 raise ConfigError("time", "continuous walk needs time >= 0")
             if self.gamma <= 0:
                 raise ConfigError("gamma", "hopping rate must be > 0")
-            if self.convention not in continuous.HAMILTONIAN_CONVENTIONS:
-                raise ConfigError(
-                    "convention", f"must be one of {continuous.HAMILTONIAN_CONVENTIONS}")
         else:
             if self.steps is None or self.steps < 0:
                 raise ConfigError("steps", f"{self.walk} walk needs steps >= 0")
@@ -112,13 +107,8 @@ class WalkConfig:
                     raise ConfigError("num-positions", str(exc)) from None
 
         if self.walk == "coined":
-            if self.coin not in coined.COIN_FAMILIES:
-                raise ConfigError("coin", f"must be one of {coined.COIN_FAMILIES}")
             if not 0.0 <= self.p <= 1.0:
                 raise ConfigError("p", "measurement probability must be in [0, 1]")
-            if self.target not in decoherence.MEASUREMENT_TARGETS:
-                raise ConfigError(
-                    "target", f"must be one of {decoherence.MEASUREMENT_TARGETS}")
             if self.trajectories is not None:
                 if self.trajectories < 1:
                     raise ConfigError("trajectories", "must be >= 1")
@@ -126,9 +116,10 @@ class WalkConfig:
                     raise ConfigError("seed", "trajectory mode requires a seed")
             parse_initial_coin(self.initial)
         if self.exit_series is not None and not (
-                self.walk == "continuous" and self.graph == "glued-trees"):
-            raise ConfigError(
-                "exit-series", "only available for the continuous glued-trees walk")
+                self.walk == "continuous" and self.graph == "glued-trees"
+                and self.start in (None, GLUED_TREES_ENTRANCE)):
+            raise ConfigError("exit-series", "only for the continuous glued-trees walk "
+                              f"from the entrance, vertex {GLUED_TREES_ENTRANCE}")
 
     def _line_size(self) -> int | None:
         """Positions of the line; a stepped walk defaults to 2*max(steps, 1)+1,
@@ -194,11 +185,18 @@ def run_walk(cfg: WalkConfig) -> tuple[stats.Distribution, dict]:
         initial[start] = 1.0
         amps = continuous.evolve_ct(h, initial, cfg.time)
         dist = stats.Distribution(np.abs(amps) ** 2, graph.coordinates)
-        if cfg.exit_series is not None:
-            times, values = continuous.exit_signal(
+        if cfg.graph == "glued-trees" and start == GLUED_TREES_ENTRANCE:
+            # one column chain, so one eigendecomposition, serves both time grids
+            chain = continuous.reduce_columns(
                 cfg.depth, GlueSpec(cfg.glue_mode, cfg.glue_seed), cfg.gamma,
-                t_max=cfg.time, convention=cfg.convention)
-            atomic_write(cfg.exit_series, continuous.exit_series_csv(times, values))
+                cfg.convention)
+            exit_column = chain.dimension - 1
+            if cfg.exit_series is not None:
+                atomic_write(cfg.exit_series, continuous.exit_series_csv(
+                    *continuous.transfer_series(chain, 0, exit_column, cfg.time)))
+            summary["exit_peak_time"], summary["exit_peak_height"] = \
+                continuous.first_peak_time(*continuous.transfer_series(
+                    chain, 0, exit_column, max(cfg.time, 4.0 * cfg.depth)))
     else:
         state = start_state(graph, start, cfg.initial)
         if cfg.p == 0.0:
@@ -227,22 +225,15 @@ def run_walk(cfg: WalkConfig) -> tuple[stats.Distribution, dict]:
     if occupied.size:
         summary["flatness_ratio"] = stats.flatness_ratio(dist)
         summary["flatness_tv"] = stats.flatness_tv(dist)
-    if cfg.walk == "continuous" and cfg.graph == "glued-trees":
-        times, values = continuous.exit_signal(
-            cfg.depth, GlueSpec(cfg.glue_mode, cfg.glue_seed), cfg.gamma,
-            t_max=max(cfg.time, 4.0 * cfg.depth), convention=cfg.convention)
-        peak_time, peak_height = continuous.first_peak_time(times, values)
-        summary["exit_peak_time"] = peak_time
-        summary["exit_peak_height"] = peak_height
     return dist, summary
 
 
-def format_distribution_csv(dist: stats.Distribution, graph_kind: str) -> str:
-    """Shared CSV schema: x,probability on line/cycle, vertex,probability else.
+def format_distribution_csv(dist: stats.Distribution) -> str:
+    """Shared CSV schema: x,probability with coordinates, vertex,probability else.
 
     One row per support point, 15 significant digits.
     """
-    positional = graph_kind in ("line", "cycle") and dist.coordinates is not None
+    positional = dist.coordinates is not None
     lines = ["x,probability" if positional else "vertex,probability"]
     for idx in np.flatnonzero(dist.probabilities > 0.0):
         label = f"{dist.coordinates[idx]:.15g}" if positional else str(int(idx))
@@ -250,9 +241,8 @@ def format_distribution_csv(dist: stats.Distribution, graph_kind: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_distribution_json(dist: stats.Distribution, graph_kind: str,
-                             metadata: dict) -> str:
-    positional = graph_kind in ("line", "cycle") and dist.coordinates is not None
+def format_distribution_json(dist: stats.Distribution, metadata: dict) -> str:
+    positional = dist.coordinates is not None
     key = "x" if positional else "vertex"
     support = np.flatnonzero(dist.probabilities > 0.0)
     points = [
@@ -289,9 +279,9 @@ def write_outputs(cfg: WalkConfig, dist: stats.Distribution, summary: dict,
                   wall_time: float) -> None:
     metadata = config_metadata(cfg)
     if cfg.format == "csv":
-        text = format_distribution_csv(dist, cfg.graph)
+        text = format_distribution_csv(dist)
     else:
-        text = format_distribution_json(dist, cfg.graph, metadata)
+        text = format_distribution_json(dist, metadata)
     atomic_write(cfg.output, text)
     meta = dict(metadata)
     meta["summary"] = summary
@@ -310,7 +300,9 @@ def run_and_write(cfg: WalkConfig) -> dict:
 CONFIG_FIELD_NAMES = {f.name for f in dataclasses.fields(WalkConfig)}
 
 
-def load_config_file(path: str) -> dict:
+def config_file_flags(path: str, args: argparse.Namespace) -> list[str]:
+    """The ``--field=value`` flags of a ``--config`` JSON object: each key a
+    ``WalkConfig`` field with a flag under ``args.command``; null means unset."""
     try:
         with open(path) as handle:
             data = json.load(handle)
@@ -320,15 +312,20 @@ def load_config_file(path: str) -> dict:
         raise ConfigError("config", f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config", f"{path} must hold a JSON object")
-    for key in data:
-        if key not in CONFIG_FIELD_NAMES:
-            raise ConfigError("config", f"unknown key {key!r} in {path}")
-    return data
+    flags = []
+    for key, value in data.items():
+        if key not in CONFIG_FIELD_NAMES or not hasattr(args, key):
+            raise ConfigError("config", f"unknown key {key!r} for {args.command} in {path}")
+        if isinstance(value, (bool, list, dict)):
+            raise ConfigError("config", f"{key!r} in {path} must be a string or a number")
+        if value is not None:
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def add_walk_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE",
-                        help="JSON file with config defaults; flags override it")
+                        help="JSON object of WalkConfig fields, read as flags; flags win")
     parser.add_argument("--walk", choices=WALK_KINDS, help="walk family")
     parser.add_argument("--graph", choices=GRAPH_KINDS, help="position space")
     parser.add_argument("--num-positions", type=int, dest="num_positions",
@@ -360,20 +357,12 @@ def add_walk_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=OUTPUT_FORMATS, help="output format")
     parser.add_argument("--exit-series", dest="exit_series", metavar="FILE",
                         help="also write time,exit_probability CSV "
-                             "(continuous glued-trees only)")
+                             "(continuous glued-trees walk from the entrance only)")
 
 
 def config_from_args(args: argparse.Namespace) -> WalkConfig:
-    defaults = WalkConfig()
-    values = {}
-    if getattr(args, "config", None):
-        values.update(load_config_file(args.config))
-    for name in CONFIG_FIELD_NAMES:
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            values[name] = flag_value
-    cfg = dataclasses.replace(defaults, **values)
-    return cfg
+    return WalkConfig(**{name: getattr(args, name) for name in CONFIG_FIELD_NAMES
+                         if getattr(args, name, None) is not None})
 
 
 def cmd_walk(args: argparse.Namespace) -> int:
@@ -555,8 +544,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # the file's flags go right after the subcommand, so explicit flags win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(
+                argv[:at] + config_file_flags(args.config, args) + argv[at:])
         return args.handler(args)
     except ValueError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)

@@ -166,9 +166,18 @@ def exit_signal(depth: int, glue: GlueSpec, gamma: float = 1.0,
     if t_max is None:
         t_max = 4.0 * depth
     h = reduce_columns(depth, glue, gamma, convention)
+    return transfer_series(h, 0, h.dimension - 1, t_max, num_times)
+
+
+def transfer_series(h: Hamiltonian, source: int, target: int, t_max: float,
+                    num_times: int = 2001) -> tuple[np.ndarray, np.ndarray]:
+    """Probability on basis vector ``target`` over ``num_times`` evenly spaced
+    times in [0, t_max], for the walk started on basis vector ``source``."""
+    initial = np.zeros(h.dimension, dtype=np.complex128)
+    initial[source] = 1.0
     times = np.linspace(0.0, t_max, num_times)
-    amps = evolve_ct_many(h, entrance_state(h.dimension), times)
-    return times, np.abs(amps[:, -1]) ** 2
+    amps = evolve_ct_many(h, initial, times)
+    return times, np.abs(amps[:, target]) ** 2
 
 
 def first_peak_time(times: np.ndarray, values: np.ndarray,
@@ -199,11 +208,7 @@ def full_graph_exit_signal(graph: Graph, gamma: float = 1.0,
     if t_max is None:
         t_max = 4.0 * graph.params["depth"]
     h = hamiltonian(graph, gamma, convention)
-    initial = np.zeros(graph.num_vertices, dtype=np.complex128)
-    initial[entrance] = 1.0
-    times = np.linspace(0.0, t_max, num_times)
-    amps = evolve_ct_many(h, initial, times)
-    return times, np.abs(amps[:, exit_vertex]) ** 2
+    return transfer_series(h, entrance, exit_vertex, t_max, num_times)
 
 
 def exit_series_csv(times: np.ndarray, values: np.ndarray) -> str:

@@ -89,8 +89,7 @@ def position_distribution(state, **metadata) -> Distribution:
     total = float(probs.sum())
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise InvariantViolationError(f"probabilities sum to {total}, not 1")
-    coords = None if graph.coordinates is None else graph.coordinates
-    return Distribution(probs, coords, dict(metadata))
+    return Distribution(probs, graph.coordinates, dict(metadata))
 
 
 def std_dev(d: Distribution) -> float:

@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwalksim import classical, cli
+from qwalksim import classical, cli, coined
 from qwalksim.decoherence import DENSITY_DIMENSION_LIMIT
-from qwalksim.errors import ConfigError
+from qwalksim.errors import ConfigError, InvariantViolationError
 from qwalksim.graphs import build_cycle
 
 
@@ -25,6 +25,14 @@ def read_csv(path):
 def read_meta(path):
     with open(path + ".meta.json") as handle:
         return json.load(handle)
+
+
+def exit_code(argv):
+    """The exit status of a run, whether ``main`` returns it or argparse exits."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 # --- walk command ---------------------------------------------------------
@@ -172,6 +180,17 @@ def test_walk_glued_trees_exit_series(tmp_path):
     assert meta["summary"]["exit_peak_height"] == pytest.approx(0.568, abs=0.01)
 
 
+def test_exit_peak_is_written_only_for_a_walk_from_the_entrance(tmp_path):
+    # the column chain follows the walk from the entrance and no other
+    argv = ["walk", "--walk", "continuous", "--graph", "glued-trees", "--depth", "3",
+            "--time", "6"]
+    entrance, inside = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    assert run(argv + ["--start", "0", "-o", entrance]) == 0
+    assert run(argv + ["--start", "5", "-o", inside]) == 0
+    assert "exit_peak_time" in read_meta(entrance)["summary"]
+    assert not {"exit_peak_time", "exit_peak_height"} & set(read_meta(inside)["summary"])
+
+
 def test_walk_json_format(tmp_path):
     out = str(tmp_path / "walk.json")
     assert run(["walk", "--graph", "line", "--steps", "3",
@@ -194,6 +213,55 @@ def test_config_file_with_flag_override(tmp_path):
     assert meta["config"]["walk"] == "classical"
     assert meta["config"]["n"] == 9
     assert meta["config"]["steps"] == 5  # flag wins over the file
+    # also when the flag comes before --config
+    assert run(["walk", "--steps", "4", "--config", str(cfg_path), "-o", out]) == 0
+    assert read_meta(out)["config"]["steps"] == 4
+
+
+def test_config_file_reads_like_the_flags_and_replays_metadata(tmp_path):
+    argv = ["walk", "--graph", "cycle", "--n", "9", "--steps", "12", "--p", "0.1",
+            "--coin", "dft", "--initial=-0.6,0.8j", "--format", "json"]
+    by_flags = tmp_path / "flags.json"
+    assert run(argv + ["-o", str(by_flags)]) == 0
+    # the same run from a file, with values given as the flags' text
+    equivalent = tmp_path / "equivalent.cfg"
+    equivalent.write_text(json.dumps(
+        {"graph": "cycle", "n": "9", "steps": 12, "p": 0.1, "coin": "dft",
+         "initial": "-0.6,0.8j", "format": "json"}))
+    by_file = tmp_path / "file.json"
+    assert run(["walk", "--config", str(equivalent), "-o", str(by_file)]) == 0
+    # the configuration echo of a run reproduces it
+    echo = tmp_path / "echo.cfg"
+    echo.write_text(json.dumps(read_meta(str(by_flags))["config"]))
+    replayed = tmp_path / "replayed.json"
+    assert run(["walk", "--config", str(echo), "-o", str(replayed)]) == 0
+    assert by_file.read_bytes() == by_flags.read_bytes()
+    assert replayed.read_bytes() == by_flags.read_bytes()
+    assert read_meta(str(replayed))["config"] == read_meta(str(by_flags))["config"]
+
+
+@pytest.mark.parametrize("command, content, message", [
+    pytest.param("walk", {"steps": "x"}, "argument --steps: invalid int value: 'x'",
+                 id="text-for-int"),
+    pytest.param("walk", {"graph": "cycle", "n": 5.0, "steps": 2},
+                 "argument --n: invalid int value", id="float-for-int"),
+    pytest.param("walk", {"walk": "quantum"}, "argument --walk: invalid choice: 'quantum'",
+                 id="bad-choice"),
+    pytest.param("walk", {"steps": 2, "seed": [1]}, "config: 'seed'", id="list"),
+    pytest.param("walk", {"steps": 2, "p": {"value": 0.1}}, "config: 'p'", id="object"),
+    pytest.param("walk", {"steps": True}, "config: 'steps'", id="boolean"),
+    pytest.param("sweep", {"steps": 2, "output": "x.csv"}, "config: unknown key 'output'",
+                 id="no-flag-under-sweep"),
+])
+def test_config_file_values_are_checked_like_flags(tmp_path, capsys, command, content,
+                                                   message):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(content))
+    outputs = (["-o", str(tmp_path / "x.csv")] if command == "walk" else
+               ["--axis", "p", "--values", "0", "--output-dir", str(tmp_path / "sweep")])
+    assert exit_code([command, "--config", str(cfg_path)] + outputs) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.json"]
 
 
 # --- configuration errors -------------------------------------------------
@@ -223,6 +291,14 @@ def test_config_file_with_flag_override(tmp_path):
       "--initial", "symmetric"], "initial"),  # the preset needs degree 2
     (["walk", "--graph", "line", "--steps", "2", "--initial", "1"], "initial"),
     (["walk", "--graph", "line", "--steps", "2", "--initial", "1,1"], "initial"),
+    (["walk", "--graph", "hypercube", "--steps", "2"], "dimension"),
+    (["walk", "--graph", "hypercube", "--dimension", "0", "--steps", "2"], "dimension"),
+    (["walk", "--walk", "continuous", "--graph", "cycle", "--n", "5", "--time", "1",
+      "--gamma", "0"], "gamma"),
+    (["walk", "--graph", "line", "--steps", "2", "--p", "0.1", "--trajectories", "0",
+      "--seed", "1"], "trajectories"),
+    (["walk", "--walk", "continuous", "--graph", "glued-trees", "--depth", "3",
+      "--time", "6", "--start", "5", "--exit-series", "x.csv"], "exit-series"),
 ])
 def test_bad_configuration_exits_2(tmp_path, capsys, argv, field):
     out = str(tmp_path / "never.csv")
@@ -255,6 +331,27 @@ def test_malformed_config_file_exits_2(tmp_path):
     cfg_path.write_text("{not json")
     assert run(["walk", "--config", str(cfg_path), "--steps", "2",
                 "-o", str(tmp_path / "x.csv")]) == 2
+
+
+def test_invariant_failure_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    def failing_evolve(self, state, steps):
+        raise InvariantViolationError("norm drifted by 1e-3")
+
+    monkeypatch.setattr(coined.CoinedWalk, "evolve", failing_evolve)
+    out = tmp_path / "never.csv"
+    assert run(["walk", "--graph", "line", "--steps", "2", "-o", str(out)]) == 3
+    assert "numeric invariant failure: norm drifted" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_leaves_nothing_when_the_rename_fails(tmp_path, monkeypatch):
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        cli.atomic_write(str(tmp_path / "out.csv"), "x,probability\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- sweep command --------------------------------------------------------

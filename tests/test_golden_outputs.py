@@ -1,18 +1,21 @@
-"""Pinned output bytes of density and pure runs through the command line.
+"""Pinned output bytes of runs through the command line.
 
 Each case runs ``qwalksim`` and compares the SHA-256 of every file it
 writes (the ``.meta.json`` records aside, which hold wall times) with a
-digest recorded before the engine it runs was last rewritten for speed:
-the density cases before the density engine learned to skip the rows and
-columns the walker cannot reach yet, the pure cases before the degree-2
-step became one gather table. A change that moves one bit of a
-distribution or a sweep summary fails here.
+digest recorded before the code it runs was last rewritten: the density
+cases before the density engine learned to skip the rows and columns the
+walker cannot reach yet, the pure cases before the degree-2 step became
+one gather table, and the continuous, classical, trajectory and figures
+cases before ``--config`` values went through the flags' parser and the
+exit outputs came to share one column chain. A change that moves one bit
+of a distribution, an exit series or a sweep summary fails here.
 
-The engines that write these files are sparse density steps, the degree-2
-pure step and numpy reductions, none of which calls BLAS or LAPACK. The
-one product that may reach BLAS is the 1x1 coin block at the two ends of
-the line in the pure line case; its digest reads the same with OpenBLAS
-at one thread and at two.
+The density, pure, classical and trajectory engines run sparse steps,
+gather tables, sampling and numpy reductions; the one product among them
+that may reach BLAS is the 1x1 coin block at the two ends of the line.
+The continuous cases call LAPACK's symmetric eigensolver and BLAS
+products on at most 62 vertices. Every digest reads the same with
+OpenBLAS at one thread and at two.
 """
 
 import hashlib
@@ -84,20 +87,77 @@ CASES = {
          "s_summary.csv":
              "3e2c16ad6aa502ac460837589c448ac9737800994ddafb8e7c76c5582d40e9cc"},
     ),
+    "cycle-continuous": (
+        ["walk", "--walk", "continuous", "--graph", "cycle", "--n", "12", "--time", "3.5",
+         "--gamma", "0.7"],
+        {"out.csv":
+             "916e4b3f2a716f150338eafa20ba81896e2fd7f2df9e05bcaaf5e4dc171fbd6b"},
+    ),
+    "glued-continuous-exit": (
+        ["walk", "--walk", "continuous", "--graph", "glued-trees", "--depth", "4",
+         "--time", "10", "--exit-series", "exit.csv"],
+        {"exit.csv":
+             "19aa42a74af450a2f5cd86917a461538d474d471850f9e29985fbfe75894cb22",
+         "out.csv":
+             "8debde3c410b072ff58bd5df8b5d4b71fcceb6b8919c0011b2abeade7aa2edef"},
+    ),
+    "glued-continuous-random-adjacency": (
+        ["walk", "--walk", "continuous", "--graph", "glued-trees", "--depth", "3",
+         "--glue-mode", "random-cycle", "--glue-seed", "4", "--time", "6",
+         "--convention", "adjacency", "--exit-series", "exit.csv"],
+        {"exit.csv":
+             "5ac4c5def0af2342d7a4c7e9433ce16deba085e2ec44f75d35dfe78e203df517",
+         "out.csv":
+             "fb7616b47914f45c781e654bf1b38aaebc0e072b596cd9698fe2d74830014021"},
+    ),
+    "line-classical": (
+        ["walk", "--walk", "classical", "--graph", "line", "--steps", "40"],
+        {"out.csv":
+             "3f1aff6c21c4cc2f02dc05904f8479a0881c7d8343c553626e84df25f9dbae9d"},
+    ),
+    "cycle-trajectories": (
+        ["walk", "--graph", "cycle", "--n", "8", "--steps", "15", "--p", "0.2",
+         "--trajectories", "50", "--seed", "7"],
+        {"out.csv":
+             "beebae32f96a5419e0b2eeda1b148d6baddab6c6040fad5a3c9b2164eddafac7"},
+    ),
+    "figures": (
+        ["figures"],
+        {"decoherence_p=0.003.csv":
+             "07e6a29c1837a2805927ff3c7a4fc14f431a0fe6aa266d722eeaf9029b9aa7a5",
+         "decoherence_p=0.01.csv":
+             "c00688ef491993b39ec9a53dd8a19d6058b6080dac3f6f261e664a0361a4b0de",
+         "decoherence_p=0.03.csv":
+             "a9195ae9481a373e2778b746a810fa58ee149d300346284e21a0db598bb1c862",
+         "decoherence_p=0.1.csv":
+             "e088e1af29894004135f0ed737b0676d57866472514efdcf9b74bdfd5ea029ab",
+         "decoherence_p=0.csv":
+             "be886951898edb16f3bda3c12d7599c0655def5c4654d50cf95ea4941f308583",
+         "decoherence_summary.csv":
+             "f56674fcc43a9e17b5f581d83a5bb13e3b0857a14961ee724d7b71b826b2706f",
+         "line_t100_basis0.csv":
+             "d2b287bba7b36f888f2aaa40ef7ebfab77052983b233ede5e3ba090a64991902",
+         "line_t100_classical.csv":
+             "800c73507dca4ec5316cc0b0bb5d606caab66fa7c256caa160651842d605e07e",
+         "line_t100_symmetric.csv":
+             "be886951898edb16f3bda3c12d7599c0655def5c4654d50cf95ea4941f308583"},
+    ),
 }
 
 
-def written_digests(name, workdir):
+# every output path is relative, so each case writes into its own directory
+OUTPUT_FLAGS = {"walk": ["--output", "out.csv"], "sweep": ["--output-dir", "."],
+                "figures": ["--outdir", "."]}
+
+
+def written_digests(name, workdir, monkeypatch):
     argv, _ = CASES[name]
-    if argv[0] == "walk":
-        argv = argv + ["--output", str(workdir / "out.csv")]
-    else:
-        argv = argv + ["--output-dir", str(workdir)]
-    assert cli.main(argv) == 0
+    monkeypatch.chdir(workdir)
+    assert cli.main(argv + OUTPUT_FLAGS[argv[0]]) == 0
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(workdir.iterdir()) if not path.name.endswith(".meta.json")}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_output_bytes_are_pinned(name, tmp_path, capsys):
-    assert written_digests(name, tmp_path) == CASES[name][1]
+def test_output_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
+    assert written_digests(name, tmp_path, monkeypatch) == CASES[name][1]
