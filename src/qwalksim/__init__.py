@@ -20,8 +20,7 @@ from .errors import (BoundaryOverflowError, ConfigError, InvariantViolationError
 from .graphs import (GlueSpec, Graph, build_cycle, build_glued_trees,
                      build_hypercube, build_line)
 from .stats import (Distribution, flatness_ratio, flatness_tv, mixing_time,
-                    position_distribution, std_dev, time_averaged,
-                    total_variation)
+                    position_distribution, std_dev, total_variation)
 
 __version__ = "0.1.0"
 
@@ -65,7 +64,6 @@ __all__ = [
     "run_ensemble",
     "sample_walk",
     "std_dev",
-    "time_averaged",
     "to_density",
     "total_variation",
     "__version__",

@@ -46,7 +46,6 @@ class ClassicalDistribution:
     """Position probabilities after a fixed number of steps."""
 
     probabilities: np.ndarray
-    step_index: int
     graph: Graph
 
 
@@ -79,7 +78,7 @@ def evolve_classical_exact(g: Graph, start: int, steps: int) -> ClassicalDistrib
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     p = next(itertools.islice(_distributions(g, start, steps), steps, None))
-    return ClassicalDistribution(p, steps, g)
+    return ClassicalDistribution(p, g)
 
 
 def iter_classical_distributions(g: Graph, start: int):
@@ -209,11 +208,6 @@ class HittingTimeResult:
     completed: int
     censored: int
     cap: int
-
-    @property
-    def censored_fraction(self) -> float:
-        total = self.completed + self.censored
-        return self.censored / total if total else 0.0
 
 
 def hitting_time(g: Graph, start: int, target: int, seed: int,

@@ -431,8 +431,6 @@ def run_sweep(base: WalkConfig, axis: str, values: list, outdir: str, prefix: st
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = config_from_args(args)
-    if args.axis not in SWEEPABLE_AXES:
-        raise ConfigError("axis", f"must be one of {SWEEPABLE_AXES}, got {args.axis!r}")
     values = parse_sweep_values(args.axis, args.values)
     run_sweep(base, args.axis, values, args.output_dir, args.prefix, max(1, args.threads))
     return 0
@@ -516,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run one walk per value of a swept parameter")
     add_walk_arguments(sweep)
-    sweep.add_argument("--axis", required=True,
-                       help=f"parameter to sweep, one of {SWEEPABLE_AXES}")
+    sweep.add_argument("--axis", required=True, choices=SWEEPABLE_AXES,
+                       help="parameter to sweep")
     sweep.add_argument("--values", required=True,
                        help="comma-separated values for the axis")
     sweep.add_argument("--output-dir", dest="output_dir", default=".",

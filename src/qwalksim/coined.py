@@ -14,15 +14,19 @@ permutation of half-edges, so the step operator stays unitary.
 count and the line rule and yields the state after every step. ``evolve``
 is its last state.
 
-``CoinedWalk`` compiles one coin plan per graph, per degree the half-edge
-block, its shifted target and the coin. All degree-2 vertices share one
-gather table instead, indexed by output half-edge: the two half-edges each
-output reads and the coin entries that weigh them. ``step_amplitudes``
-(one walker) and ``step_rows`` (a batch) run a step as one gather, one
-multiply and one add over that table (plus a scatter unless degree 2
-covers every half-edge, as on cycles), and a block matmul per other
-degree, writing each coin output straight to its shifted half-edge; the
-result is bit-identical to ``shift(coin_toss(amps))``.
+``CoinedWalk`` compiles the step once per graph. All degree-2 vertices
+share one gather table, indexed by output half-edge: the two half-edges
+each output reads and the coin entries that weigh them. Every other degree
+keeps a block plan: the half-edge block, its shifted target and the coin.
+``step_amplitudes`` (one walker) and ``step_rows`` (a batch) run a step as
+one gather, one multiply and one add over that table (plus a scatter
+unless degree 2 covers every half-edge, as on cycles), and a block matmul
+per other degree, writing each coin output straight to its shifted
+half-edge. ``step_matrix`` assembles the same two plans as a sparse
+matrix. The tests hold the two-pass form, a coin toss over every vertex
+then a shift, built from per-vertex loops (``ReferenceLayout`` in
+``tests/test_half_edge_table.py``), and check the step against it bit for
+bit.
 """
 
 from __future__ import annotations
@@ -103,17 +107,11 @@ class PureState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def amplitude(self, vertex: int, direction: int) -> complex:
-        return complex(self.amplitudes[self.graph.half_edge(vertex, direction)])
-
     def position_distribution(self) -> np.ndarray:
         """Probability of finding the walker at each vertex (coin traced out)."""
         weights = np.abs(self.amplitudes) ** 2
         return np.bincount(self.graph.half_edge_vertex, weights=weights,
                            minlength=self.graph.num_vertices)
-
-    def copy(self) -> "PureState":
-        return PureState(self.graph, self.amplitudes.copy())
 
 
 def initial_state(graph: Graph, vertex: int, coin: str | np.ndarray = "basis0") -> PureState:
@@ -156,23 +154,6 @@ def initial_state(graph: Graph, vertex: int, coin: str | np.ndarray = "basis0") 
     return PureState(graph, amps)
 
 
-def _apply_coin(block: np.ndarray, coin_t: np.ndarray) -> np.ndarray:
-    """Right-multiply a (m, d) amplitude block by a transposed coin.
-
-    Degree 2 is expanded elementwise instead of using matmul: BLAS kernels
-    may fuse multiply-adds, leaving a one-ulp residue where opposite-sign
-    products should cancel bit-exactly (the interference zeros).
-    """
-    if coin_t.shape[0] == 2:
-        b0 = block[:, 0]
-        b1 = block[:, 1]
-        out = np.empty_like(block)
-        out[:, 0] = b0 * coin_t[0, 0] + b1 * coin_t[1, 0]
-        out[:, 1] = b0 * coin_t[0, 1] + b1 * coin_t[1, 1]
-        return out
-    return block @ coin_t
-
-
 class CoinedWalk:
     """Precompiled coin and shift maps for repeated stepping on one graph."""
 
@@ -185,36 +166,33 @@ class CoinedWalk:
         # a permutation
         heads = graph.heads
         target = graph.offsets[heads] + graph.offsets[heads + 1] - 1 - graph.reverse
-        self._shift_target = target
-        self._shift_source = np.empty_like(target)
-        self._shift_source[target] = np.arange(graph.half_edge_count)
 
-        # one entry per degree, read by coin_toss and step_matrix: the (m, d)
-        # half-edge block, where the shift sends it and the transposed coin
-        # (None for a degree the family does not support, an error only if
-        # amplitude ever sits there)
-        self._coin_plan: list[tuple] = []
+        # every degree but 2 keeps a block plan: the (m, d) half-edge block,
+        # where the shift sends it and the transposed coin (None for a
+        # degree the family does not support, an error only if amplitude
+        # ever sits there)
+        # degree 2 is one gather table instead, sorted by output half-edge:
+        # output dest[k] of n is
+        # amps[src[k]] * coef[k] + amps[src[n + k]] * coef[n + k], the first
+        # half of src and coef being the terms from direction 0 and the
+        # second those from direction 1 (kept flat, as halves of one array:
+        # two-row indexing cost more per step than the step's arithmetic on
+        # a small graph); dest is None when the table covers every
+        # half-edge in order. The two products are added elementwise, not
+        # by matmul: BLAS kernels may fuse multiply-adds, leaving a one-ulp
+        # residue where opposite-sign products should cancel bit-exactly
+        # (the interference zeros)
+        self._gather = None
+        self._block_plan = []
         for d in np.unique(graph.degrees[graph.degrees > 0]).tolist():
             offs = graph.offsets[:-1][graph.degrees == d]
             idx = offs[:, None] + np.arange(d)[None, :]
+            moved = target[idx]
             try:
                 coin_t = coin_matrix(coin, d).T.copy()
             except UnsupportedDegreeError:
                 coin_t = None
-            self._coin_plan.append((idx, target[idx], coin_t))
-
-        # the step methods take degree 2 from one gather table, sorted by
-        # output half-edge: output dest[k] of n is
-        # amps[src[k]] * coef[k] + amps[src[n + k]] * coef[n + k], the first
-        # half of src and coef being the terms from direction 0 and the
-        # second those from direction 1, added in _apply_coin's order (kept
-        # flat, as halves of one array: two-row indexing cost more per step
-        # than the step's arithmetic on a small graph); dest is None when
-        # the table covers every half-edge in order
-        self._gather = None
-        self._block_plan = []
-        for idx, moved, coin_t in self._coin_plan:
-            if coin_t is None or idx.shape[1] != 2:
+            if coin_t is None or d != 2:
                 self._block_plan.append((idx, moved, coin_t))
                 continue
             dest = moved.T.ravel()
@@ -231,25 +209,11 @@ class CoinedWalk:
             f"{self.coin_family} coin undefined for degree "
             f"{idx.shape[1]} but amplitude occupies such a vertex")
 
-    def coin_toss(self, amps: np.ndarray) -> np.ndarray:
-        out = amps.copy()
-        for idx, _, coin_t in self._coin_plan:
-            if coin_t is None:
-                if np.any(amps[idx]):
-                    raise self._undefined_coin(idx)
-                continue
-            out[idx] = _apply_coin(amps[idx], coin_t)
-        return out
-
-    def shift(self, amps: np.ndarray) -> np.ndarray:
-        return amps[self._shift_source]
-
     def step_amplitudes(self, amps: np.ndarray) -> np.ndarray:
-        """One step, coin toss then shift, bit-identical to
-        ``shift(coin_toss(amps))``: each coin output is written straight to
-        its shifted half-edge. Degree 2 keeps ``_apply_coin``'s elementwise
-        form through the gather table; other degrees multiply the (m, d)
-        block by the coin."""
+        """One step, coin toss then shift: each coin output is written
+        straight to its shifted half-edge. Degree 2 goes through the gather
+        table, term by term; other degrees multiply the (m, d) block by the
+        coin."""
         if self._gather is None:
             out = np.empty_like(amps)
         else:
@@ -322,24 +286,31 @@ class CoinedWalk:
     def step_matrix(self) -> scipy.sparse.csr_matrix:
         """The unitary for one step as a sparse matrix over half-edges.
 
-        Entry (idx[r, i], idx[r, j]) of the block-diagonal coin is
-        coin[i, j]; the shift then moves row s to row ``target[s]``.
+        Read from the step's own plans: gather term k is entry
+        (dest[k], src[k]) with value coef[k], and block entry
+        (moved[r, j], idx[r, i]) is coin_t[i, j]. Zero coin entries are
+        left out.
         """
         n = self.graph.half_edge_count
         rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
-        for idx, _, coin_t in self._coin_plan:
+        if self._gather is not None:
+            src, coef, _, dest = self._gather
+            rows.append(np.tile(np.arange(n) if dest is None else dest, 2))
+            cols.append(src)
+            vals.append(coef)
+        for idx, moved, coin_t in self._block_plan:
             if coin_t is None:
                 raise UnsupportedDegreeError(
                     f"{self.coin_family} coin undefined for degree "
                     f"{idx.shape[1]}; cannot assemble a full step operator")
             m, d = idx.shape
-            rows.append(np.broadcast_to(idx[:, :, None], (m, d, d)).ravel())
-            cols.append(np.broadcast_to(idx[:, None, :], (m, d, d)).ravel())
-            vals.append(np.broadcast_to(coin_t.T, (m, d, d)).ravel())
+            rows.append(np.broadcast_to(moved[:, None, :], (m, d, d)).ravel())
+            cols.append(np.broadcast_to(idx[:, :, None], (m, d, d)).ravel())
+            vals.append(np.broadcast_to(coin_t, (m, d, d)).ravel())
         rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
         nonzero = vals != 0
         return scipy.sparse.csr_matrix(
-            (vals[nonzero], (self._shift_target[rows[nonzero]], cols[nonzero])),
+            (vals[nonzero], (rows[nonzero], cols[nonzero])),
             shape=(n, n), dtype=np.complex128)
 
 

@@ -25,7 +25,7 @@ HAMILTONIAN_CONVENTIONS = ("laplacian", "adjacency")
 class Hamiltonian:
     """Real symmetric generator with its eigendecomposition cached."""
 
-    def __init__(self, matrix: np.ndarray, gamma: float, basis: str = "vertices"):
+    def __init__(self, matrix: np.ndarray, gamma: float):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"matrix must be square, got shape {matrix.shape}")
@@ -33,7 +33,6 @@ class Hamiltonian:
             raise ValueError("matrix must be symmetric")
         self.matrix = matrix
         self.gamma = gamma
-        self.basis = basis
         self._eigvals: np.ndarray | None = None
         self._eigvecs: np.ndarray | None = None
 
@@ -145,14 +144,7 @@ def reduce_columns(depth: int, glue: GlueSpec, gamma: float = 1.0,
         degrees[[0, n - 1]] = 2.0
         degrees[[depth, depth + 1]] = leaf_degree
         m += gamma * np.diag(degrees)
-    return Hamiltonian(m, gamma, basis="glued-trees columns")
-
-
-def entrance_state(dimension: int) -> np.ndarray:
-    """Unit amplitude on the first basis vector (entrance column or vertex)."""
-    v = np.zeros(dimension, dtype=np.complex128)
-    v[0] = 1.0
-    return v
+    return Hamiltonian(m, gamma)
 
 
 def exit_signal(depth: int, glue: GlueSpec, gamma: float = 1.0,
@@ -188,15 +180,6 @@ def first_peak_time(times: np.ndarray, values: np.ndarray,
         raise ValueError("no peak above floor in the given time window")
     k = int(peaks[0])
     return float(times[k]), float(values[k])
-
-
-def threshold_crossing_time(times: np.ndarray, values: np.ndarray,
-                            threshold: float) -> float | None:
-    """First grid time at which the signal reaches the threshold, if any."""
-    hits = np.flatnonzero(values >= threshold)
-    if hits.size == 0:
-        return None
-    return float(times[int(hits[0])])
 
 
 def full_graph_exit_signal(graph: Graph, gamma: float = 1.0,

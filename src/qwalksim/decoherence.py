@@ -116,9 +116,6 @@ class DensityState:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def purity(self) -> float:
-        return float(np.sum(np.abs(self.matrix) ** 2))
-
     def position_distribution(self) -> np.ndarray:
         weights = np.diag(self.matrix).real
         return np.bincount(self.graph.half_edge_vertex, weights=weights,
@@ -150,9 +147,6 @@ class DensityState:
             raise InvariantViolationError(f"negative eigenvalue {smallest:.3e}")
         return {"hermiticity_deviation": herm, "trace_deviation": float(abs(tr - 1.0)),
                 "min_eigenvalue": smallest, "live_dimension": int(live.size)}
-
-    def copy(self) -> "DensityState":
-        return DensityState(self.graph, self.matrix.copy())
 
 
 def to_density(state: PureState) -> DensityState:
@@ -467,9 +461,3 @@ def run_ensemble(state0: PureState, spec: DecoherenceSpec, steps: int,
     stderr = np.sqrt(var / trajectories)
     return mean, stderr
 
-
-def record_to_csv(record: np.ndarray) -> str:
-    """Measurement record as CSV text with header ``step,measured,position,coin``."""
-    lines = ["step,measured,position,coin"]
-    lines.extend(f"{s},{m},{p},{c}" for s, m, p, c in record)
-    return "\n".join(lines) + "\n"

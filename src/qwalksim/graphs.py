@@ -14,6 +14,9 @@ starts (half-edge ``offsets[v] + c`` is direction c at v, and
 ``reverse[h]``, the half-edge running back along the same edge; and
 ``half_edge_vertex[h]``, the tail of h. All five arrays are read-only.
 
+``labels``, when a builder sets it, is one more read-only int64 array
+indexed by vertex: the glued-trees column of each vertex.
+
 The line rule: a line stands in for the infinite line, so a walk may reach
 an end vertex only on its last step; a step from an end would reflect and
 silently diverge from the line walk. ``check_line_headroom`` alone decides
@@ -53,8 +56,9 @@ class Graph:
     """Immutable undirected simple graph on vertices 0..num_vertices-1.
 
     ``coordinates``, when present, assigns each vertex a numeric position
-    (line and cycle); ``labels`` carries per-vertex tags such as the
-    glued-trees column index. Instances are safe to share across threads.
+    (line and cycle); ``labels``, when present, is a read-only int64 array
+    of per-vertex tags, the glued-trees column index. Instances are safe
+    to share across threads.
     """
 
     def __init__(self, num_vertices: int, edges, labels=None, coordinates=None,
@@ -67,7 +71,11 @@ class Graph:
         lo, hi = np.divmod(keys, num_vertices)
 
         self.num_vertices = num_vertices
-        self.labels = dict(labels) if labels is not None else None
+        self.labels = None if labels is None else np.array(labels, dtype=np.int64)
+        if self.labels is not None:
+            if self.labels.shape != (num_vertices,):
+                raise ValueError("labels length must match num_vertices")
+            self.labels.flags.writeable = False
         self.coordinates = None if coordinates is None else np.asarray(coordinates, dtype=float)
         if self.coordinates is not None and len(self.coordinates) != num_vertices:
             raise ValueError("coordinates length must match num_vertices")
@@ -99,20 +107,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
         return tuple(self.heads[self.offsets[v]:self.offsets[v + 1]].tolist())
-
-    def direction_index(self, v: int, u: int) -> int:
-        """Slot of neighbor u in v's ascending neighbor list."""
-        if 0 <= v < self.num_vertices:
-            lo, hi = self.offsets[v], self.offsets[v + 1]
-            h = lo + int(np.searchsorted(self.heads[lo:hi], u))
-            if h < hi and self.heads[h] == u:
-                return int(h - lo)
-        raise ValueError(f"{u} is not a neighbor of {v}")
-
-    def half_edge(self, v: int, c: int) -> int:
-        if not 0 <= c < self.degree(v):
-            raise ValueError(f"direction {c} out of range at vertex {v} (degree {self.degree(v)})")
-        return int(self.offsets[v]) + c
 
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.num_vertices, self.num_vertices))
@@ -216,7 +210,7 @@ def build_glued_trees(depth: int, glue: GlueSpec) -> Graph:
     child = np.arange(1, tree_size)
     tree = np.column_stack(((child - 1) // 2, child))
     column = np.frexp(np.arange(1, tree_size + 1))[1] - 1
-    labels = dict(enumerate(np.concatenate((column, 2 * depth + 1 - column)).tolist()))
+    labels = np.concatenate((column, 2 * depth + 1 - column))
 
     left_leaves = np.arange(2 ** depth - 1, tree_size)
     right_leaves = left_leaves + tree_size
@@ -236,15 +230,6 @@ def glued_trees_entrance_exit(g: Graph) -> tuple[int, int]:
     """Entrance (column 0) and exit (last column) vertices of a glued-trees graph."""
     if g.kind != "glued_trees" or g.labels is None:
         raise ValueError("not a glued-trees graph")
-    last = max(g.labels.values())
-    entrance = next(v for v, c in g.labels.items() if c == 0)
-    exit_vertex = next(v for v, c in g.labels.items() if c == last)
-    return entrance, exit_vertex
-
-
-def dump_edge_list(g: Graph) -> str:
-    """Edge list as text: one `u v` pair per line, builder and parameters in a header comment."""
-    params = " ".join(f"{k}={v}" for k, v in sorted(g.params.items()))
-    lines = [f"# {g.kind} {params}".rstrip()]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    entrance = np.flatnonzero(g.labels == 0)[0]
+    exit_vertex = np.flatnonzero(g.labels == g.labels.max())[0]
+    return int(entrance), int(exit_vertex)

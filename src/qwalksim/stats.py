@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import logging
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class Distribution:
 
     probabilities: np.ndarray
     coordinates: np.ndarray | None = None
-    metadata: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.probabilities)
@@ -71,7 +70,7 @@ def _clamped(probs: np.ndarray) -> np.ndarray:
     return probs
 
 
-def position_distribution(state, **metadata) -> Distribution:
+def position_distribution(state) -> Distribution:
     """Distribution of the walker position, coin or column traced out.
 
     Accepts any state exposing ``position_distribution()`` plus a graph
@@ -89,7 +88,7 @@ def position_distribution(state, **metadata) -> Distribution:
     total = float(probs.sum())
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise InvariantViolationError(f"probabilities sum to {total}, not 1")
-    return Distribution(probs, graph.coordinates, dict(metadata))
+    return Distribution(probs, graph.coordinates)
 
 
 def std_dev(d: Distribution) -> float:
@@ -97,14 +96,6 @@ def std_dev(d: Distribution) -> float:
     if d.coordinates is None:
         raise ValueError("position space has no numeric coordinates")
     return float(np.sqrt(np.sum(d.probabilities * d.coordinates ** 2)))
-
-
-def central_std_dev(d: Distribution) -> float:
-    """Standard deviation about the mean position."""
-    if d.coordinates is None:
-        raise ValueError("position space has no numeric coordinates")
-    mean = float(np.sum(d.probabilities * d.coordinates))
-    return float(np.sqrt(np.sum(d.probabilities * (d.coordinates - mean) ** 2)))
 
 
 def total_variation(a, b) -> float:
@@ -117,24 +108,6 @@ def total_variation(a, b) -> float:
             and not np.array_equal(a.coordinates, b.coordinates)):
         raise ValueError("mismatched position coordinates")
     return 0.5 * float(np.sum(np.abs(pa - pb)))
-
-
-def uniform_distribution(n: int, coordinates=None) -> Distribution:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return Distribution(np.full(n, 1.0 / n), coordinates)
-
-
-def time_averaged(series) -> Distribution:
-    """Average of per-step distributions: measuring at a random step <= T."""
-    dists = list(series)
-    if not dists:
-        raise ValueError("cannot average an empty series")
-    stack = np.stack([_as_probs(d) for d in dists])
-    coords = next((d.coordinates for d in dists
-                   if isinstance(d, Distribution) and d.coordinates is not None), None)
-    return Distribution(stack.mean(axis=0), coords,
-                        {"averaged_over": len(dists)})
 
 
 def mixing_time(step_distributions: Iterable, target, epsilon: float = DEFAULT_EPSILON,

@@ -399,8 +399,10 @@ def test_sweep_threads_do_not_change_results(tmp_path):
 
 def test_sweep_validates_before_running(tmp_path):
     outdir = str(tmp_path / "never")
-    assert run(["sweep", "--graph", "line", "--steps", "3", "--axis", "spin",
-                "--values", "1,2", "--output-dir", outdir]) == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--graph", "line", "--steps", "3", "--axis", "spin",
+             "--values", "1,2", "--output-dir", outdir])
+    assert exc.value.code == 2
     assert run(["sweep", "--graph", "line", "--steps", "3", "--axis", "p",
                 "--values", "0,zebra", "--output-dir", outdir]) == 2
     # one invalid run in the set aborts the whole sweep up front

@@ -12,6 +12,8 @@ from qwalksim.errors import BoundaryOverflowError, UnsupportedDegreeError
 from qwalksim.graphs import (GlueSpec, Graph, build_cycle, build_glued_trees, build_hypercube,
                              build_line)
 
+from test_half_edge_table import ReferenceLayout, same_bits
+
 R2 = np.sqrt(2.0)
 R8 = np.sqrt(8.0)
 
@@ -25,7 +27,12 @@ def centered_line(steps, pad=0):
 def amp(state, x, c):
     g = state.graph
     v = int(np.flatnonzero(g.coordinates == x)[0])
-    return state.amplitude(v, c)
+    return complex(state.amplitudes[g.offsets[v] + c])
+
+
+def reference(g):
+    """The two-pass coin toss and shift, built by per-vertex loops."""
+    return ReferenceLayout(g.num_vertices, g.edges)
 
 
 # --- coin matrices -------------------------------------------------------
@@ -103,14 +110,18 @@ def test_initial_state_rejects_bad_preset():
 
 
 # --- coin toss and shift -------------------------------------------------
+# The two-pass reference, first against hand-computed amplitudes, then the
+# engine's step against the reference.
 
 def test_coin_toss_on_basis_states():
     g, origin = centered_line(2)
-    walk = CoinedWalk(g, "hadamard")
-    tossed = PureState(g, walk.coin_toss(initial_state(g, origin, (1.0, 0.0)).amplitudes))
+    ref = reference(g)
+    tossed = PureState(g, ref.coin_toss(initial_state(g, origin, (1.0, 0.0)).amplitudes,
+                                        "hadamard"))
     assert amp(tossed, 0, 0) == pytest.approx(1 / R2, abs=1e-15)
     assert amp(tossed, 0, 1) == pytest.approx(1 / R2, abs=1e-15)
-    tossed = PureState(g, walk.coin_toss(initial_state(g, origin, (0.0, 1.0)).amplitudes))
+    tossed = PureState(g, ref.coin_toss(initial_state(g, origin, (0.0, 1.0)).amplitudes,
+                                        "hadamard"))
     assert amp(tossed, 0, 0) == pytest.approx(1 / R2, abs=1e-15)
     assert amp(tossed, 0, 1) == pytest.approx(-1 / R2, abs=1e-15)
 
@@ -118,25 +129,25 @@ def test_coin_toss_on_basis_states():
 def test_coin_toss_twice_is_identity():
     g, origin = centered_line(3)
     s = initial_state(g, origin, "symmetric")
-    walk = CoinedWalk(g, "hadamard")
-    twice = walk.coin_toss(walk.coin_toss(s.amplitudes))
+    ref = reference(g)
+    twice = ref.coin_toss(ref.coin_toss(s.amplitudes, "hadamard"), "hadamard")
     assert np.allclose(twice, s.amplitudes, atol=1e-14)
 
 
 def test_shift_moves_basis_states():
     g, origin = centered_line(2)
-    walk = CoinedWalk(g)
-    moved = PureState(g, walk.shift(initial_state(g, origin, (1.0, 0.0)).amplitudes))
+    ref = reference(g)
+    moved = PureState(g, ref.shift(initial_state(g, origin, (1.0, 0.0)).amplitudes))
     assert amp(moved, -1, 0) == pytest.approx(1.0, abs=1e-15)
-    moved = PureState(g, walk.shift(initial_state(g, origin, (0.0, 1.0)).amplitudes))
+    moved = PureState(g, ref.shift(initial_state(g, origin, (0.0, 1.0)).amplitudes))
     assert amp(moved, 1, 1) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_shift_of_balanced_state():
     g, origin = centered_line(2)
-    walk = CoinedWalk(g, "hadamard")
-    tossed = walk.coin_toss(initial_state(g, origin, (1.0, 0.0)).amplitudes)
-    moved = PureState(g, walk.shift(tossed))
+    ref = reference(g)
+    tossed = ref.coin_toss(initial_state(g, origin, (1.0, 0.0)).amplitudes, "hadamard")
+    moved = PureState(g, ref.shift(tossed))
     assert amp(moved, -1, 0) == pytest.approx(1 / R2, abs=1e-15)
     assert amp(moved, 1, 1) == pytest.approx(1 / R2, abs=1e-15)
 
@@ -146,7 +157,7 @@ def test_step_is_shift_after_coin_toss():
     s = initial_state(g, origin, "symmetric")
     walk = CoinedWalk(g, "hadamard")
     assert np.allclose(walk.evolve(s, 1).amplitudes,
-                       walk.shift(walk.coin_toss(s.amplitudes)), atol=1e-15)
+                       reference(g).two_pass_step(s.amplitudes, "hadamard"), atol=1e-15)
 
 
 def test_shift_is_a_permutation_everywhere():
@@ -154,8 +165,13 @@ def test_shift_is_a_permutation_everywhere():
               build_glued_trees(2, GlueSpec("symmetric")),
               build_glued_trees(2, GlueSpec("random-cycle", seed=4))]
     for g in graphs:
+        # the step's outputs, from the gather table and from every block,
+        # reach each half-edge once
         walk = CoinedWalk(g)
-        assert sorted(walk._shift_target) == list(range(g.half_edge_count))
+        _, _, n, dest = walk._gather
+        reached = [np.arange(n) if dest is None else dest]
+        reached += [moved.ravel() for _, moved, _ in walk._block_plan]
+        assert sorted(np.concatenate(reached)) == list(range(g.half_edge_count))
 
 
 # --- exact three-step trace ---------------------------------------------
@@ -176,7 +192,7 @@ def nonzero_table(state, tol=1e-14):
     table = {}
     for v in range(g.num_vertices):
         for c in range(g.degree(v)):
-            a = state.amplitude(v, c)
+            a = complex(state.amplitudes[g.offsets[v] + c])
             if abs(a) > tol:
                 table[(int(g.coordinates[v]), c)] = a
     return table
@@ -212,7 +228,7 @@ def test_destructive_interference_at_origin():
     s = initial_state(g, origin, (1.0, 0.0))
     walk = CoinedWalk(g, "hadamard")
     two = walk.evolve(s, 2)
-    tossed = PureState(g, walk.coin_toss(two.amplitudes))
+    tossed = PureState(g, reference(g).coin_toss(two.amplitudes, "hadamard"))
     assert amp(tossed, 0, 1) == 0.0
     assert amp(tossed, 0, 0) == pytest.approx(2 / R8, abs=1e-15)
     three = walk.evolve(s, 3)
@@ -354,9 +370,9 @@ def loop_step_matrix(g, family):
     for v in range(g.num_vertices):
         d = g.degree(v)
         if d:
-            rows = [g.half_edge(v, c) for c in range(d)]
+            rows = [g.offsets[v] + c for c in range(d)]
             coin[np.ix_(rows, rows)] = coin_matrix(family, d)
-    target = CoinedWalk(g, family)._shift_target
+    target = reference(g).shift_target
     shift_m = scipy.sparse.csr_matrix(
         (np.ones(n), (target, np.arange(n))), shape=(n, n), dtype=np.complex128)
     return (shift_m @ coin.tocsr()).toarray()
@@ -379,12 +395,20 @@ def test_step_matrix_equals_loop_reference(make_graph, family):
     u = walk.step_matrix()
     assert np.array_equal(u.toarray(), want)
     assert u.nnz == np.count_nonzero(want)
+    # the density step's bits follow the CSR term order: canonical, as
+    # scipy builds it from the dense reference
+    canonical = scipy.sparse.csr_matrix(want)
+    assert u.has_sorted_indices
+    for got, expected in ((u.indptr, canonical.indptr), (u.indices, canonical.indices),
+                          (u.data, canonical.data)):
+        assert same_bits(got, expected)
     assert np.max(np.abs(u.conj().T @ u - np.eye(g.half_edge_count))) < 1e-12
 
 
 # --- fused step against coin toss then shift ----------------------------
 # ``step_amplitudes`` writes each coin output straight to its shifted
-# half-edge; ``shift(coin_toss(amps))`` is the two-pass form it replaced and
+# half-edge; ``ReferenceLayout.two_pass_step`` is the two-pass form it
+# replaced, built from the reference's own coin plan and shift target, and
 # must agree with it bit for bit, signed zeros included.
 
 def star_with_tail():
@@ -403,14 +427,6 @@ FUSED_GRAPHS = {
 }
 
 
-def same_bits(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def two_pass_step(walk, amps):
-    return walk.shift(walk.coin_toss(amps))
-
-
 def undefined_coin_half_edges(g, family):
     # only the Hadamard family leaves a degree without a coin
     if family != "hadamard":
@@ -423,20 +439,21 @@ def undefined_coin_half_edges(g, family):
 def test_step_equals_coin_toss_then_shift(name, family):
     g = FUSED_GRAPHS[name]()
     walk = CoinedWalk(g, family)
+    ref = reference(g)
     rng = np.random.default_rng(11)
     amps = rng.normal(size=g.half_edge_count) + 1j * rng.normal(size=g.half_edge_count)
     undefined = undefined_coin_half_edges(g, family)
     if undefined.size:
         # amplitude on a vertex whose coin is undefined raises in both forms
         with pytest.raises(UnsupportedDegreeError):
-            two_pass_step(walk, amps)
+            ref.two_pass_step(amps, family)
         with pytest.raises(UnsupportedDegreeError):
             walk.step_amplitudes(amps)
         # zeros there pass, and keep their sign
         amps[undefined] = complex(-0.0, -0.0)
     want = amps
     for _ in range(4):
-        want, got = two_pass_step(walk, want), walk.step_amplitudes(want)
+        want, got = ref.two_pass_step(want, family), walk.step_amplitudes(want)
         assert same_bits(got, want)
         if undefined.size:
             # the step may carry amplitude onto an undefined vertex
@@ -446,11 +463,12 @@ def test_step_equals_coin_toss_then_shift(name, family):
 def test_step_equals_coin_toss_then_shift_over_a_long_run():
     g = build_cycle(16)
     walk = CoinedWalk(g)
+    ref = reference(g)
     rng = np.random.default_rng(4)
     want = rng.normal(size=g.half_edge_count) + 1j * rng.normal(size=g.half_edge_count)
     got = want
     for _ in range(10 ** 4):
-        want, got = two_pass_step(walk, want), walk.step_amplitudes(got)
+        want, got = ref.two_pass_step(want, "default"), walk.step_amplitudes(got)
         assert same_bits(got, want)
 
 
@@ -467,6 +485,7 @@ def random_amplitudes(rng, shape):
        seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 4))
 def test_step_is_the_two_pass_step_on_every_builder(g, family, seed, rows):
     walk = CoinedWalk(g, family)
+    ref = reference(g)
     rng = np.random.default_rng(seed)
     batch = random_amplitudes(rng, (rows, g.half_edge_count))
     undefined = undefined_coin_half_edges(g, family)
@@ -480,7 +499,7 @@ def test_step_is_the_two_pass_step_on_every_builder(g, family, seed, rows):
         batch[:, undefined] = complex(-0.0, -0.0)
     stepped = walk.step_rows(batch)
     for amps, row in zip(batch, stepped):
-        want = two_pass_step(walk, amps)
+        want = ref.two_pass_step(amps, family)
         assert same_bits(walk.step_amplitudes(amps), want)
         assert same_bits(row, want)
 

@@ -3,11 +3,9 @@ import pytest
 import scipy.linalg
 
 from qwalksim.continuous import (HAMILTONIAN_CONVENTIONS, Hamiltonian,
-                                 column_sizes, entrance_state, evolve_ct,
-                                 evolve_ct_many, exit_series_csv, exit_signal,
-                                 first_peak_time, full_graph_exit_signal,
-                                 hamiltonian, reduce_columns,
-                                 threshold_crossing_time)
+                                 column_sizes, evolve_ct, evolve_ct_many,
+                                 exit_series_csv, exit_signal, first_peak_time,
+                                 full_graph_exit_signal, hamiltonian, reduce_columns)
 from qwalksim.graphs import (GlueSpec, Graph, build_cycle, build_glued_trees,
                              build_hypercube, build_line, glued_trees_entrance_exit)
 
@@ -59,14 +57,14 @@ def test_two_site_oscillation():
         for gamma in (1.0, 0.7):
             h = hamiltonian(two_site(), gamma, convention)
             for t in (0.0, 0.3, 1.0, 2.5):
-                amps = evolve_ct(h, entrance_state(2), t)
+                amps = evolve_ct(h, np.eye(2)[0], t)
                 assert abs(amps[1]) ** 2 == pytest.approx(
                     np.sin(gamma * t) ** 2, abs=1e-12)
 
 
 def test_two_site_full_transfer():
     h = hamiltonian(two_site())
-    amps = evolve_ct(h, entrance_state(2), np.pi / 2)
+    amps = evolve_ct(h, np.eye(2)[0], np.pi / 2)
     assert abs(amps[1]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -75,7 +73,7 @@ def test_matches_matrix_exponential():
     g = build_cycle(7)
     h = hamiltonian(g, gamma=0.8)
     t = 2.37
-    initial = entrance_state(7)
+    initial = np.eye(7)[0]
     via_expm = scipy.linalg.expm(-1j * h.matrix * t) @ initial
     assert np.allclose(evolve_ct(h, initial, t), via_expm, atol=1e-10)
 
@@ -84,8 +82,8 @@ def test_triangle_revival():
     # cycle(3) Laplacian eigenvalues are 0, 3, 3: at t = 2 pi / 3 every
     # phase returns to 1 and the walker is exactly back where it started
     h = hamiltonian(build_cycle(3))
-    amps = evolve_ct(h, entrance_state(3), 2 * np.pi / 3)
-    assert np.allclose(amps, entrance_state(3), atol=1e-10)
+    amps = evolve_ct(h, np.eye(3)[0], 2 * np.pi / 3)
+    assert np.allclose(amps, np.eye(3)[0], atol=1e-10)
 
 
 def test_norm_is_conserved():
@@ -101,7 +99,7 @@ def test_norm_is_conserved():
 def test_negative_time_rejected():
     h = hamiltonian(build_cycle(3))
     with pytest.raises(ValueError):
-        evolve_ct(h, entrance_state(3), -0.1)
+        evolve_ct(h, np.eye(3)[0], -0.1)
 
 
 def test_initial_vector_validation():
@@ -127,7 +125,7 @@ def test_evolve_many_matches_single_times():
 def test_evolve_many_rejects_negative_times():
     h = hamiltonian(build_cycle(3))
     with pytest.raises(ValueError):
-        evolve_ct_many(h, entrance_state(3), np.array([0.0, -1.0]))
+        evolve_ct_many(h, np.eye(3)[0], np.array([0.0, -1.0]))
 
 
 def test_evolve_many_validates_initial():
@@ -179,7 +177,7 @@ def test_evolve_ct_equals_gemv_reference(graph, start, convention):
                          ids=["symmetric", "random-cycle"])
 def test_evolve_ct_many_equals_rows_reference(depth, glue):
     h = reduce_columns(depth, glue)
-    initial = entrance_state(h.dimension)
+    initial = np.eye(h.dimension)[0]
     times = np.linspace(0.0, 4.0 * depth, 2001)
     assert np.array_equal(evolve_ct_many(h, initial, times),
                           evolve_ct_many_rows_reference(h, initial, times))
@@ -211,7 +209,6 @@ def test_reduced_chain_matrix_symmetric_glue():
         [0.0, 0.0, 0.0, 0.0, -r2, 2.0],
     ])
     assert np.allclose(h.matrix, expected, atol=1e-12)
-    assert h.basis == "glued-trees columns"
 
 
 def test_reduced_chain_matrix_random_cycle_glue():
@@ -248,7 +245,7 @@ def test_exit_signal_at_depth_40_matches_analytic_chain():
     glue = GlueSpec("random-cycle", seed=7)
     times, values = exit_signal(40, glue)
     h = Hamiltonian(analytic_chain(40, glue.mode), 1.0)
-    amps = evolve_ct_many(h, entrance_state(h.dimension), times)
+    amps = evolve_ct_many(h, np.eye(h.dimension)[0], times)
     assert np.max(np.abs(values - np.abs(amps[:, -1]) ** 2)) < 1e-9
     assert 0.0 < values.max() <= 1.0
 
@@ -277,7 +274,7 @@ def test_full_graph_stays_column_uniform():
     amps = evolve_ct(h, initial, 1.7)
     probs = np.abs(amps) ** 2
     for column in range(2 * 2 + 2):
-        members = [v for v, c in g.labels.items() if c == column]
+        members = np.flatnonzero(g.labels == column)
         spread = np.ptp(probs[members])
         assert spread < 1e-12
 
@@ -312,13 +309,6 @@ def test_exit_signal_defaults():
     assert np.all(values <= 1.0 + 1e-12)
 
 
-def test_entrance_state():
-    v = entrance_state(5)
-    assert v.shape == (5,)
-    assert v[0] == 1.0
-    assert np.all(v[1:] == 0.0)
-
-
 # --- peak and threshold detection ----------------------------------------
 
 def test_first_peak_on_synthetic_signal():
@@ -333,13 +323,6 @@ def test_first_peak_requires_a_peak():
     times = np.linspace(0.0, 1.0, 50)
     with pytest.raises(ValueError):
         first_peak_time(times, times ** 2)
-
-
-def test_threshold_crossing():
-    times = np.linspace(0.0, 1.0, 101)
-    values = times.copy()
-    assert threshold_crossing_time(times, values, 0.5) == pytest.approx(0.5)
-    assert threshold_crossing_time(times, values, 2.0) is None
 
 
 # --- serialization --------------------------------------------------------

@@ -5,8 +5,7 @@ import pytest
 
 from qwalksim.errors import MissingSeedError
 from qwalksim.graphs import (GlueSpec, Graph, build_cycle, build_glued_trees,
-                             build_hypercube, build_line, dump_edge_list,
-                             glued_trees_entrance_exit)
+                             build_hypercube, build_line, glued_trees_entrance_exit)
 
 ALL_BUILDERS = [
     build_line(7),
@@ -104,9 +103,13 @@ def test_handshake(g):
 
 @pytest.mark.parametrize("g", ALL_BUILDERS)
 def test_direction_index_inverts_neighbors(g):
+    # direction c at v is half-edge offsets[v] + c: it leaves v for the
+    # c-th neighbor, and its reverse leaves that neighbor for v
     for v in range(g.num_vertices):
         for c, u in enumerate(g.neighbors(v)):
-            assert g.direction_index(v, u) == c
+            h = g.offsets[v] + c
+            assert g.half_edge_vertex[h] == v and g.heads[h] == u
+            assert g.half_edge_vertex[g.reverse[h]] == u and g.heads[g.reverse[h]] == v
 
 
 def test_graph_rejects_self_loop_and_range():
@@ -140,18 +143,6 @@ def test_duplicate_edges_collapse():
     assert g.half_edge_count == 2
 
 
-def test_direction_index_rejects_non_neighbors():
-    g = Graph(5, [(0, 2), (0, 3), (2, 3)])
-    with pytest.raises(ValueError):
-        g.direction_index(0, 1)  # between two neighbors
-    with pytest.raises(ValueError):
-        g.direction_index(0, 4)  # above every neighbor
-    with pytest.raises(ValueError):
-        g.direction_index(1, 0)  # vertex 1 has no neighbors
-    with pytest.raises(ValueError):
-        g.direction_index(5, 0)  # no such vertex
-
-
 def test_half_edge_table_is_read_only():
     g = build_cycle(4)
     for table in (g.heads, g.reverse, g.degrees, g.offsets, g.half_edge_vertex):
@@ -162,8 +153,19 @@ def test_half_edge_table_is_read_only():
 def test_glued_trees_smallest():
     g = build_glued_trees(1, GlueSpec("symmetric"))
     assert g.num_vertices == 6
-    sizes = np.bincount([g.labels[v] for v in range(6)])
+    sizes = np.bincount(g.labels)
     assert list(sizes) == [1, 2, 2, 1]
+
+
+def test_labels_are_one_read_only_int_array():
+    g = build_glued_trees(2, GlueSpec("random-cycle", seed=5))
+    assert g.labels.dtype == np.int64 and g.labels.shape == (g.num_vertices,)
+    with pytest.raises(ValueError):
+        g.labels[0] = 1
+    assert glued_trees_entrance_exit(g) == (0, 7)
+    assert build_cycle(4).labels is None
+    with pytest.raises(ValueError, match="labels"):
+        Graph(3, [(0, 1)], labels=[0, 1])
 
 
 def test_glued_trees_depth_two_shape():
@@ -243,12 +245,3 @@ def test_glue_mode_validated():
 def test_glued_trees_rejects_zero_depth():
     with pytest.raises(ValueError):
         build_glued_trees(0, GlueSpec("symmetric"))
-
-
-def test_dump_edge_list_roundtrips():
-    g = build_cycle(4)
-    text = dump_edge_list(g)
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("# cycle")
-    parsed = [tuple(map(int, line.split())) for line in lines[1:]]
-    assert tuple(parsed) == g.edges

@@ -2,12 +2,16 @@
 
 ``ReferenceLayout`` builds the layout as ``graphs``, ``coined`` and
 ``classical`` each built it before the table: neighbor lists and a dict of
-direction slots, the ``direction_index`` loop for the shift, per-degree
-vertex lists for the coin plan, one output half-edge at a time for the
-degree-2 gather table, and flattened neighbor lists for the
-sampled walkers. The table and everything compiled from it must match the
-reference exactly, on random edge lists (duplicates, both orientations,
-isolated vertices) and on every builder.
+direction slots, a loop over that dict for the shift, per-degree vertex
+lists for the coin plan, one output half-edge at a time for the degree-2
+gather table, and flattened neighbor lists for the sampled walkers. The
+table and everything compiled from it must match the reference exactly,
+on random edge lists (duplicates, both orientations, isolated vertices)
+and on every builder.
+
+``ReferenceLayout`` also holds the two-pass coined step that the fused
+step of ``CoinedWalk`` replaced: a coin toss over every vertex, then the
+shift. The coined tests check the engine against it bit for bit.
 """
 
 import numpy as np
@@ -20,7 +24,26 @@ from qwalksim.errors import UnsupportedDegreeError
 from qwalksim.graphs import (GlueSpec, Graph, build_cycle, build_glued_trees, build_hypercube,
                              build_line)
 
-from test_coined import same_bits
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def apply_coin(block, coin_t):
+    """Right-multiply a (m, d) amplitude block by a transposed coin.
+
+    Degree 2 is expanded elementwise instead of using matmul: BLAS kernels
+    may fuse multiply-adds, leaving a one-ulp residue where opposite-sign
+    products should cancel bit-exactly (the interference zeros).
+    """
+    if coin_t.shape[0] == 2:
+        b0 = block[:, 0]
+        b1 = block[:, 1]
+        out = np.empty_like(block)
+        out[:, 0] = b0 * coin_t[0, 0] + b1 * coin_t[1, 0]
+        out[:, 1] = b0 * coin_t[0, 1] + b1 * coin_t[1, 1]
+        return out
+    return block @ coin_t
 
 
 class ReferenceLayout:
@@ -55,6 +78,7 @@ class ReferenceLayout:
                 self.reverse[self.offsets[v] + c] = self.offsets[u] + back
                 self.shift_target[self.offsets[v] + c] = (
                     self.offsets[u] + self.degrees[u] - 1 - back)
+        self._plans = {}
 
     def coin_plan(self, coin):
         by_degree = {}
@@ -72,6 +96,30 @@ class ReferenceLayout:
                 coin_t = None
             plan.append((idx, moved, coin_t))
         return plan
+
+    def coin_toss(self, amps, coin):
+        """Every vertex's coin on its block of half-edges, in place of the
+        old amplitudes; a vertex whose degree has no coin must hold none."""
+        if coin not in self._plans:
+            self._plans[coin] = self.coin_plan(coin)
+        out = amps.copy()
+        for idx, _, coin_t in self._plans[coin]:
+            if coin_t is None:
+                if np.any(amps[idx]):
+                    raise UnsupportedDegreeError(
+                        f"{coin} coin undefined for degree {idx.shape[1]}")
+                continue
+            out[idx] = apply_coin(amps[idx], coin_t)
+        return out
+
+    def shift(self, amps):
+        """Every amplitude moved to its shift target."""
+        out = np.empty_like(amps)
+        out[self.shift_target] = amps
+        return out
+
+    def two_pass_step(self, amps, coin):
+        return self.shift(self.coin_toss(amps, coin))
 
     def gather_table(self, coin):
         """The degree-2 table, one output half-edge at a time: the half-edge
@@ -111,8 +159,6 @@ def assert_matches_reference(g, ref, coin):
     for v in range(g.num_vertices):
         assert np.array_equal(g.neighbors(v), ref.neighbors[v])
         assert g.degree(v) == len(ref.neighbors[v])
-        for c, u in enumerate(ref.neighbors[v]):
-            assert g.direction_index(v, u) == c
     assert g.half_edge_vertex.dtype == np.int64
     assert np.array_equal(g.half_edge_vertex, ref.half_edge_vertex)
     assert np.array_equal(g.degrees, ref.degrees)
@@ -123,10 +169,12 @@ def assert_matches_reference(g, ref, coin):
     assert np.array_equal(g.adjacency_matrix(), adjacency_loop(g.num_vertices, ref.edges))
 
     walk = CoinedWalk(g, coin)
-    assert np.array_equal(walk._shift_target, ref.shift_target)
-    want_plan = ref.coin_plan(coin)
-    assert len(walk._coin_plan) == len(want_plan)
-    for (idx, moved, coin_t), want in zip(walk._coin_plan, want_plan):
+    # the gather table takes every degree-2 vertex whose coin is defined,
+    # the block plan every other degree
+    want_plan = [entry for entry in ref.coin_plan(coin)
+                 if entry[2] is None or entry[0].shape[1] != 2]
+    assert len(walk._block_plan) == len(want_plan)
+    for (idx, moved, coin_t), want in zip(walk._block_plan, want_plan):
         assert np.array_equal(idx, want[0]) and np.array_equal(moved, want[1])
         assert (coin_t is None) == (want[2] is None)
         assert coin_t is None or np.array_equal(coin_t, want[2])

@@ -1,19 +1,35 @@
 """The public names of the package: one path per operation."""
 
+import numpy as np
+
 import qwalksim
-from qwalksim import cli, coined, graphs
+from qwalksim import classical, cli, coined, continuous, decoherence, graphs, stats
 
 
 def test_public_names_resolve_and_second_paths_are_gone():
     for name in qwalksim.__all__:
         assert hasattr(qwalksim, name), name
-    # second paths to what CoinedWalk, Graph and --threads already do
-    gone = {coined: ("coin_toss", "shift", "step", "evolve"),
-            graphs: ("neighbors",),
-            coined.CoinedWalk: ("inverse_step_amplitudes",),
-            graphs.Graph: ("coin_offset",),
-            cli: ("THREADS_ENV_VAR", "sweep_thread_count")}
-    for owner, names in gone.items():
+    # second paths to what CoinedWalk, Graph and --threads already do, and
+    # names that nothing but their own tests called
+    gone = [(coined, ("coin_toss", "shift", "step", "evolve", "_apply_coin")),
+            (graphs, ("neighbors", "dump_edge_list")),
+            (stats, ("central_std_dev", "uniform_distribution", "time_averaged")),
+            (continuous, ("threshold_crossing_time", "entrance_state")),
+            (decoherence, ("record_to_csv",)),
+            (coined.CoinedWalk, ("inverse_step_amplitudes", "coin_toss", "shift")),
+            (coined.PureState, ("amplitude", "copy")),
+            (decoherence.DensityState, ("purity", "copy")),
+            (graphs.Graph, ("coin_offset", "direction_index", "half_edge")),
+            (classical.HittingTimeResult, ("censored_fraction",)),
+            # settable values, looked up on instances: dataclass fields and
+            # attributes set in __init__ live there
+            (stats.Distribution(np.ones(1)), ("metadata",)),
+            (classical.ClassicalDistribution(np.ones(3) / 3, graphs.build_cycle(3)),
+             ("step_index",)),
+            (continuous.Hamiltonian(np.eye(1), 1.0), ("basis",)),
+            (cli, ("THREADS_ENV_VAR", "sweep_thread_count"))]
+    for owner, names in gone:
         for name in names:
             assert not hasattr(owner, name), (owner, name)
-    assert not {"coin_toss", "shift", "step", "evolve", "neighbors"} & set(qwalksim.__all__)
+    assert not {"coin_toss", "shift", "step", "evolve", "neighbors",
+                "time_averaged"} & set(qwalksim.__all__)

@@ -12,10 +12,9 @@ from qwalksim.classical import evolve_classical_exact, iter_classical_distributi
 from qwalksim.coined import CoinedWalk, initial_state
 from qwalksim.errors import InvariantViolationError
 from qwalksim.graphs import build_cycle, build_line
-from qwalksim.stats import (Distribution, _as_probs, central_std_dev, flatness_ratio,
-                            flatness_tv, mixing_time, occupied_sites,
-                            position_distribution, std_dev, time_averaged,
-                            total_variation, uniform_distribution)
+from qwalksim.stats import (Distribution, _as_probs, flatness_ratio, flatness_tv,
+                            mixing_time, occupied_sites, position_distribution, std_dev,
+                            total_variation)
 
 
 class StubState:
@@ -34,10 +33,9 @@ class StubState:
 def test_position_distribution_from_pure_state():
     g = build_line(5)
     s = initial_state(g, g.params["origin"], "symmetric")
-    d = position_distribution(CoinedWalk(g).evolve(s, 1), step=1)
+    d = position_distribution(CoinedWalk(g).evolve(s, 1))
     assert d.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.array_equal(d.coordinates, g.coordinates)
-    assert d.metadata == {"step": 1}
     assert len(d) == 5
 
 
@@ -81,18 +79,10 @@ def test_std_dev_about_origin():
     assert std_dev(d) == pytest.approx(2.0)
 
 
-def test_central_std_dev_subtracts_mean():
-    d = Distribution(np.array([0.5, 0.5]), np.array([0.0, 4.0]))
-    assert std_dev(d) == pytest.approx(np.sqrt(8.0))
-    assert central_std_dev(d) == pytest.approx(2.0)
-
-
 def test_moments_need_coordinates():
     d = Distribution(np.array([1.0]))
     with pytest.raises(ValueError):
         std_dev(d)
-    with pytest.raises(ValueError):
-        central_std_dev(d)
 
 
 # --- total variation ------------------------------------------------------
@@ -118,34 +108,6 @@ def test_tv_rejects_mismatched_spaces():
     b = Distribution(np.array([0.5, 0.5]), np.array([0.0, 2.0]))
     with pytest.raises(ValueError):
         total_variation(a, b)
-
-
-def test_uniform_distribution():
-    u = uniform_distribution(4)
-    assert np.array_equal(u.probabilities, np.full(4, 0.25))
-    with pytest.raises(ValueError):
-        uniform_distribution(0)
-
-
-# --- time averaging -------------------------------------------------------
-
-def test_time_averaged_mean():
-    avg = time_averaged([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-    assert np.allclose(avg.probabilities, [0.5, 0.5])
-    assert avg.metadata == {"averaged_over": 2}
-
-
-def test_time_averaged_carries_coordinates():
-    coords = np.array([-1.0, 1.0])
-    series = [Distribution(np.array([1.0, 0.0]), coords),
-              Distribution(np.array([0.5, 0.5]), coords)]
-    avg = time_averaged(series)
-    assert np.array_equal(avg.coordinates, coords)
-
-
-def test_time_averaged_rejects_empty():
-    with pytest.raises(ValueError):
-        time_averaged([])
 
 
 # --- mixing time ----------------------------------------------------------
