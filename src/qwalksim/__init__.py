@@ -6,9 +6,8 @@ chain baselines, plus the analytics connecting them (moments, total
 variation, time-averaged mixing).
 """
 
-from .classical import (ClassicalDistribution, HittingTimeResult,
-                        evolve_classical_exact, hitting_time, hitting_time_exact,
-                        sample_walk)
+from .classical import (HittingTimeResult, evolve_classical_exact, hitting_time,
+                        hitting_time_exact, sample_walk)
 from .coined import CoinedWalk, PureState, coin_matrix, initial_state
 from .continuous import (Hamiltonian, evolve_ct, exit_signal, first_peak_time,
                          hamiltonian, reduce_columns)
@@ -26,7 +25,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryOverflowError",
-    "ClassicalDistribution",
     "CoinedWalk",
     "ConfigError",
     "DecoherenceSpec",

@@ -3,9 +3,9 @@
 The transition rule is degree-uniform: probability mass at a vertex splits
 equally over its neighbors, which on the line interior is the fair +-1
 coin-toss walk. Exact propagation is the oracle for every sampled result
-and for the quantum classical-limit checks. ``evolve_classical_exact`` is
-the state at step ``steps`` of the generator whose later states
-``iter_classical_distributions`` yields.
+and for the quantum classical-limit checks. ``evolve_classical_exact``
+returns a ``stats.Distribution``: the state at step ``steps`` of the
+sequence whose later states ``iter_classical_distributions`` yields.
 
 The sampled engines are batched. Up to ``_CHUNK_ROWS`` walks move
 together as one vector of current vertices, walk i on its own generator
@@ -25,12 +25,14 @@ per-row cursor follows. ``sample_walk`` is the same engine on one row.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .graphs import Graph, check_line_headroom
+from .stats import Distribution
 from .streams import RowStreams
 
 # Walks stepped together. Each holds a generator (about 2 KiB of Python
@@ -41,14 +43,6 @@ _DRAW_BLOCK = 256
 _UINT32_MAX = 2 ** 32 - 1
 
 
-@dataclass
-class ClassicalDistribution:
-    """Position probabilities after a fixed number of steps."""
-
-    probabilities: np.ndarray
-    graph: Graph
-
-
 def transition_matrix(g: Graph) -> np.ndarray:
     """Row-stochastic matrix T[v, u] = 1/degree(v) for each edge (v, u)."""
     if np.any(g.degrees == 0):
@@ -56,29 +50,25 @@ def transition_matrix(g: Graph) -> np.ndarray:
     return g.adjacency_matrix() / g.degrees[:, None]
 
 
-def _distributions(g: Graph, start: int, steps: int | None = None):
-    """Yield the exact distribution at step 0, 1, 2, ...; never write one.
+def _distributions(g: Graph, start: int, steps: int | None = None) -> Iterator[np.ndarray]:
+    """The exact distribution at step 0, 1, 2, ..., none of them ever written.
 
-    A run of known length ``steps`` is checked against the line rule first.
+    The start vertex, and for a run of known length ``steps`` the line
+    rule, are checked when this is called, before anything is iterated.
     """
-    if not 0 <= start < g.num_vertices:
-        raise ValueError(f"start vertex {start} out of range")
+    g.check_vertex(start)
     if steps is not None:
         check_line_headroom(g.kind, g.num_vertices, [start], steps)
     t = transition_matrix(g)
     p = np.zeros(g.num_vertices)
     p[start] = 1.0
-    while True:
-        yield p
-        p = p @ t
+    return itertools.accumulate(itertools.repeat(t), np.matmul, initial=p)
 
 
-def evolve_classical_exact(g: Graph, start: int, steps: int) -> ClassicalDistribution:
+def evolve_classical_exact(g: Graph, start: int, steps: int) -> Distribution:
     """Exact distribution after ``steps`` moves of the degree-uniform chain."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
     p = next(itertools.islice(_distributions(g, start, steps), steps, None))
-    return ClassicalDistribution(p, g)
+    return Distribution(p, g.coordinates)
 
 
 def iter_classical_distributions(g: Graph, start: int):
@@ -138,16 +128,16 @@ class _Walkers:
 
 
 def _check_walk_start(g: Graph, start: int, steps: int) -> None:
-    if not 0 <= start < g.num_vertices:
-        raise ValueError(f"start vertex {start} out of range")
-    if steps > 0 and g.degree(start) == 0:
+    """The sampled walks' checks; they do not follow the line rule."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    g.check_vertex(start)
+    if steps > 0 and g.degrees[start] == 0:
         raise ValueError(f"start vertex {start} is isolated; the walk is undefined there")
 
 
 def sample_walk(g: Graph, start: int, steps: int, seed: int) -> np.ndarray:
     """One seeded walk path of length steps+1, uniform neighbor choice each move."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
     _check_walk_start(g, start, steps)
     path = np.empty(steps + 1, dtype=np.int64)
     path[0] = start
@@ -167,8 +157,6 @@ def sample_endpoint_histogram(g: Graph, start: int, steps: int,
     """
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
     _check_walk_start(g, start, steps)
     counts = np.zeros(g.num_vertices)
     for first in range(0, num_samples, _CHUNK_ROWS):
@@ -188,8 +176,7 @@ def hitting_time_exact(g: Graph, start: int, target: int) -> float:
     transient vertices.
     """
     for v in (start, target):
-        if not 0 <= v < g.num_vertices:
-            raise ValueError(f"vertex {v} out of range")
+        g.check_vertex(v)
     if start == target:
         return 0.0
     t = transition_matrix(g)
@@ -222,9 +209,7 @@ def hitting_time(g: Graph, start: int, target: int, seed: int,
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    for v in (start, target):
-        if not 0 <= v < g.num_vertices:
-            raise ValueError(f"vertex {v} out of range")
+    g.check_vertex(target)
     if start == target:
         return HittingTimeResult(0.0, 0.0, num_samples, 0, cap)
     _check_walk_start(g, start, cap)

@@ -438,8 +438,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     steps = args.steps
-    if steps < 0:
-        raise ConfigError("steps", "must be >= 0")
     # one vertex of padding keeps the outermost reached sites interior, so
     # every row carries the two-direction coin labels
     graph = build_line(2 * max(steps, 1) + 3)

@@ -274,8 +274,6 @@ class CoinedWalk:
 
     def iter_steps(self, state: PureState, steps: int):
         """Yield the state after each of ``steps`` sequential steps."""
-        if steps < 0:
-            raise ValueError(f"steps must be >= 0, got {steps}")
         g = state.graph
         check_line_headroom(g.kind, g.num_vertices, _support(state), steps)
         amps = state.amplitudes

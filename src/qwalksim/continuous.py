@@ -25,14 +25,13 @@ HAMILTONIAN_CONVENTIONS = ("laplacian", "adjacency")
 class Hamiltonian:
     """Real symmetric generator with its eigendecomposition cached."""
 
-    def __init__(self, matrix: np.ndarray, gamma: float):
+    def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"matrix must be square, got shape {matrix.shape}")
         if not np.allclose(matrix, matrix.T):
             raise ValueError("matrix must be symmetric")
         self.matrix = matrix
-        self.gamma = gamma
         self._eigvals: np.ndarray | None = None
         self._eigvecs: np.ndarray | None = None
 
@@ -46,19 +45,23 @@ class Hamiltonian:
         return self._eigvals, self._eigvecs
 
 
-def hamiltonian(g: Graph, gamma: float = 1.0,
-                convention: str = "laplacian") -> Hamiltonian:
-    """Walk generator for a graph with hopping rate gamma per unit time."""
+def _check_generator(gamma: float, convention: str) -> None:
     if gamma <= 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     if convention not in HAMILTONIAN_CONVENTIONS:
         raise ValueError(
             f"convention must be one of {HAMILTONIAN_CONVENTIONS}, got {convention!r}")
+
+
+def hamiltonian(g: Graph, gamma: float = 1.0,
+                convention: str = "laplacian") -> Hamiltonian:
+    """Walk generator for a graph with hopping rate gamma per unit time."""
+    _check_generator(gamma, convention)
     a = g.adjacency_matrix()
     if convention == "adjacency":
-        return Hamiltonian(-gamma * a, gamma)
+        return Hamiltonian(-gamma * a)
     degrees = a.sum(axis=1)
-    return Hamiltonian(gamma * (np.diag(degrees) - a), gamma)
+    return Hamiltonian(gamma * (np.diag(degrees) - a))
 
 
 def evolve_ct(h: Hamiltonian, initial: np.ndarray, time: float) -> np.ndarray:
@@ -119,11 +122,7 @@ def reduce_columns(depth: int, glue: GlueSpec, gamma: float = 1.0,
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    if convention not in HAMILTONIAN_CONVENTIONS:
-        raise ValueError(
-            f"convention must be one of {HAMILTONIAN_CONVENTIONS}, got {convention!r}")
+    _check_generator(gamma, convention)
     n = 2 * depth + 2
 
     edges_per_vertex = np.full(n - 1, 2.0)
@@ -144,7 +143,7 @@ def reduce_columns(depth: int, glue: GlueSpec, gamma: float = 1.0,
         degrees[[0, n - 1]] = 2.0
         degrees[[depth, depth + 1]] = leaf_degree
         m += gamma * np.diag(degrees)
-    return Hamiltonian(m, gamma)
+    return Hamiltonian(m)
 
 
 def exit_signal(depth: int, glue: GlueSpec, gamma: float = 1.0,

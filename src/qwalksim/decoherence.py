@@ -296,8 +296,6 @@ def _full_matrix(lo: int, block: np.ndarray, n: int) -> np.ndarray:
 def evolve_density(rho0: DensityState, spec: DecoherenceSpec, steps: int,
                    coin: str = "default") -> DensityState:
     """Iterate (unitary step, then measurement channel) ``steps`` times."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
     graph = rho0.graph
     occupied = graph.half_edge_vertex[np.flatnonzero(np.diag(rho0.matrix))]
     check_line_headroom(graph.kind, graph.num_vertices, occupied, steps)
@@ -320,10 +318,6 @@ def iter_density_steps(rho0: DensityState, spec: DecoherenceSpec,
 def _chunk_rows(width: int) -> int:
     """Trajectories stepped together, from the half-edge count of the graph."""
     return max(1, _CHUNK_BYTES // (16 * max(width, 1)))
-
-
-def _uniform_block(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.random(n)
 
 
 def _row_bincount(labels: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
@@ -393,7 +387,7 @@ def _trajectories(walk: CoinedWalk, amps0: np.ndarray, spec: DecoherenceSpec,
         record = np.full((rows, steps, 4), NOT_MEASURED, dtype=np.int64)
         record[:, :, 0] = np.arange(1, steps + 1)
         record[:, :, 1] = 0
-    streams = RowStreams(seeds, _uniform_block, max(1, min(2 * steps, _DRAW_BLOCK)))
+    streams = RowStreams(seeds, np.random.Generator.random, max(1, min(2 * steps, _DRAW_BLOCK)))
     coin_ids = _sector_ids(graph, "coin")
     everyone = np.arange(rows)
     for t in range(steps):
@@ -420,8 +414,6 @@ def evolve_trajectory(state0: PureState, spec: DecoherenceSpec, steps: int,
     (-1 marks a register that was not measured). Deterministic per seed;
     it is the ensemble kernel run on a single row.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
     graph = state0.graph
     check_line_headroom(graph.kind, graph.num_vertices, _support(state0), steps)
     walk = CoinedWalk(graph, coin)
@@ -440,8 +432,6 @@ def run_ensemble(state0: PureState, spec: DecoherenceSpec, steps: int,
     """
     if trajectories < 1:
         raise ValueError(f"trajectories must be >= 1, got {trajectories}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
     graph = state0.graph
     check_line_headroom(graph.kind, graph.num_vertices, _support(state0), steps)
     walk = CoinedWalk(graph, coin)

@@ -20,7 +20,8 @@ indexed by vertex: the glued-trees column of each vertex.
 The line rule: a line stands in for the infinite line, so a walk may reach
 an end vertex only on its last step; a step from an end would reflect and
 silently diverge from the line walk. ``check_line_headroom`` alone decides
-it, for every engine and for the CLI.
+it, for every engine and for the CLI, and it also refuses a negative step
+count, on any graph.
 """
 
 from __future__ import annotations
@@ -101,11 +102,11 @@ class Graph:
         return tuple(zip(self.half_edge_vertex[lower].tolist(), self.heads[lower].tolist()))
 
     def degree(self, v: int) -> int:
-        self._check_vertex(v)
+        self.check_vertex(v)
         return int(self.degrees[v])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
+        self.check_vertex(v)
         return tuple(self.heads[self.offsets[v]:self.offsets[v + 1]].tolist())
 
     def adjacency_matrix(self) -> np.ndarray:
@@ -113,7 +114,8 @@ class Graph:
         a[self.half_edge_vertex, self.heads] = 1.0
         return a
 
-    def _check_vertex(self, v: int) -> None:
+    def check_vertex(self, v: int) -> None:
+        """Raise ``ValueError`` unless v is a vertex of this graph."""
         if not 0 <= v < self.num_vertices:
             raise ValueError(f"vertex {v} out of range [0, {self.num_vertices})")
 
@@ -145,7 +147,10 @@ def _edge_ends(edges, num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_line_headroom(kind: str, num_vertices: int, occupied, steps: int) -> None:
-    """Raise ``BoundaryOverflowError`` if a line walk from ``occupied`` breaks the rule."""
+    """Raise ``ValueError`` for a negative step count, and
+    ``BoundaryOverflowError`` if a line walk from ``occupied`` breaks the rule."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     occupied = np.asarray(occupied)
     if kind != "line" or steps == 0 or occupied.size == 0:
         return

@@ -6,6 +6,11 @@ total-variation distance, the running time average P_bar(x,T) =
 distribution, and flatness metrics for spotting the near-uniform profile
 that intermediate decoherence produces.
 
+A ``Distribution`` is checked when it is built, whichever engine made it:
+entries in [-NEGATIVE_CLAMP_TOL, 0) are rounding debris, clamped to 0 with
+a warning; anything more negative, or a sum further than
+``NORMALIZATION_TOL`` from 1, raises ``InvariantViolationError``.
+
 ``mixing_time`` reads its series in blocks of at most 256 items and 64 KiB
 (one item, if an item is larger). It reads no item that a loop taking one
 item at a time would not read: not past the last item its answer depends
@@ -43,10 +48,26 @@ _MIXING_BLOCK_BYTES = 64 * 1024
 
 @dataclass
 class Distribution:
-    """Probabilities over positions, with coordinates when they are numeric."""
+    """Probabilities over positions, with coordinates when they are numeric;
+    checked when built (see the module docstring)."""
 
     probabilities: np.ndarray
     coordinates: np.ndarray | None = None
+
+    def __post_init__(self):
+        probs = np.asarray(self.probabilities, dtype=float)
+        worst = float(probs.min()) if probs.size else 0.0
+        if worst < -NEGATIVE_CLAMP_TOL:
+            raise InvariantViolationError(
+                f"probability {worst:.3e} below the -{NEGATIVE_CLAMP_TOL:g} clamp tolerance")
+        if worst < 0.0:
+            logger.warning("clamped %d negative probabilities (worst %.3e) to 0",
+                           int(np.sum(probs < 0)), worst)
+            probs = np.clip(probs, 0.0, None)
+        total = float(probs.sum())
+        if abs(total - 1.0) > NORMALIZATION_TOL:
+            raise InvariantViolationError(f"probabilities sum to {total}, not 1")
+        self.probabilities = probs
 
     def __len__(self) -> int:
         return len(self.probabilities)
@@ -58,37 +79,17 @@ def _as_probs(d) -> np.ndarray:
     return np.asarray(d, dtype=float)
 
 
-def _clamped(probs: np.ndarray) -> np.ndarray:
-    worst = float(probs.min()) if probs.size else 0.0
-    if worst < -NEGATIVE_CLAMP_TOL:
-        raise InvariantViolationError(
-            f"probability {worst:.3e} below the -{NEGATIVE_CLAMP_TOL:g} clamp tolerance")
-    if worst < 0.0:
-        logger.warning("clamped %d negative probabilities (worst %.3e) to 0",
-                       int(np.sum(probs < 0)), worst)
-        probs = np.clip(probs, 0.0, None)
-    return probs
-
-
 def position_distribution(state) -> Distribution:
     """Distribution of the walker position, coin or column traced out.
 
-    Accepts any state exposing ``position_distribution()`` plus a graph
-    (pure and density states) or a classical distribution.
+    Accepts a ``Distribution``, returned as it is, or any state exposing
+    ``position_distribution()`` plus a graph (pure and density states).
     """
-    if hasattr(state, "position_distribution"):
-        probs = state.position_distribution()
-        graph = state.graph
-    elif hasattr(state, "probabilities"):
-        probs = np.asarray(state.probabilities, dtype=float)
-        graph = state.graph
-    else:
+    if isinstance(state, Distribution):
+        return state
+    if not hasattr(state, "position_distribution"):
         raise TypeError(f"cannot extract a distribution from {type(state).__name__}")
-    probs = _clamped(probs)
-    total = float(probs.sum())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise InvariantViolationError(f"probabilities sum to {total}, not 1")
-    return Distribution(probs, graph.coordinates)
+    return Distribution(state.position_distribution(), state.graph.coordinates)
 
 
 def std_dev(d: Distribution) -> float:

@@ -351,6 +351,8 @@ def test_sampling_validates_start():
         sample_endpoint_histogram(g, 0, -1, num_samples=3, seed=1)
     with pytest.raises(ValueError, match="isolated"):
         sample_walk(g, 2, 3, seed=1)
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        sample_walk(g, 0, -1, seed=1)
     with pytest.raises(ValueError, match="isolated"):
         hitting_time(g, 2, 0, seed=1, num_samples=3)
     assert np.array_equal(sample_walk(g, 2, 0, seed=1), [2])

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwalksim import classical, cli, coined
+from qwalksim import classical, cli, coined, continuous, decoherence
 from qwalksim.decoherence import DENSITY_DIMENSION_LIMIT
 from qwalksim.errors import ConfigError, InvariantViolationError
 from qwalksim.graphs import build_cycle
@@ -331,6 +331,13 @@ def test_malformed_config_file_exits_2(tmp_path):
     cfg_path.write_text("{not json")
     assert run(["walk", "--config", str(cfg_path), "--steps", "2",
                 "-o", str(tmp_path / "x.csv")]) == 2
+    # a path that cannot be read, and a JSON list where an object belongs
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps([{"steps": 2}]))
+    for path in (tmp_path / "missing.json", listed):
+        assert run(["walk", "--config", str(path), "--steps", "2",
+                    "-o", str(tmp_path / "x.csv")]) == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_invariant_failure_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
@@ -342,6 +349,22 @@ def test_invariant_failure_exits_3_and_writes_nothing(tmp_path, capsys, monkeypa
     assert run(["walk", "--graph", "line", "--steps", "2", "-o", str(out)]) == 3
     assert "numeric invariant failure: norm drifted" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+    # the continuous and trajectory results, 1% off, fail the distribution's own check
+    evolve_ct, run_ensemble = continuous.evolve_ct, decoherence.run_ensemble
+
+    def scaled_ensemble(*args):
+        mean, stderr = run_ensemble(*args)
+        return 1.01 * mean, stderr
+
+    monkeypatch.setattr(continuous, "evolve_ct", lambda *args: 1.01 * evolve_ct(*args))
+    monkeypatch.setattr(decoherence, "run_ensemble", scaled_ensemble)
+    for route in (["--walk", "continuous", "--graph", "cycle", "--n", "5", "--time", "1"],
+                  ["--graph", "line", "--steps", "2", "--p", "0.1", "--trajectories", "5",
+                   "--seed", "1"]):
+        assert run(["walk", *route, "-o", str(out)]) == 3
+        assert "numeric invariant failure: probabilities sum to" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_atomic_write_leaves_nothing_when_the_rename_fails(tmp_path, monkeypatch):
@@ -405,6 +428,8 @@ def test_sweep_validates_before_running(tmp_path):
     assert exc.value.code == 2
     assert run(["sweep", "--graph", "line", "--steps", "3", "--axis", "p",
                 "--values", "0,zebra", "--output-dir", outdir]) == 2
+    assert run(["sweep", "--graph", "line", "--steps", "3", "--axis", "p",
+                "--values", ",", "--output-dir", outdir]) == 2
     # one invalid run in the set aborts the whole sweep up front
     assert run(["sweep", "--graph", "cycle", "--axis", "n", "--values", "5,2",
                 "--steps", "3", "--output-dir", outdir]) == 2

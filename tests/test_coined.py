@@ -73,6 +73,9 @@ def test_hadamard_rejects_other_degrees():
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         coin_matrix("bent", 2)
+    for make in (grover_coin, dft_coin, lambda d: coin_matrix("grover", d)):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            make(0)
 
 
 # --- initial states ------------------------------------------------------
@@ -101,6 +104,10 @@ def test_initial_state_rejects_wrong_length():
     g, origin = centered_line(2)
     with pytest.raises(ValueError):
         initial_state(g, origin, (1.0,))
+    with pytest.raises(ValueError, match="amplitudes must have shape"):
+        PureState(g, np.zeros(g.half_edge_count - 1))
+    with pytest.raises(ValueError, match="degree 0"):
+        initial_state(Graph(3, [(0, 1)]), 2)
 
 
 def test_initial_state_rejects_bad_preset():

@@ -44,9 +44,9 @@ def test_unknown_convention_rejected():
 
 def test_hamiltonian_requires_symmetric_matrix():
     with pytest.raises(ValueError):
-        Hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]), gamma=1.0)
+        Hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
-        Hamiltonian(np.zeros((2, 3)), gamma=1.0)
+        Hamiltonian(np.zeros((2, 3)))
 
 
 # --- exact evolution ------------------------------------------------------
@@ -244,7 +244,7 @@ def test_reduced_chain_at_depth_past_int64(depth, glue):
 def test_exit_signal_at_depth_40_matches_analytic_chain():
     glue = GlueSpec("random-cycle", seed=7)
     times, values = exit_signal(40, glue)
-    h = Hamiltonian(analytic_chain(40, glue.mode), 1.0)
+    h = Hamiltonian(analytic_chain(40, glue.mode))
     amps = evolve_ct_many(h, np.eye(h.dimension)[0], times)
     assert np.max(np.abs(values - np.abs(amps[:, -1]) ** 2)) < 1e-9
     assert 0.0 < values.max() <= 1.0

@@ -875,3 +875,5 @@ def test_row_streams_refill_per_row():
         rows = np.flatnonzero(pick.random(3) < 0.6)
         got = streams.next(rows)
         assert got.tolist() == [scalar[r].random() for r in rows]
+    with pytest.raises(ValueError, match="block"):
+        RowStreams([4], lambda rng, n: rng.random(n), 0)

@@ -128,6 +128,10 @@ def test_graph_rejects_self_loop_and_range():
         Graph(3, [(0, 1), (1, 2, 0)])
     with pytest.raises(ValueError, match="integers"):
         Graph(3, [(0, 1.5)])
+    with pytest.raises(ValueError, match="num_vertices"):
+        Graph(0, [])
+    with pytest.raises(ValueError, match="coordinates"):
+        Graph(3, [(0, 1)], coordinates=[0.0, 1.0])
 
 
 def test_graph_without_edges():
@@ -245,3 +249,5 @@ def test_glue_mode_validated():
 def test_glued_trees_rejects_zero_depth():
     with pytest.raises(ValueError):
         build_glued_trees(0, GlueSpec("symmetric"))
+    with pytest.raises(ValueError, match="not a glued-trees graph"):
+        glued_trees_entrance_exit(build_cycle(5))

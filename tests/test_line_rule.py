@@ -59,6 +59,14 @@ def test_other_graphs_are_not_bounded(entry):
     ENTRY_POINTS[entry](build_cycle(5), 0, 12)
 
 
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_negative_steps_are_refused(entry):
+    # on any graph, not only on a line
+    for g, v in ((build_line(7), 3), (build_cycle(5), 0)):
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            ENTRY_POINTS[entry](g, v, -1)
+
+
 def test_classical_one_vertex_line():
     # the line rule comes before the transition matrix, which a lone
     # vertex cannot have

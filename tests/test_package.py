@@ -20,13 +20,13 @@ def test_public_names_resolve_and_second_paths_are_gone():
             (coined.PureState, ("amplitude", "copy")),
             (decoherence.DensityState, ("purity", "copy")),
             (graphs.Graph, ("coin_offset", "direction_index", "half_edge")),
+            (qwalksim, ("ClassicalDistribution",)),
+            (classical, ("ClassicalDistribution",)),
             (classical.HittingTimeResult, ("censored_fraction",)),
             # settable values, looked up on instances: dataclass fields and
             # attributes set in __init__ live there
             (stats.Distribution(np.ones(1)), ("metadata",)),
-            (classical.ClassicalDistribution(np.ones(3) / 3, graphs.build_cycle(3)),
-             ("step_index",)),
-            (continuous.Hamiltonian(np.eye(1), 1.0), ("basis",)),
+            (continuous.Hamiltonian(np.eye(1)), ("basis", "gamma")),
             (cli, ("THREADS_ENV_VAR", "sweep_thread_count"))]
     for owner, names in gone:
         for name in names:
