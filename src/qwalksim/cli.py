@@ -97,10 +97,7 @@ class WalkConfig:
             if self.steps is None or self.steps < 0:
                 raise ConfigError("steps", f"{self.walk} walk needs steps >= 0")
             if self.graph == "line":
-                start = self.start if self.start is not None else (npos - 1) // 2
-                if not 0 <= start < npos:
-                    raise ConfigError(
-                        "start", f"vertex {start} out of range for {npos} positions")
+                start = self.start_vertex(build_line(npos))
                 try:
                     check_line_headroom("line", npos, [start], self.steps)
                 except BoundaryOverflowError as exc:
@@ -138,13 +135,14 @@ class WalkConfig:
         return build_glued_trees(self.depth, GlueSpec(self.glue_mode, self.glue_seed))
 
     def start_vertex(self, graph: Graph) -> int:
-        if self.start is not None:
-            if not 0 <= self.start < graph.num_vertices:
-                raise ConfigError("start", f"vertex {self.start} out of range")
-            return self.start
-        if graph.kind == "line":
-            return graph.params["origin"]
-        return 0
+        """``--start``, or the line's origin and vertex 0 elsewhere; a refusal names ``start``."""
+        if self.start is None:
+            return graph.params["origin"] if graph.kind == "line" else 0
+        try:
+            graph.check_vertex(self.start)
+        except ValueError as exc:
+            raise ConfigError("start", str(exc)) from None
+        return self.start
 
 
 def parse_initial_coin(text: str) -> str | list[complex]:

@@ -9,18 +9,17 @@ density matrix cannot hold.
 A density step never forms a dense step operator. U = S·C (half-edge
 shift after block-diagonal coin) has d nonzeros per row on a degree-d
 graph, so both sides of U rho U† are sparse products over rows with one
-transpose in between. The step works on a light-cone window: the
-contiguous half-edges [lo, hi) that hold the state's support, grown each
-step to the rows of U that touch it. That costs O(w^2·d) per step on a
-window of w half-edges instead of the O(H^3) of dense matmuls on all H,
-with the bits of the full-range step. A walk started at one site of the
-line has w of about 4t after t steps. Graphs whose half-edge labels do not
-localise (a cycle wraps; the right tree of glued trees runs in reverse
-column order; hypercube neighbors sit far apart) reach the full range
-within a few steps and run it there on U itself. Memory is unchanged:
-three HxH complex matrices (the iterate and the half step, each a flat
-buffer reshaped to the window, and the result) besides the real HxH
-dephasing factors.
+transpose in between. The step works on the reachable set: the half-edges
+S that hold the state's rows and columns, mapped each step to the rows of
+U that touch S. That costs O(|S|^2·d) per step instead of the O(H^3) of
+dense matmuls on all H, with the bits of the full-range step. A walk on a
+bipartite graph keeps the parity of its step count, so S is one of two
+halves of the half-edges: a walk started at one site of the line holds
+|S| = 2t after t steps, half of the span it has crossed. Once S covers all
+H half-edges (an odd cycle after a few steps) the step runs on U itself.
+Memory: three HxH complex matrices (the iterate and the half step, each a
+flat buffer reshaped to the set, and the result) besides the real
+dephasing factors on the last two sets, each at most HxH.
 
 Trajectory randomness comes from ``numpy.random.default_rng`` (the PCG64
 generator), so records are bit-reproducible for a fixed seed across
@@ -167,11 +166,14 @@ def _sector_ids(graph: Graph, target: str) -> np.ndarray:
     return he - graph.offsets[vertex]
 
 
+def _dephasing_block(ids: np.ndarray, p: float) -> np.ndarray:
+    """Elementwise channel action among half-edges with sector labels ``ids``:
+    same-sector entries keep factor exactly 1."""
+    return np.where(ids[:, None] == ids[None, :], 1.0, 1.0 - p)
+
+
 def _dephasing_factors(graph: Graph, spec: DecoherenceSpec) -> np.ndarray:
-    """Elementwise channel action: same-sector entries keep factor exactly 1."""
-    ids = _sector_ids(graph, spec.target)
-    same = ids[:, None] == ids[None, :]
-    return np.where(same, 1.0, 1.0 - spec.p)
+    return _dephasing_block(_sector_ids(graph, spec.target), spec.p)
 
 
 def apply_channel(rho: DensityState, spec: DecoherenceSpec) -> DensityState:
@@ -193,51 +195,62 @@ def _sparse_product(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
     return out
 
 
-class _LightCone:
-    """Where a state supported on half-edges [lo, hi) can be one step later.
+class _SupportMap:
+    """Where a state supported on the half-edges S can be one step later.
 
-    ``grow(lo, hi)`` widens the window to the rows of U that touch its
-    columns, and returns the new window with the rows of U and conj(U) on
-    it restricted to the old columns, as CSR arrays with columns counted
-    from ``lo``. Each row keeps its terms in U's order, so a product with
-    the block skips only terms that multiply zero rows of the state. The
-    full range returns U's own arrays.
+    ``plan(support)`` takes S as ascending indices and returns the rows S'
+    of U that have a nonzero in a column of S, the rows S' and columns S of
+    U and of conj(U) as CSR arrays with columns renumbered 0..|S|-1 in
+    ascending order, and the dephasing factors on S'xS'. Each row keeps its
+    terms in U's order, so a product with the block skips only terms that
+    multiply zero rows of the state. The full set returns U's own arrays.
+    The last two plans are kept: on a bipartite graph the sets alternate
+    between two halves of the half-edges.
     """
 
-    def __init__(self, u, u_conj):
-        self.u, self.u_conj = u, u_conj
-        n = u.shape[0]
-        rows = np.repeat(np.arange(n), np.diff(u.indptr))
-        self.first_row = np.full(n, n)
-        np.minimum.at(self.first_row, u.indices, rows)
-        self.last_row = np.full(n, -1)
-        np.maximum.at(self.last_row, u.indices, rows)
+    def __init__(self, u, u_conj, sector_ids: np.ndarray, p: float):
+        self.u, self.u_conj, self.sector_ids, self.p = u, u_conj, sector_ids, p
+        self.entry_rows = np.repeat(np.arange(u.shape[0]), np.diff(u.indptr))
+        self.recent: dict[bytes, tuple] = {}
 
-    def grow(self, lo: int, hi: int):
-        u, n = self.u, self.u.shape[0]
-        if (lo, hi) == (0, n):
-            return 0, n, u.indptr, u.indices, u.data, self.u_conj.data
-        lo_next, hi_next = lo, hi
-        if hi > lo:
-            lo_next = min(lo, int(self.first_row[lo:hi].min()))
-            hi_next = max(hi, int(self.last_row[lo:hi].max()) + 1)
-        start, stop = u.indptr[lo_next], u.indptr[hi_next]
-        cols = u.indices[start:stop]
-        keep = (cols >= lo) & (cols < hi)
-        kept = np.concatenate(([0], np.cumsum(keep)))
-        indptr = kept[u.indptr[lo_next:hi_next + 1] - start].astype(u.indices.dtype)
-        return (lo_next, hi_next, indptr, cols[keep] - lo, u.data[start:stop][keep],
-                self.u_conj.data[start:stop][keep])
+    def plan(self, support: np.ndarray) -> tuple:
+        key = support.tobytes()
+        plan = self.recent.get(key)
+        if plan is None:
+            plan = _step_plan(self, support)
+            if len(self.recent) == 2:
+                del self.recent[next(iter(self.recent))]
+            self.recent[key] = plan
+        return plan
+
+
+def _step_plan(supports: _SupportMap, support: np.ndarray) -> tuple:
+    """``_SupportMap.plan`` for a set not among the last two."""
+    u, n = supports.u, supports.u.shape[0]
+    if len(support) == n:
+        support_next, indptr, indices = support, u.indptr, u.indices
+        data, data_conj = u.data, supports.u_conj.data
+    else:
+        column = np.full(n, -1, dtype=u.indices.dtype)
+        column[support] = np.arange(len(support))
+        keep = column[u.indices] >= 0
+        counts = np.bincount(supports.entry_rows[keep], minlength=n)
+        support_next = np.flatnonzero(counts)
+        indptr = np.concatenate(([0], np.cumsum(counts[support_next]))).astype(u.indices.dtype)
+        indices = column[u.indices[keep]]
+        data, data_conj = u.data[keep], supports.u_conj.data[keep]
+    factors = _dephasing_block(supports.sector_ids[support_next], supports.p)
+    return support_next, indptr, indices, data, data_conj, factors
 
 
 def _density_blocks(rho0: DensityState, spec: DecoherenceSpec, coin: str):
-    """Yield ``(lo, block)`` after step 1, 2, ... indefinitely.
+    """Yield ``(support, block)`` after step 1, 2, ... indefinitely.
 
-    The density matrix after the step is ``block`` on rows and columns
-    [lo, lo + len(block)) and zero elsewhere. The window starts at the
-    rows and columns of ``rho0`` holding a nonzero entry and grows each
-    step to the rows of U that touch it (``_LightCone``); the step then
-    works on the window alone, which the full-range step would only
+    The density matrix after the step is ``block`` on the rows and columns
+    ``support`` (ascending half-edge indices) and zero elsewhere. The set
+    starts at the rows and columns of ``rho0`` holding a nonzero entry, and
+    each step maps it to the rows of U that touch it (``_SupportMap``); the
+    step then works on the set alone, which the full-range step would only
     multiply by zeros. Every entry comes out with the bits of the
     full-range step: a sparse row product starts each sum at +0 and never
     reaches -0, so the zero terms it skips change nothing.
@@ -249,27 +262,23 @@ def _density_blocks(rho0: DensityState, spec: DecoherenceSpec, coin: str):
     and conj(U) swapped. Every other block is therefore held transposed
     and yielded as a transposed view; the dephasing factors are symmetric
     and apply in either layout. Two flat HxH buffers hold the iterate and
-    the half step, each reshaped to the window. A yielded block is the
+    the half step, each reshaped to the set. A yielded block is the
     generator's working state: read it before the next resume, never write.
     """
     graph = rho0.graph
     n = graph.half_edge_count
     u = CoinedWalk(graph, coin).step_matrix()
-    cone = _LightCone(u, u.conj())
-    factors = _dephasing_factors(graph, spec)
-    live = _live_indices(rho0.matrix)
-    lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
+    supports = _SupportMap(u, u.conj(), _sector_ids(graph, spec.target), spec.p)
+    support = _live_indices(rho0.matrix)
     held_flat = np.empty(n * n, dtype=np.complex128)
     spare = np.empty(n * n, dtype=np.complex128)
-    held = held_flat[:(hi - lo) ** 2].reshape(hi - lo, hi - lo)
-    held[...] = rho0.matrix[lo:hi, lo:hi]  # rho, or rho^T when `transposed`
+    w = len(support)
+    held = held_flat[:w * w].reshape(w, w)
+    held[...] = rho0.matrix[np.ix_(support, support)]  # rho, or rho^T when `transposed`
     transposed = False
-    grown_from = None
     while True:
-        if grown_from != (lo, hi):
-            grown_from = (lo, hi)
-            lo_next, hi_next, indptr, indices, data, data_conj = cone.grow(lo, hi)
-        w, w_next = hi - lo, hi_next - lo_next
+        support_next, indptr, indices, data, data_conj, factors = supports.plan(support)
+        w, w_next = len(support), len(support_next)
         first, second = (data_conj, data) if transposed else (data, data_conj)
         half = _sparse_product(indptr, indices, first, held,
                                spare[:w_next * w].reshape(w_next, w))
@@ -277,19 +286,19 @@ def _density_blocks(rho0: DensityState, spec: DecoherenceSpec, coin: str):
         np.copyto(turned, half.T)
         held = _sparse_product(indptr, indices, second, turned,
                                spare[:w_next * w_next].reshape(w_next, w_next))
-        held *= factors[lo_next:hi_next, lo_next:hi_next]
+        held *= factors
         held_flat, spare = spare, held_flat
-        lo, hi = lo_next, hi_next
+        support = support_next
         transposed = not transposed
-        yield lo, held.T if transposed else held
+        yield support, held.T if transposed else held
 
 
-def _full_matrix(lo: int, block: np.ndarray, n: int) -> np.ndarray:
-    """A new HxH array holding ``block`` at [lo, lo + len(block)) and zero elsewhere."""
+def _full_matrix(support: np.ndarray, block: np.ndarray, n: int) -> np.ndarray:
+    """A new HxH array holding ``block`` on rows and columns ``support``, zero elsewhere."""
     if len(block) == n:
         return block.copy()
     out = np.zeros((n, n), dtype=np.complex128)
-    out[lo:lo + len(block), lo:lo + len(block)] = block
+    out[support[:, None], support] = block
     return out
 
 
@@ -311,8 +320,8 @@ def iter_density_steps(rho0: DensityState, spec: DecoherenceSpec,
                        coin: str = "default"):
     """Yield the density state after step 1, 2, ... indefinitely."""
     n = rho0.graph.half_edge_count
-    for lo, block in _density_blocks(rho0, spec, coin):
-        yield DensityState(rho0.graph, _full_matrix(lo, block, n))
+    for support, block in _density_blocks(rho0, spec, coin):
+        yield DensityState(rho0.graph, _full_matrix(support, block, n))
 
 
 def _chunk_rows(width: int) -> int:

@@ -299,6 +299,15 @@ def test_config_file_values_are_checked_like_flags(tmp_path, capsys, command, co
       "--seed", "1"], "trajectories"),
     (["walk", "--walk", "continuous", "--graph", "glued-trees", "--depth", "3",
       "--time", "6", "--start", "5", "--exit-series", "x.csv"], "exit-series"),
+    (["walk", "--graph", "line", "--steps", "2", "--start=-1"], "start"),
+    (["walk", "--walk", "classical", "--graph", "line", "--num-positions", "5",
+      "--steps", "2", "--start", "5"], "start"),
+    (["walk", "--walk", "continuous", "--graph", "line", "--num-positions", "5",
+      "--time", "1", "--start", "5"], "start"),
+    (["walk", "--graph", "hypercube", "--dimension", "3", "--steps", "2",
+      "--start", "8"], "start"),
+    (["walk", "--walk", "continuous", "--graph", "glued-trees", "--depth", "2",
+      "--time", "1", "--start=-1"], "start"),
 ])
 def test_bad_configuration_exits_2(tmp_path, capsys, argv, field):
     out = str(tmp_path / "never.csv")

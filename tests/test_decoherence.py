@@ -563,34 +563,147 @@ def test_density_step_on_graphs_that_do_not_localise(graph_name, coin, target):
     assert_same_bits_as_full_range(start, spec, coin, 6)
 
 
-def test_full_window_runs_on_the_step_operator_itself():
+def test_full_support_runs_on_the_step_operator_itself():
     g = build_cycle(7)
     u = CoinedWalk(g).step_matrix()
     u_conj = u.conj()
     n = g.half_edge_count
-    lo, hi, indptr, indices, data, data_conj = decoherence._LightCone(u, u_conj).grow(0, n)
-    assert (lo, hi) == (0, n)
+    spec = DecoherenceSpec(0.3)
+    supports = decoherence._SupportMap(u, u_conj, decoherence._sector_ids(g, spec.target),
+                                       spec.p)
+    support_next, indptr, indices, data, data_conj, factors = supports.plan(np.arange(n))
+    assert np.array_equal(support_next, np.arange(n))
     assert indptr is u.indptr and indices is u.indices
     assert data is u.data and data_conj is u_conj.data
+    assert same_bits(factors, decoherence._dephasing_factors(g, spec))
 
 
-def test_light_cone_grows_to_the_rows_that_touch_the_window():
+def test_support_map_grows_to_the_rows_that_touch_the_set():
     g = build_line(21)
     u = CoinedWalk(g).step_matrix()
     n = g.half_edge_count
-    cone = decoherence._LightCone(u, u.conj())
+    spec = DecoherenceSpec(0.3, "position")
+    factors = decoherence._dephasing_factors(g, spec)
+    supports = decoherence._SupportMap(u, u.conj(), decoherence._sector_ids(g, spec.target),
+                                       spec.p)
     dense = u.toarray()
-    for lo, hi in [(0, 1), (3, 4), (18, 22), (n - 1, n), (5, 5), (0, n - 1)]:
-        lo_next, hi_next, indptr, indices, data, data_conj = cone.grow(lo, hi)
-        touched = np.flatnonzero(np.any(dense[:, lo:hi] != 0, axis=1))
-        if touched.size:
-            assert lo_next == min(lo, touched[0]) and hi_next == max(hi, touched[-1] + 1)
-        block = scipy.sparse.csr_matrix((data, indices, indptr),
-                                        shape=(hi_next - lo_next, hi - lo))
-        assert np.array_equal(block.toarray(), dense[lo_next:hi_next, lo:hi])
-        conj_block = scipy.sparse.csr_matrix((data_conj, indices, indptr),
-                                             shape=(hi_next - lo_next, hi - lo))
-        assert np.array_equal(conj_block.toarray(), dense[lo_next:hi_next, lo:hi].conj())
+    rng = np.random.default_rng(3)
+    sets = [[0], [3], [18, 19, 20, 21], [n - 1], [], list(range(n - 1)),
+            list(range(1, n, 2)), list(range(0, n, 2)), [2, 7, 8, 30],
+            sorted(rng.choice(n, 15, replace=False))]
+    for support in map(np.array, sets):
+        support = support.astype(np.int64)
+        support_next, indptr, indices, data, data_conj, block_factors = \
+            supports.plan(support)
+        touched = np.flatnonzero(np.any(dense[:, support] != 0, axis=1))
+        assert np.array_equal(support_next, touched)
+        shape = (len(support_next), len(support))
+        want = dense[support_next][:, support]
+        block = scipy.sparse.csr_matrix((data, indices, indptr), shape=shape)
+        assert np.array_equal(block.toarray(), want)
+        conj_block = scipy.sparse.csr_matrix((data_conj, indices, indptr), shape=shape)
+        assert np.array_equal(conj_block.toarray(), want.conj())
+        assert same_bits(block_factors, factors[np.ix_(support_next, support_next)])
+
+
+def test_restricted_rows_keep_the_stored_term_order():
+    # a product skips only terms of zero rows of the state, so each
+    # row's kept terms must come in U's order for the sums to round alike
+    g = build_hypercube(3)
+    u = CoinedWalk(g).step_matrix()
+    supports = decoherence._SupportMap(u, u.conj(), np.arange(g.half_edge_count), 0.3)
+    support = np.array([0, 1, 2, 9, 10, 11, 14])
+    support_next, indptr, indices, data, _, _ = supports.plan(support)
+    for r, row in enumerate(support_next):
+        cols = u.indices[u.indptr[row]:u.indptr[row + 1]]
+        kept = np.isin(cols, support)
+        assert np.array_equal(support[indices[indptr[r]:indptr[r + 1]]], cols[kept])
+        assert np.array_equal(data[indptr[r]:indptr[r + 1]],
+                              u.data[u.indptr[row]:u.indptr[row + 1]][kept])
+
+
+def unit_coin(graph, vertex, seed):
+    d = graph.degree(vertex)
+    rng = np.random.default_rng(seed)
+    coin = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return coin / np.linalg.norm(coin)
+
+
+def test_line_steps_on_the_live_half_edges_alone():
+    # a line walk keeps the parity of the step count: after t steps from
+    # the origin it holds 2t half-edges, half of the span the walker has
+    # crossed, and each step's set is exactly the live rows and columns
+    g = build_line(201)
+    origin = g.params["origin"]
+    rho0 = to_density(initial_state(g, origin, unit_coin(g, origin, 13)))
+    spec = DecoherenceSpec(0.1, "both")
+    reference = full_range_density_matrices(rho0, spec, "default")
+    n = g.half_edge_count
+    for t, (support, block) in enumerate(
+            itertools.islice(decoherence._density_blocks(rho0, spec, "default"), 100), 1):
+        got = decoherence._full_matrix(support, block, n)
+        assert np.array_equal(bits(got), bits(next(reference)))
+        assert len(support) == DensityState(g, got).check()["live_dimension"] == 2 * t
+    assert len(support) == 200 == n // 2
+
+
+BIPARTITE_GRAPHS = {
+    "cycle16": lambda: build_cycle(16),
+    "hypercube3": lambda: build_hypercube(3),
+    "glued-symmetric": lambda: build_glued_trees(4, GlueSpec("symmetric")),
+    "glued-random-cycle": lambda: build_glued_trees(4, GlueSpec("random-cycle", seed=4)),
+}
+
+
+def support_sets(rho0, spec, steps):
+    blocks = decoherence._density_blocks(rho0, spec, "default")
+    return [decoherence._live_indices(rho0.matrix)] + [
+        support for support, _ in itertools.islice(blocks, steps)]
+
+
+@pytest.mark.parametrize("graph_name", sorted(BIPARTITE_GRAPHS))
+def test_sets_alternate_between_two_halves_on_bipartite_graphs(graph_name):
+    g = BIPARTITE_GRAPHS[graph_name]()
+    rho0 = to_density(initial_state(g, 0, unit_coin(g, 0, 5)))
+    sets = support_sets(rho0, DecoherenceSpec(0.2, "both"), 40)
+    for now, after in zip(sets, sets[1:]):
+        assert not np.intersect1d(now, after).size
+    even, odd = sets[-2], sets[-1]
+    assert np.array_equal(np.union1d(even, odd), np.arange(g.half_edge_count))
+    assert all(np.array_equal(s, even) for s in sets[-2::-2][:5])
+    assert all(np.array_equal(s, odd) for s in sets[-1::-2][:5])
+
+
+def test_odd_cycle_reaches_every_half_edge():
+    g = build_cycle(9)
+    rho0 = to_density(initial_state(g, 0, unit_coin(g, 0, 7)))
+    sets = support_sets(rho0, DecoherenceSpec(0.2, "both"), 20)
+    full = [len(s) == g.half_edge_count for s in sets]
+    assert full[-1] and full.index(True) < 10
+    assert all(full[full.index(True):])
+
+
+def count_plan_builds(rho0, spec, steps):
+    with mock.patch.object(decoherence, "_step_plan",
+                           wraps=decoherence._step_plan) as build:
+        for _ in itertools.islice(iter_density_steps(rho0, spec), steps):
+            pass
+    return build.call_count
+
+
+def test_cycle_builds_each_plan_once():
+    # the mixing runs step cycle(16) up to 10^5 times: two plans, built once
+    g = build_cycle(16)
+    spec = DecoherenceSpec(0.05, "both")
+    even = np.flatnonzero(g.half_edge_vertex % 2 == 0)
+    b = np.random.default_rng(2).normal(size=(len(even), 2 * len(even))).view(complex)
+    m = np.zeros((g.half_edge_count, g.half_edge_count), dtype=complex)
+    m[np.ix_(even, even)] = b @ b.conj().T / np.trace(b @ b.conj().T).real
+    assert count_plan_builds(DensityState(g, m), spec, 50) == 2
+    # from one vertex the set grows to a half first, one plan per set
+    rho0 = to_density(initial_state(g, 0, unit_coin(g, 0, 9)))
+    distinct = {s.tobytes() for s in support_sets(rho0, spec, 49)}
+    assert count_plan_builds(rho0, spec, 50) == len(distinct) > 2
 
 
 @settings(max_examples=60, deadline=None)
