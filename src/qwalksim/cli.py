@@ -178,23 +178,7 @@ def run_walk(cfg: WalkConfig) -> tuple[stats.Distribution, dict]:
         dist = stats.position_distribution(
             classical.evolve_classical_exact(graph, start, cfg.steps))
     elif cfg.walk == "continuous":
-        h = continuous.hamiltonian(graph, cfg.gamma, cfg.convention)
-        initial = np.zeros(graph.num_vertices, dtype=np.complex128)
-        initial[start] = 1.0
-        amps = continuous.evolve_ct(h, initial, cfg.time)
-        dist = stats.Distribution(np.abs(amps) ** 2, graph.coordinates)
-        if cfg.graph == "glued-trees" and start == GLUED_TREES_ENTRANCE:
-            # one column chain, so one eigendecomposition, serves both time grids
-            chain = continuous.reduce_columns(
-                cfg.depth, GlueSpec(cfg.glue_mode, cfg.glue_seed), cfg.gamma,
-                cfg.convention)
-            exit_column = chain.dimension - 1
-            if cfg.exit_series is not None:
-                atomic_write(cfg.exit_series, continuous.exit_series_csv(
-                    *continuous.transfer_series(chain, 0, exit_column, cfg.time)))
-            summary["exit_peak_time"], summary["exit_peak_height"] = \
-                continuous.first_peak_time(*continuous.transfer_series(
-                    chain, 0, exit_column, max(cfg.time, 4.0 * cfg.depth)))
+        dist = run_continuous(cfg, graph, start, summary)
     else:
         state = start_state(graph, start, cfg.initial)
         if cfg.p == 0.0:
@@ -224,6 +208,45 @@ def run_walk(cfg: WalkConfig) -> tuple[stats.Distribution, dict]:
         summary["flatness_ratio"] = stats.flatness_ratio(dist)
         summary["flatness_tv"] = stats.flatness_tv(dist)
     return dist, summary
+
+
+def run_continuous(cfg: WalkConfig, graph: Graph, start: int,
+                   summary: dict) -> stats.Distribution:
+    """A continuous walk's distribution at ``cfg.time``.
+
+    From the glued-trees entrance the walk stays column-uniform, so the
+    column chain gives it exactly: column c's probability |a_c|^2 spreads
+    evenly over its N_c vertices. Any other start or graph evolves the full
+    graph's dense Hamiltonian.
+    """
+    if not (cfg.graph == "glued-trees" and start == GLUED_TREES_ENTRANCE):
+        h = continuous.hamiltonian(graph, cfg.gamma, cfg.convention)
+        initial = np.zeros(graph.num_vertices, dtype=np.complex128)
+        initial[start] = 1.0
+        amps = continuous.evolve_ct(h, initial, cfg.time)
+        summary["continuous_check"] = {
+            "route": "full-graph", "norm_deviation": float(abs(np.linalg.norm(amps) - 1.0))}
+        return stats.Distribution(np.abs(amps) ** 2, graph.coordinates)
+
+    # one column chain, so one eigendecomposition, serves every time grid
+    chain = continuous.reduce_columns(
+        cfg.depth, GlueSpec(cfg.glue_mode, cfg.glue_seed), cfg.gamma, cfg.convention)
+    exit_column = chain.dimension - 1
+    # the distribution is the last row of the exit series' own grid, so the
+    # exit vertex reads the same number in both files
+    times = np.linspace(0.0, cfg.time, continuous.SERIES_POINTS)
+    amps = continuous.evolve_ct_many(chain, np.eye(chain.dimension)[0], times)
+    if cfg.exit_series is not None:
+        atomic_write(cfg.exit_series, continuous.exit_series_csv(
+            times, np.abs(amps[:, exit_column]) ** 2))
+    summary["exit_peak_time"], summary["exit_peak_height"] = \
+        continuous.first_peak_time(*continuous.transfer_series(
+            chain, 0, exit_column, max(cfg.time, 4.0 * cfg.depth)))
+    final = amps[-1]
+    summary["continuous_check"] = {
+        "route": "column-chain", "norm_deviation": float(abs(np.linalg.norm(final) - 1.0))}
+    per_vertex = np.abs(final) ** 2 / continuous.column_sizes(cfg.depth)
+    return stats.Distribution(per_vertex[graph.labels], graph.coordinates)
 
 
 def format_distribution_csv(dist: stats.Distribution) -> str:

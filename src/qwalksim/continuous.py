@@ -8,8 +8,16 @@ evolution path; ``evolve_ct`` is its single-time case.
 
 For glued trees the walk started at the entrance stays in the
 column-uniform subspace, so a (2*depth+2)-dimensional chain Hamiltonian
-reproduces the full-graph dynamics; this reduction handles depths far past
-what the full graph allows.
+(``reduce_columns``) reproduces the full-graph dynamics: column c's
+probability |a_c|^2 spreads evenly over its ``column_sizes`` N_c vertices.
+The command line runs every walk from the entrance this way, at any
+depth; the full graph's flatness statistics, O(m^2) on m occupied
+vertices, then take most of the time (on 2 vCPUs: depth 12, 16,382
+vertices, in about 2 s; depth 13 in 9 s; depth 14 in 42 s). Every other
+start and graph builds the dense Hamiltonian of the full graph, which
+``hamiltonian`` refuses above ``CONTINUOUS_DIMENSION_LIMIT`` vertices
+before allocating it; ``full_graph_exit_signal`` keeps that route as the
+chain's oracle.
 """
 
 from __future__ import annotations
@@ -20,6 +28,14 @@ import scipy.signal
 from .graphs import Graph, GlueSpec, glued_trees_entrance_exit
 
 HAMILTONIAN_CONVENTIONS = ("laplacian", "adjacency")
+
+# A dense Hamiltonian holds n^2 floats (128 MiB at this limit) and its
+# eigenvectors as many again; above this many vertices it is refused before
+# anything is allocated. hypercube(12) and glued_trees(10) still fit.
+CONTINUOUS_DIMENSION_LIMIT = 4096
+
+# evenly spaced times in an exit-probability series, both ends included
+SERIES_POINTS = 2001
 
 
 class Hamiltonian:
@@ -57,6 +73,11 @@ def hamiltonian(g: Graph, gamma: float = 1.0,
                 convention: str = "laplacian") -> Hamiltonian:
     """Walk generator for a graph with hopping rate gamma per unit time."""
     _check_generator(gamma, convention)
+    if g.num_vertices > CONTINUOUS_DIMENSION_LIMIT:
+        raise ValueError(
+            f"graph has {g.num_vertices} vertices, above the dense Hamiltonian limit "
+            f"{CONTINUOUS_DIMENSION_LIMIT}; a glued-trees walk started at the "
+            "entrance runs on the column chain at any depth")
     a = g.adjacency_matrix()
     if convention == "adjacency":
         return Hamiltonian(-gamma * a)
@@ -147,7 +168,7 @@ def reduce_columns(depth: int, glue: GlueSpec, gamma: float = 1.0,
 
 
 def exit_signal(depth: int, glue: GlueSpec, gamma: float = 1.0,
-                t_max: float | None = None, num_times: int = 2001,
+                t_max: float | None = None, num_times: int = SERIES_POINTS,
                 convention: str = "laplacian") -> tuple[np.ndarray, np.ndarray]:
     """Exit-column probability over a time grid, from the reduced chain.
 
@@ -161,7 +182,7 @@ def exit_signal(depth: int, glue: GlueSpec, gamma: float = 1.0,
 
 
 def transfer_series(h: Hamiltonian, source: int, target: int, t_max: float,
-                    num_times: int = 2001) -> tuple[np.ndarray, np.ndarray]:
+                    num_times: int = SERIES_POINTS) -> tuple[np.ndarray, np.ndarray]:
     """Probability on basis vector ``target`` over ``num_times`` evenly spaced
     times in [0, t_max], for the walk started on basis vector ``source``."""
     initial = np.zeros(h.dimension, dtype=np.complex128)
@@ -182,7 +203,7 @@ def first_peak_time(times: np.ndarray, values: np.ndarray,
 
 
 def full_graph_exit_signal(graph: Graph, gamma: float = 1.0,
-                           t_max: float | None = None, num_times: int = 2001,
+                           t_max: float | None = None, num_times: int = SERIES_POINTS,
                            convention: str = "laplacian") -> tuple[np.ndarray, np.ndarray]:
     """Exit-vertex probability on the full glued-trees graph (oracle for the
     reduced chain; feasible only at small depth)."""

@@ -8,7 +8,8 @@ import pytest
 from qwalksim import classical, cli, coined, continuous, decoherence
 from qwalksim.decoherence import DENSITY_DIMENSION_LIMIT
 from qwalksim.errors import ConfigError, InvariantViolationError
-from qwalksim.graphs import build_cycle
+from qwalksim.graphs import (Graph, GlueSpec, build_cycle, build_glued_trees,
+                             glued_trees_entrance_exit)
 
 
 def run(argv):
@@ -189,6 +190,63 @@ def test_exit_peak_is_written_only_for_a_walk_from_the_entrance(tmp_path):
     assert run(argv + ["--start", "5", "-o", inside]) == 0
     assert "exit_peak_time" in read_meta(entrance)["summary"]
     assert not {"exit_peak_time", "exit_peak_height"} & set(read_meta(inside)["summary"])
+
+
+@pytest.mark.parametrize("route, argv", [
+    ("column-chain", ["--graph", "glued-trees", "--depth", "4", "--time", "3"]),
+    ("full-graph", ["--graph", "glued-trees", "--depth", "4", "--time", "3", "--start", "6"]),
+    ("full-graph", ["--graph", "cycle", "--n", "9", "--time", "3"]),
+])
+def test_continuous_route_and_norm_reach_the_metadata_only(tmp_path, capsys, route, argv):
+    out = str(tmp_path / "ct.csv")
+    assert run(["walk", "--walk", "continuous", *argv, "-o", out]) == 0
+    check = read_meta(out)["summary"]["continuous_check"]
+    assert sorted(check) == ["norm_deviation", "route"]
+    assert check["route"] == route
+    assert 0.0 <= check["norm_deviation"] < 1e-12
+    assert "continuous_check" not in capsys.readouterr().out
+    text = Path(out).read_text()
+    assert "route" not in text and "norm" not in text
+
+
+GLUED_CONTINUOUS = ["walk", "--walk", "continuous", "--graph", "glued-trees"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--depth", "3", "--time", "6"],
+    ["--depth", "4", "--time", "10"],
+    ["--depth", "7", "--time", "14", "--glue-mode", "random-cycle", "--glue-seed", "3"],
+    ["--depth", "4", "--time", "1.7", "--glue-mode", "random-cycle", "--glue-seed", "4",
+     "--convention", "adjacency", "--gamma", "0.6"],
+])
+def test_exit_series_agrees_with_the_distribution_file(tmp_path, argv):
+    alone, paired, series = (str(tmp_path / name) for name in ("a.csv", "b.csv", "exit.csv"))
+    assert run(GLUED_CONTINUOUS + argv + ["-o", alone]) == 0
+    assert run(GLUED_CONTINUOUS + argv + ["--exit-series", series, "-o", paired]) == 0
+    assert Path(alone).read_bytes() == Path(paired).read_bytes()
+    # the roots' numbers do not depend on the glue
+    _, exit_vertex = glued_trees_entrance_exit(build_glued_trees(int(argv[1]), GlueSpec()))
+    _, rows = read_csv(paired)
+    exit_probability = dict(rows)[str(exit_vertex)]
+    _, series_rows = read_csv(series)
+    assert float(series_rows[-1][0]) == float(argv[3])
+    assert series_rows[-1][1] == exit_probability
+
+
+def test_dense_route_above_its_limit_exits_2_before_allocating(tmp_path, capsys, monkeypatch):
+    # glued_trees(12) has 16,382 vertices: a dense Hamiltonian would take 2.1 GB
+    def never(self):
+        raise AssertionError("adjacency matrix built above the limit")
+
+    monkeypatch.setattr(Graph, "adjacency_matrix", never)
+    argv = GLUED_CONTINUOUS + ["--depth", "12", "--time", "1"]
+    out = tmp_path / "deep.csv"
+    assert run(argv + ["--start", "1", "-o", str(out)]) == 2
+    assert f"limit {continuous.CONTINUOUS_DIMENSION_LIMIT}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # from the entrance the column chain runs at this depth
+    assert run(argv + ["-o", str(out)]) == 0
+    assert read_meta(str(out))["summary"]["continuous_check"]["route"] == "column-chain"
 
 
 def test_walk_json_format(tmp_path):

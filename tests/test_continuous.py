@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qwalksim.continuous import (HAMILTONIAN_CONVENTIONS, Hamiltonian,
-                                 column_sizes, evolve_ct, evolve_ct_many,
+from qwalksim import cli
+from qwalksim.continuous import (CONTINUOUS_DIMENSION_LIMIT, HAMILTONIAN_CONVENTIONS,
+                                 Hamiltonian, column_sizes, evolve_ct, evolve_ct_many,
                                  exit_series_csv, exit_signal, first_peak_time,
                                  full_graph_exit_signal, hamiltonian, reduce_columns)
 from qwalksim.graphs import (GlueSpec, Graph, build_cycle, build_glued_trees,
@@ -40,6 +41,27 @@ def test_unknown_convention_rejected():
     with pytest.raises(ValueError):
         hamiltonian(build_cycle(3), convention="dirac")
     assert HAMILTONIAN_CONVENTIONS == ("laplacian", "adjacency")
+
+
+def test_dense_limit_admits_the_largest_graphs_it_names():
+    assert build_hypercube(12).num_vertices <= CONTINUOUS_DIMENSION_LIMIT
+    assert build_glued_trees(10, GlueSpec("symmetric")).num_vertices <= \
+        CONTINUOUS_DIMENSION_LIMIT
+    assert build_glued_trees(11, GlueSpec("symmetric")).num_vertices > \
+        CONTINUOUS_DIMENSION_LIMIT
+
+
+def test_dense_limit_refuses_before_the_adjacency_matrix(monkeypatch):
+    g = build_cycle(CONTINUOUS_DIMENSION_LIMIT + 1)
+
+    def never(self):
+        raise AssertionError("adjacency matrix built above the limit")
+
+    monkeypatch.setattr(Graph, "adjacency_matrix", never)
+    for convention in HAMILTONIAN_CONVENTIONS:
+        with pytest.raises(ValueError, match=f"limit {CONTINUOUS_DIMENSION_LIMIT}; "
+                                             "a glued-trees walk started at the entrance"):
+            hamiltonian(g, convention=convention)
 
 
 def test_hamiltonian_requires_symmetric_matrix():
@@ -94,6 +116,23 @@ def test_norm_is_conserved():
     for t in (0.1, 5.0, 123.0):
         assert np.linalg.norm(evolve_ct(h, initial, t)) == pytest.approx(
             1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("convention", HAMILTONIAN_CONVENTIONS)
+@pytest.mark.parametrize("n", range(1, 9))
+def test_hypercube_is_a_product_of_qubits(n, convention):
+    # A is a sum of bit flips X_i that commute with D = nI, so exp(-iHt)
+    # acts on each bit alone up to a global phase, flipping it with
+    # probability sin^2(gamma t): P(x, t) = sin^2|x| cos^2(n-|x|)
+    gamma = 0.7
+    g = build_hypercube(n)
+    weight = np.array([bin(x).count("1") for x in range(g.num_vertices)])
+    h = hamiltonian(g, gamma, convention)
+    for t in (0.0, 0.4, 1.7, 10.0):
+        probs = np.abs(evolve_ct(h, np.eye(g.num_vertices)[0], t)) ** 2
+        flip = np.sin(gamma * t) ** 2
+        product = flip ** weight * (1.0 - flip) ** (n - weight)
+        assert np.max(np.abs(probs - product)) < 1e-12, t
 
 
 def test_negative_time_rejected():
@@ -260,6 +299,31 @@ def test_reduction_matches_full_graph():
             times_r, reduced = exit_signal(depth, glue, num_times=301)
             assert np.array_equal(times, times_r)
             assert np.max(np.abs(full - reduced)) < 1e-9
+
+
+@pytest.mark.parametrize("convention", HAMILTONIAN_CONVENTIONS)
+@pytest.mark.parametrize("glue", [GlueSpec("symmetric"), GlueSpec("random-cycle", seed=9)],
+                         ids=["symmetric", "random-cycle"])
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_cli_entrance_walk_matches_the_full_graph(depth, glue, convention, tmp_path):
+    # the CLI spreads the column chain over each column; the oracle evolves
+    # the full graph's dense Hamiltonian
+    out = tmp_path / "walk.csv"
+    argv = ["walk", "--walk", "continuous", "--graph", "glued-trees", "--depth", str(depth),
+            "--glue-mode", glue.mode, "--convention", convention, "-o", str(out)]
+    if glue.seed is not None:
+        argv += ["--glue-seed", str(glue.seed)]
+    g = build_glued_trees(depth, glue)
+    h = hamiltonian(g, 1.0, convention)
+    entrance, _ = glued_trees_entrance_exit(g)
+    initial = np.eye(g.num_vertices)[entrance]
+    for t in (0.0, 1.7, 10.0):
+        assert cli.main(argv + ["--time", str(t)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        got = np.zeros(g.num_vertices)
+        got[rows[:, 0].astype(int)] = rows[:, 1]
+        expected = np.abs(evolve_ct(h, initial, t)) ** 2
+        assert np.max(np.abs(got - expected)) < 1e-12, t
 
 
 def test_full_graph_stays_column_uniform():

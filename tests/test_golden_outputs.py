@@ -5,17 +5,25 @@ writes (the ``.meta.json`` records aside, which hold wall times) with a
 digest recorded before the code it runs was last rewritten: the density
 cases before the density engine learned to skip the rows and columns the
 walker cannot reach yet, the pure cases before the degree-2 step became
-one gather table, and the continuous, classical, trajectory and figures
-cases before ``--config`` values went through the flags' parser and the
-exit outputs came to share one column chain. A change that moves one bit
-of a distribution, an exit series or a sweep summary fails here.
+one gather table, and the continuous cycle, classical, trajectory and
+figures cases and both exit series before ``--config`` values went
+through the flags' parser and the exit outputs came to share one column
+chain. The two continuous
+glued-trees distributions (``out.csv`` of ``glued-continuous-exit`` and
+``glued-continuous-random-adjacency``) were recorded when a walk from the
+entrance came to be evolved on the column chain instead of the full
+graph, which moved their last digits; ``tests/test_continuous.py`` holds
+that route to the full graph within 1e-12 per vertex. A change that
+moves one bit of a distribution, an exit series or a sweep summary fails
+here.
 
 The density, pure, classical and trajectory engines run sparse steps,
 gather tables, sampling and numpy reductions; the one product among them
 that may reach BLAS is the 1x1 coin block at the two ends of the line.
 The continuous cases call LAPACK's symmetric eigensolver and BLAS
-products on at most 62 vertices. Every digest reads the same with
-OpenBLAS at one thread and at two.
+products on at most 12 vertices (the cycle) or 10 columns (the glued-trees
+chains). Every digest reads the same with OpenBLAS at one thread and at
+two.
 """
 
 import hashlib
@@ -99,7 +107,7 @@ CASES = {
         {"exit.csv":
              "19aa42a74af450a2f5cd86917a461538d474d471850f9e29985fbfe75894cb22",
          "out.csv":
-             "8debde3c410b072ff58bd5df8b5d4b71fcceb6b8919c0011b2abeade7aa2edef"},
+             "e1bec848bb4cd5784b271c69ab85e0ecdeafe3f95dd1fe87ceb13f9d14b9230a"},
     ),
     "glued-continuous-random-adjacency": (
         ["walk", "--walk", "continuous", "--graph", "glued-trees", "--depth", "3",
@@ -108,7 +116,7 @@ CASES = {
         {"exit.csv":
              "5ac4c5def0af2342d7a4c7e9433ce16deba085e2ec44f75d35dfe78e203df517",
          "out.csv":
-             "fb7616b47914f45c781e654bf1b38aaebc0e072b596cd9698fe2d74830014021"},
+             "40ded818d1325788f34f353e2c51e275ed9b084d779e2db0ae5237ba7cb901ce"},
     ),
     "line-classical": (
         ["walk", "--walk", "classical", "--graph", "line", "--steps", "40"],
