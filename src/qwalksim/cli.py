@@ -2,9 +2,10 @@
 and canned figure-data scripts.
 
 Distribution files are deterministic for a fixed configuration (byte
-identical on re-run); volatile information such as wall time goes to a
-sibling ``<output>.meta.json`` record that also echoes the full
-configuration, so any output can be regenerated from its metadata alone.
+identical on re-run); volatile information such as wall time and the
+library versions goes to a sibling ``<output>.meta.json`` record that also
+echoes the full configuration, so any output can be regenerated from its
+metadata alone.
 Files are written atomically (temp file then rename).
 
 ``walk`` and ``sweep`` read a ``--config`` JSON object of ``WalkConfig``
@@ -23,11 +24,13 @@ import concurrent.futures
 import dataclasses
 import json
 import os
+import platform
 import sys
 import tempfile
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__, classical, coined, continuous, decoherence, stats
 from .errors import BoundaryOverflowError, ConfigError, InvariantViolationError
@@ -72,6 +75,9 @@ class WalkConfig:
 
     def validate(self) -> None:
         """Ranges, required fields and cross-field rules; the parser checks choices."""
+        for field, seed in (("seed", self.seed), ("glue-seed", self.glue_seed)):
+            if seed is not None and seed < 0:
+                raise ConfigError(field, f"must be a non-negative integer, got {seed}")
         if self.graph == "line":
             npos = self._line_size()
             if npos is None or npos < 1 or npos % 2 == 0:
@@ -296,6 +302,19 @@ def config_metadata(cfg: WalkConfig) -> dict:
     return {"config": fields, "version": __version__}
 
 
+def environment_metadata() -> dict:
+    """The interpreter, numpy and scipy versions and the BLAS thread settings.
+
+    Stream bits follow numpy's ``SeedSequence``, which ``streams`` mirrors,
+    and BLAS threading can move float bits, so a run records both.
+    """
+    env = {"python": platform.python_version(), "numpy": np.__version__,
+           "scipy": scipy.__version__}
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = os.environ.get(name)
+    return env
+
+
 def write_outputs(cfg: WalkConfig, dist: stats.Distribution, summary: dict,
                   wall_time: float) -> None:
     metadata = config_metadata(cfg)
@@ -306,6 +325,7 @@ def write_outputs(cfg: WalkConfig, dist: stats.Distribution, summary: dict,
     atomic_write(cfg.output, text)
     meta = dict(metadata)
     meta["summary"] = summary
+    meta["environment"] = environment_metadata()
     meta["wall_time_seconds"] = wall_time
     atomic_write(cfg.output + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
@@ -444,6 +464,7 @@ def run_sweep(base: WalkConfig, axis: str, values: list, outdir: str, prefix: st
     meta = config_metadata(base)
     meta["axis"] = axis
     meta["values"] = values
+    meta["environment"] = environment_metadata()
     meta["wall_time_seconds"] = time.perf_counter() - started
     atomic_write(summary_path + ".meta.json",
                  json.dumps(meta, indent=2, sort_keys=True) + "\n")

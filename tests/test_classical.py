@@ -343,6 +343,37 @@ def test_bounded_draws_follow_numpy_rejection_rule(bounds):
         [rng.integers(0, 2 ** 32 - 1, dtype=np.uint32, endpoint=True) for rng in scalar])
 
 
+def test_uint32_row_streams_across_2_32_through_block_refills():
+    # seeds on both sides of 2^32 (one and two entropy words); each row
+    # refills its 4-draw block several times, raw and through Lemire's rule
+    seeds = range(2 ** 32 - 3, 2 ** 32 + 3)
+    streams = RowStreams(seeds, classical._uint32_block, 4)
+    scalar = [np.random.default_rng(s) for s in seeds]
+    rows = np.arange(len(seeds))
+    for _ in range(5):
+        assert np.array_equal(
+            streams.next(rows),
+            [rng.integers(0, 2 ** 32 - 1, dtype=np.uint32, endpoint=True) for rng in scalar])
+    k = np.array([3, 2 ** 31 + 1, 5, 3 * 2 ** 30, 7, 1], dtype=np.uint64)
+    for _ in range(20):
+        got = classical._bounded_draws(streams, rows, k)
+        assert got.tolist() == [rng.integers(int(kk)) for rng, kk in zip(scalar, k)]
+
+
+def test_batched_sampling_matches_serial_across_seed_2_32():
+    g = build_glued_trees(3, GlueSpec("random-cycle", 4))
+    entrance, exit_vertex = glued_trees_entrance_exit(g)
+    seed = 2 ** 32 - 3
+    with mock.patch.object(classical, "_CHUNK_ROWS", 4), \
+            mock.patch.object(classical, "_DRAW_BLOCK", 4):
+        path = sample_walk(g, entrance, 15, 2 ** 32)
+        hist = sample_endpoint_histogram(g, entrance, 15, 7, seed)
+        hit = hitting_time(g, entrance, exit_vertex, seed, 7, 40)
+    assert np.array_equal(path, serial_walk(g, entrance, 15, 2 ** 32))
+    assert np.array_equal(hist, serial_histogram(g, entrance, 15, 7, seed))
+    assert hit == serial_hitting_time(g, entrance, exit_vertex, seed, 7, 40)
+
+
 def test_sampling_validates_start():
     g = Graph(3, [(0, 1)])
     with pytest.raises(ValueError):

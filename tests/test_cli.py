@@ -1,9 +1,11 @@
 import json
 import os
+import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from qwalksim import classical, cli, coined, continuous, decoherence
 from qwalksim.decoherence import DENSITY_DIMENSION_LIMIT
@@ -73,6 +75,27 @@ def test_one_step_default_line_keeps_its_size(tmp_path):
         assert run(["walk", "--walk", walk, "--graph", "line", "--steps", "1",
                     "--num-positions", "3", "-o", str(sized)]) == 0
         assert default.read_bytes() == sized.read_bytes()
+
+
+def test_environment_reaches_the_metadata_only(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = str(tmp_path / "walk.json")
+    assert run(["walk", "--graph", "cycle", "--n", "5", "--steps", "3",
+                "--format", "json", "-o", out]) == 0
+    outdir = tmp_path / "sweep"
+    assert run(["sweep", "--graph", "cycle", "--n", "5", "--steps", "3", "--axis", "p",
+                "--values", "0", "--output-dir", str(outdir)]) == 0
+    for meta in (read_meta(out), read_meta(str(outdir / "sweep_summary.csv"))):
+        env = meta["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+        assert env["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["MKL_NUM_THREADS"] is None
+        assert "OMP_NUM_THREADS" in env
+    # the distribution's own metadata stays free of it, so its bytes do not move
+    assert "environment" not in json.loads(Path(out).read_text())["metadata"]
 
 
 def test_density_check_residuals_reach_the_metadata_only(tmp_path, capsys):
@@ -366,6 +389,9 @@ def test_config_file_values_are_checked_like_flags(tmp_path, capsys, command, co
       "--start", "8"], "start"),
     (["walk", "--walk", "continuous", "--graph", "glued-trees", "--depth", "2",
       "--time", "1", "--start=-1"], "start"),
+    (["walk", "--steps", "5", "--p", "0.1", "--trajectories", "4", "--seed=-3"], "seed"),
+    (["walk", "--walk", "continuous", "--graph", "glued-trees", "--depth", "3",
+      "--glue-mode", "random-cycle", "--glue-seed=-2", "--time", "1"], "glue-seed"),
 ])
 def test_bad_configuration_exits_2(tmp_path, capsys, argv, field):
     out = str(tmp_path / "never.csv")

@@ -990,3 +990,31 @@ def test_row_streams_refill_per_row():
         assert got.tolist() == [scalar[r].random() for r in rows]
     with pytest.raises(ValueError, match="block"):
         RowStreams([4], lambda rng, n: rng.random(n), 0)
+
+
+def test_row_streams_refill_per_row_across_2_32():
+    # the same, for seeds on both sides of 2^32 (one and two entropy words)
+    seeds = range(2 ** 32 - 2, 2 ** 32 + 2)
+    streams = RowStreams(seeds, lambda rng, n: rng.random(n), 3)
+    scalar = [np.random.default_rng(s) for s in seeds]
+    pick = np.random.default_rng(1)
+    for _ in range(50):
+        rows = np.flatnonzero(pick.random(4) < 0.6)
+        got = streams.next(rows)
+        assert got.tolist() == [scalar[r].random() for r in rows]
+
+
+def test_trajectories_match_serial_across_seed_2_32():
+    g = build_line(21)
+    s = initial_state(g, g.params["origin"], "symmetric")
+    spec = DecoherenceSpec(0.3, "both")
+    seed = 2 ** 32 - 2
+    with mock.patch.object(decoherence, "_DRAW_BLOCK", 3):
+        single, record = evolve_trajectory(s, spec, 8, 2 ** 32)
+        mean, stderr = run_ensemble(s, spec, 8, 5, seed)
+    want_amps, want_record = serial_trajectory(s, spec, 8, 2 ** 32, "default")
+    assert np.array_equal(single.amplitudes, want_amps)
+    assert np.array_equal(record, want_record)
+    want_mean, want_stderr = serial_ensemble(s, spec, 8, 5, seed, "default")
+    assert np.array_equal(mean, want_mean)
+    assert np.array_equal(stderr, want_stderr)
