@@ -12,7 +12,17 @@ permutation of half-edges, so the step operator stays unitary.
 
 ``CoinedWalk.iter_steps`` is the one evolution path: it checks the step
 count and the line rule and yields the state after every step. ``evolve``
-is its last state.
+is its last state. It steps a block at a time, each step straight into the
+next row of a fresh (rows, H) array of at most 256 rows and 64 KiB (one
+row if a row is larger; the cap of the blocks ``stats.mixing_time``
+reads), and yields read-only rows, so a write to a state cannot diverge
+from the steps already taken after it. A yielded state's
+``position_distribution`` is its row of the block's distributions, which
+one ``bincount`` takes for the whole block on the first request, bit for
+bit the per-row ``bincount``; ``evolve`` takes none. A step that meets
+an undefined coin (``UnsupportedDegreeError``) raises at the item its
+state would have been, after the states before it, and the iterator never
+steps past ``steps`` nor more than one block past the last item read.
 
 ``CoinedWalk`` compiles the step once per graph. All degree-2 vertices
 share one gather table, indexed by output half-edge: the two half-edges
@@ -31,11 +41,14 @@ bit.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.sparse
 
 from .errors import UnsupportedDegreeError
 from .graphs import Graph, check_line_headroom
+from .stats import _block_rows
 
 COIN_FAMILIES = ("default", "hadamard", "grover", "dft")
 
@@ -94,15 +107,6 @@ class PureState:
                 f"got {amplitudes.shape}")
         self.graph = graph
         self.amplitudes = amplitudes
-
-    @classmethod
-    def _wrap(cls, graph: Graph, amplitudes: np.ndarray) -> "PureState":
-        """A state around a complex128 array of shape (H,), unchecked: for
-        arrays the step itself has just made."""
-        state = cls.__new__(cls)
-        state.graph = graph
-        state.amplitudes = amplitudes
-        return state
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -209,21 +213,23 @@ class CoinedWalk:
             f"{self.coin_family} coin undefined for degree "
             f"{idx.shape[1]} but amplitude occupies such a vertex")
 
-    def step_amplitudes(self, amps: np.ndarray) -> np.ndarray:
+    def step_amplitudes(self, amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One step, coin toss then shift: each coin output is written
         straight to its shifted half-edge. Degree 2 goes through the gather
         table, term by term; other degrees multiply the (m, d) block by the
-        coin."""
-        if self._gather is None:
+        coin. The step goes into ``out`` (a fresh array if None), which must
+        not overlap ``amps``, and is returned."""
+        if out is None:
             out = np.empty_like(amps)
-        else:
+        if self._gather is not None:
             src, coef, n, dest = self._gather
             x = amps[src]
             x *= coef
             if dest is None:
-                return x[:n] + x[n:]
-            out = np.empty_like(amps)
-            out[dest] = x[:n] + x[n:]
+                return np.add(x[:n], x[n:], out=out)
+            total = x[:n]
+            total += x[n:]
+            out[dest] = total
         for idx, moved, coin_t in self._block_plan:
             if coin_t is not None:
                 out[moved] = amps[idx] @ coin_t
@@ -273,13 +279,44 @@ class CoinedWalk:
         return final
 
     def iter_steps(self, state: PureState, steps: int):
-        """Yield the state after each of ``steps`` sequential steps."""
+        """Yield the state after each of ``steps`` sequential steps.
+
+        The steps are taken a block at a time, each straight into the next
+        row of a fresh (rows, H) array of at most 256 rows and 64 KiB (one
+        row if a row is larger), never past ``steps``; so at most one block
+        is stepped ahead of the last state read. The states are read-only
+        rows of it, and their ``position_distribution`` is the block's row
+        of distributions, taken for the whole block by one ``bincount`` on
+        the first request. A step that raises ``UnsupportedDegreeError``
+        ends the block: the states before it are yielded, then the error is
+        raised where its state would have been.
+        """
         g = state.graph
         check_line_headroom(g.kind, g.num_vertices, _support(state), steps)
+        per_block = _block_rows(16 * g.half_edge_count)
         amps = state.amplitudes
-        for _ in range(steps):
-            amps = self.step_amplitudes(amps)
-            yield PureState._wrap(self.graph, amps)
+        done = 0
+        while done < steps:
+            rows = np.empty((min(per_block, steps - done), g.half_edge_count), np.complex128)
+            error = None
+            for filled, out in enumerate(rows):
+                try:
+                    amps = self.step_amplitudes(amps, out)
+                except UnsupportedDegreeError as exc:
+                    error = exc
+                    rows = rows[:filled]
+                    break
+            rows.flags.writeable = False
+            block = _StepBlock(self.graph, rows)
+            for k, row in enumerate(rows):
+                # unchecked: the step itself has just made the row
+                row_state = _BlockRow.__new__(_BlockRow)
+                row_state.graph, row_state.amplitudes = self.graph, row
+                row_state._block, row_state._row = block, k
+                yield row_state
+            if error is not None:
+                raise error
+            done += len(rows)
 
     def step_matrix(self) -> scipy.sparse.csr_matrix:
         """The unitary for one step as a sparse matrix over half-edges.
@@ -310,6 +347,36 @@ class CoinedWalk:
         return scipy.sparse.csr_matrix(
             (vals[nonzero], (rows[nonzero], cols[nonzero])),
             shape=(n, n), dtype=np.complex128)
+
+
+class _StepBlock:
+    """Consecutive states of one walk, the rows of a read-only (rows, H)
+    array. Their position distributions are taken together on the first
+    request: one ``bincount`` over labels row * V + vertex, which adds each
+    row's half-edges in the same order as that row's own ``bincount``."""
+
+    def __init__(self, graph: Graph, rows: np.ndarray):
+        self.graph = graph
+        self.rows = rows
+
+    @functools.cached_property
+    def distributions(self) -> np.ndarray:
+        n, v = len(self.rows), self.graph.num_vertices
+        labels = (np.arange(n) * v)[:, None] + self.graph.half_edge_vertex
+        weights = np.abs(self.rows) ** 2
+        dist = np.bincount(labels.ravel(), weights=weights.ravel(), minlength=n * v)
+        dist = dist.reshape(n, v)
+        dist.flags.writeable = False
+        return dist
+
+
+class _BlockRow(PureState):
+    """A state ``iter_steps`` yields: row ``_row`` of ``_block``."""
+
+    def position_distribution(self) -> np.ndarray:
+        """Probability of finding the walker at each vertex (coin traced out),
+        a read-only row of the block's distributions."""
+        return self._block.distributions[self._row]
 
 
 def _support(state: PureState) -> np.ndarray:

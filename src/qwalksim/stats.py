@@ -41,9 +41,15 @@ NORMALIZATION_TOL = 1e-10
 DEFAULT_EPSILON = 0.01
 DEFAULT_T_MAX = 10 ** 5
 MIXING_WINDOW_SAMPLES = 10
-# a mixing-time block: at most this many items and bytes (or one item)
+# a block of series items (a mixing-time read, a run of coined steps): at
+# most this many items and bytes (or one item)
 _MIXING_BLOCK_ROWS = 256
 _MIXING_BLOCK_BYTES = 64 * 1024
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Items in one block of items of ``row_bytes`` each."""
+    return max(1, min(_MIXING_BLOCK_ROWS, _MIXING_BLOCK_BYTES // max(row_bytes, 1)))
 
 
 @dataclass
@@ -173,8 +179,7 @@ class _RunningTV:
     def __init__(self, items: Iterable, target: np.ndarray):
         self._items: Iterator = iter(items)
         self._target = target
-        row_bytes = 8 * max(target.size, 1)
-        rows = max(1, min(_MIXING_BLOCK_ROWS, _MIXING_BLOCK_BYTES // row_bytes))
+        rows = _block_rows(8 * target.size)
         self._block = np.empty((rows,) + target.shape)
         self._scratch = np.empty_like(self._block)
         self._running = np.zeros(target.shape)

@@ -1,11 +1,15 @@
 """Coined walk engine: coins, shift, evolution, exact small-step amplitudes."""
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwalksim import coined, stats
 from qwalksim.coined import (COIN_FAMILIES, CoinedWalk, PureState, coin_matrix, dft_coin,
                              grover_coin, hadamard_coin, initial_state)
 from qwalksim.errors import BoundaryOverflowError, UnsupportedDegreeError
@@ -531,3 +535,129 @@ def test_iter_steps_yields_distinct_arrays(g):
     for s in states:
         want = walk.step_amplitudes(want)
         assert same_bits(s.amplitudes, want)
+
+
+# --- iter_steps blocks ---------------------------------------------------
+# ``iter_steps`` steps a block of rows at a time and takes the block's
+# distributions by one bincount; every state and distribution must be the
+# bits of one ``step_amplitudes`` after another and a bincount per state.
+
+def reference_steps(walk, state, steps):
+    g, amps = state.graph, state.amplitudes
+    for _ in range(steps):
+        amps = walk.step_amplitudes(amps)
+        yield amps, np.bincount(g.half_edge_vertex, weights=np.abs(amps) ** 2,
+                                minlength=g.num_vertices)
+
+
+BLOCK_WALKS = {
+    # degree 2 everywhere: the gather table fills the row in order
+    "cycle16": lambda: (build_cycle(16), "default", 0, "symmetric"),
+    # degree-1 ends: the gather table scatters
+    "line101": lambda: (build_line(101), "default", 50, "symmetric"),
+    # the Grover coin at degrees 2 and 3
+    "glued4": lambda: (build_glued_trees(4, GlueSpec("random-cycle", seed=3)), "grover", 0,
+                       "uniform"),
+    # degree 12: one row per block
+    "hypercube12": lambda: (build_hypercube(12), "default", 0, "uniform"),
+    # isolated vertices in the middle and at the end of the edge list
+    "isolated": lambda: (Graph(8, [(0, 1), (1, 2), (2, 0), (2, 4), (4, 5), (5, 6)]),
+                         "default", 0, "uniform"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_WALKS))
+@pytest.mark.parametrize("count", ["zero", "one", "block", "block+1", "blocks"])
+def test_iter_steps_is_the_step_loop_across_blocks(name, count):
+    g, family, vertex, coin = BLOCK_WALKS[name]()
+    walk = CoinedWalk(g, family)
+    start = initial_state(g, vertex, coin)
+    per_block = stats._block_rows(16 * g.half_edge_count)
+    assert per_block == {"cycle16": 128, "line101": 20, "hypercube12": 1}.get(name, per_block)
+    steps = {"zero": 0, "one": 1, "block": per_block, "block+1": per_block + 1,
+             "blocks": 2 * per_block + 3}[count]
+    states = list(walk.iter_steps(start, steps))
+    want = list(reference_steps(walk, start, steps))
+    assert len(states) == steps
+    assert len({id(s._block) for s in states}) == -(-steps // per_block)
+    # distributions read from the last state back, then amplitudes
+    for state, (_, dist) in reversed(list(zip(states, want))):
+        assert same_bits(state.position_distribution(), dist)
+    for state, (amps, _) in zip(states, want):
+        assert same_bits(state.amplitudes, amps)
+    final = walk.evolve(start, steps)
+    assert same_bits(final.amplitudes, want[-1][0] if steps else start.amplitudes)
+
+
+def test_iter_steps_raises_at_the_item_whose_step_fails():
+    g = build_glued_trees(2, GlueSpec("symmetric"))
+    walk = CoinedWalk(g, "hadamard")
+    start = initial_state(g, 0, (1.0, 0.0))
+    # the whole walk fits in one block, so the failing step is taken early
+    assert stats._block_rows(16 * g.half_edge_count) > 5
+    states = walk.iter_steps(start, 5)
+    first = next(states)
+    assert same_bits(first.amplitudes, walk.step_amplitudes(start.amplitudes))
+    # the root has degree 2; the second step meets degree-3 vertices
+    with pytest.raises(UnsupportedDegreeError):
+        next(states)
+    assert next(states, None) is None
+    # a consumer that stops after one item sees no error
+    assert len(list(itertools.islice(walk.iter_steps(start, 5), 1))) == 1
+    walk.evolve(start, 1)
+
+
+@pytest.mark.parametrize("g,steps", [(build_line(101), 50), (build_cycle(16), 300)],
+                         ids=["line", "cycle"])
+def test_iter_steps_steps_at_most_one_block_ahead(g, steps):
+    walk = CoinedWalk(g)
+    start = initial_state(g, g.num_vertices // 2, "symmetric")
+    per_block = stats._block_rows(16 * g.half_edge_count)
+    step = CoinedWalk.step_amplitudes
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return step(*args)
+    with mock.patch.object(CoinedWalk, "step_amplitudes", counted):
+        for read in sorted({0, 1, per_block - 1, per_block, per_block + 1, steps - 1, steps}):
+            calls[0] = 0
+            list(itertools.islice(walk.iter_steps(start, steps), read))
+            assert calls[0] == min(steps, -(-read // per_block) * per_block)
+            assert calls[0] <= steps and calls[0] - read < per_block
+
+
+def test_evolve_takes_no_block_distribution():
+    g = build_cycle(16)
+    start = initial_state(g, 0, "symmetric")
+    take = coined._StepBlock.__dict__["distributions"].func
+    calls = [0]
+
+    def counted(block):
+        calls[0] += 1
+        return take(block)
+    with mock.patch.object(coined._StepBlock, "distributions", property(counted)):
+        final = CoinedWalk(g).evolve(start, 300)
+        assert calls[0] == 0
+        final.position_distribution()
+        assert calls[0] == 1
+
+
+def test_iter_steps_states_are_read_only():
+    g = build_cycle(16)
+    walk = CoinedWalk(g)
+    start = initial_state(g, 0, "symmetric")
+    states = walk.iter_steps(start, 10)
+    first = next(states)
+    before = first.amplitudes.copy()
+    with pytest.raises(ValueError):
+        first.amplitudes[0] = 1.0
+    with pytest.raises(ValueError):
+        first.amplitudes *= 2.0
+    with pytest.raises(ValueError):
+        first.position_distribution()[0] = 1.0
+    assert same_bits(first.amplitudes, before)
+    # the states after it are the step loop's, from the unchanged first state
+    for state, (amps, dist) in zip(states, list(reference_steps(walk, start, 10))[1:]):
+        assert same_bits(state.amplitudes, amps)
+        assert same_bits(state.position_distribution(), dist)
