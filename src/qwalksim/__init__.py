@@ -18,8 +18,8 @@ from .errors import (BoundaryOverflowError, ConfigError, InvariantViolationError
                      MissingSeedError, UnsupportedDegreeError)
 from .graphs import (GlueSpec, Graph, build_cycle, build_glued_trees,
                      build_hypercube, build_line)
-from .stats import (Distribution, flatness_ratio, flatness_tv, mixing_time,
-                    position_distribution, std_dev, total_variation)
+from .stats import (Distribution, flatness_tv, mixing_time, position_distribution,
+                    std_dev, total_variation)
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "evolve_trajectory",
     "exit_signal",
     "first_peak_time",
-    "flatness_ratio",
     "flatness_tv",
     "hamiltonian",
     "hitting_time",

@@ -205,13 +205,11 @@ def run_walk(cfg: WalkConfig) -> tuple[stats.Distribution, dict]:
             dist = stats.position_distribution(rho)
 
     summary["probability_sum"] = float(dist.probabilities.sum())
-    if dist.coordinates is not None:
-        summary["std_dev"] = stats.std_dev(dist)
     summary["tv_to_uniform"] = stats.total_variation(
         dist.probabilities, np.full(len(dist), 1.0 / len(dist)))
-    occupied = stats.occupied_sites(dist)
-    if occupied.size:
-        summary["flatness_ratio"] = stats.flatness_ratio(dist)
+    # moments and windows need coordinates, not the vertex numbering
+    if dist.coordinates is not None:
+        summary["std_dev"] = stats.std_dev(dist)
         summary["flatness_tv"] = stats.flatness_tv(dist)
     return dist, summary
 
@@ -436,11 +434,21 @@ def apply_axis(cfg: WalkConfig, axis: str, value, index: int) -> WalkConfig:
 
 def run_sweep(base: WalkConfig, axis: str, values: list, outdir: str, prefix: str,
               threads: int) -> None:
-    """Run ``base`` once per value of ``axis`` and write every run plus a summary table."""
+    """Run ``base`` once per value of ``axis`` and write every run plus a summary
+    table; refuse an axis the walk never reads, or two values of one label."""
+    if not {"p": base.walk == "coined", "steps": base.walk != "continuous",
+            "gamma": base.walk == "continuous", "num-positions": base.graph == "line",
+            "n": base.graph == "cycle", "dimension": base.graph == "hypercube",
+            "depth": base.graph == "glued-trees"}[axis]:
+        raise ConfigError("axis", f"a {base.walk} walk on the {base.graph} never reads {axis}")
+    labels = [f"{value:g}" for value in values]  # they name the files and summary rows
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ConfigError("values", f"{', '.join(repeated)} would label more than one run")
     runs: list[WalkConfig] = []
-    for i, value in enumerate(values):
+    for i, (value, label) in enumerate(zip(values, labels)):
         cfg = apply_axis(base, axis, value, i)
-        cfg.output = os.path.join(outdir, f"{prefix}{axis}={value:g}.{cfg.format}")
+        cfg.output = os.path.join(outdir, f"{prefix}{axis}={label}.{cfg.format}")
         cfg.validate()
         runs.append(cfg)
 
@@ -451,12 +459,12 @@ def run_sweep(base: WalkConfig, axis: str, values: list, outdir: str, prefix: st
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             summaries = list(pool.map(run_and_write, runs))
 
-    known_columns = ["std_dev", "tv_to_uniform", "flatness_ratio", "flatness_tv",
-                     "exit_peak_time", "exit_peak_height"]
+    known_columns = ["std_dev", "tv_to_uniform", "flatness_tv", "exit_peak_time",
+                     "exit_peak_height"]
     columns = [c for c in known_columns if any(c in s for s in summaries)]
     lines = [",".join([axis] + columns)]
-    for value, summary in zip(values, summaries):
-        cells = [f"{value:g}"]
+    for label, summary in zip(labels, summaries):
+        cells = [label]
         cells += [f"{summary[c]:.15g}" if c in summary else "" for c in columns]
         lines.append(",".join(cells))
     summary_path = os.path.join(outdir, f"{prefix}summary.csv")

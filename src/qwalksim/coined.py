@@ -349,11 +349,20 @@ class CoinedWalk:
             shape=(n, n), dtype=np.complex128)
 
 
+def _row_bincount(labels: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
+    """``np.bincount(labels, weights[r], minlength=count)`` for every row r,
+    as one bincount over labels r * count + label: each bin still sums its
+    weights in half-edge order, so every row gets its own bincount's bits."""
+    rows = weights.shape[0]
+    flat = (labels + count * np.arange(rows)[:, None]).ravel()
+    return np.bincount(flat, weights=weights.ravel(),
+                       minlength=rows * count).reshape(rows, count)
+
+
 class _StepBlock:
     """Consecutive states of one walk, the rows of a read-only (rows, H)
-    array. Their position distributions are taken together on the first
-    request: one ``bincount`` over labels row * V + vertex, which adds each
-    row's half-edges in the same order as that row's own ``bincount``."""
+    array, whose position distributions are taken together on the first
+    request (``_row_bincount``)."""
 
     def __init__(self, graph: Graph, rows: np.ndarray):
         self.graph = graph
@@ -361,11 +370,8 @@ class _StepBlock:
 
     @functools.cached_property
     def distributions(self) -> np.ndarray:
-        n, v = len(self.rows), self.graph.num_vertices
-        labels = (np.arange(n) * v)[:, None] + self.graph.half_edge_vertex
-        weights = np.abs(self.rows) ** 2
-        dist = np.bincount(labels.ravel(), weights=weights.ravel(), minlength=n * v)
-        dist = dist.reshape(n, v)
+        dist = _row_bincount(self.graph.half_edge_vertex, np.abs(self.rows) ** 2,
+                             self.graph.num_vertices)
         dist.flags.writeable = False
         return dist
 

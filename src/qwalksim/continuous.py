@@ -11,13 +11,10 @@ column-uniform subspace, so a (2*depth+2)-dimensional chain Hamiltonian
 (``reduce_columns``) reproduces the full-graph dynamics: column c's
 probability |a_c|^2 spreads evenly over its ``column_sizes`` N_c vertices.
 The command line runs every walk from the entrance this way, at any
-depth; the full graph's flatness statistics, O(m^2) on m occupied
-vertices, then take most of the time (on 2 vCPUs: depth 12, 16,382
-vertices, in about 2 s; depth 13 in 9 s; depth 14 in 42 s). Every other
-start and graph builds the dense Hamiltonian of the full graph, which
-``hamiltonian`` refuses above ``CONTINUOUS_DIMENSION_LIMIT`` vertices
-before allocating it; ``full_graph_exit_signal`` keeps that route as the
-chain's oracle.
+depth. Every other start and graph builds the dense Hamiltonian of the
+full graph, which ``hamiltonian`` refuses above
+``CONTINUOUS_DIMENSION_LIMIT`` vertices before allocating it;
+``full_graph_exit_signal`` keeps that route as the chain's oracle.
 """
 
 from __future__ import annotations

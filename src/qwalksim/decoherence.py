@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import _sparsetools
 
-from .coined import CoinedWalk, PureState, _support
+from .coined import CoinedWalk, PureState, _row_bincount, _support
 from .errors import InvariantViolationError
 from .graphs import Graph, check_line_headroom
 from .streams import RowStreams
@@ -327,18 +327,6 @@ def iter_density_steps(rho0: DensityState, spec: DecoherenceSpec,
 def _chunk_rows(width: int) -> int:
     """Trajectories stepped together, from the half-edge count of the graph."""
     return max(1, _CHUNK_BYTES // (16 * max(width, 1)))
-
-
-def _row_bincount(labels: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
-    """``np.bincount(labels, weights[r], minlength=count)`` for every row r at once.
-
-    Each bin still sums its weights in half-edge order, so every row gets
-    the bits of its own bincount.
-    """
-    rows = weights.shape[0]
-    flat = (labels + count * np.arange(rows)[:, None]).ravel()
-    return np.bincount(flat, weights=weights.ravel(),
-                       minlength=rows * count).reshape(rows, count)
 
 
 def _collapse_rows(amps: np.ndarray, rows: np.ndarray, draws: np.ndarray,

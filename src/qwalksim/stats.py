@@ -3,8 +3,8 @@
 Position distributions with their coordinates, moments about the origin,
 total-variation distance, the running time average P_bar(x,T) =
 (1/T) sum_{t=1..T} P(x,t), mixing-time estimation against a target
-distribution, and flatness metrics for spotting the near-uniform profile
-that intermediate decoherence produces.
+distribution, and a flatness metric for spotting the near-uniform profile
+that intermediate decoherence produces on the line and the cycle.
 
 A ``Distribution`` is checked when it is built, whichever engine made it:
 entries in [-NEGATIVE_CLAMP_TOL, 0) are rounding debris, clamped to 0 with
@@ -232,24 +232,18 @@ def occupied_sites(d, tol: float = 1e-12) -> np.ndarray:
     return np.flatnonzero(_as_probs(d) > tol)
 
 
-def flatness_ratio(d, tol: float = 1e-12) -> float:
-    """Max/min probability ratio over occupied sites; 1 means perfectly flat."""
-    p = _as_probs(d)[occupied_sites(d, tol)]
-    if p.size == 0:
-        raise ValueError("distribution has no occupied sites")
-    return float(p.max() / p.min())
-
-
 def flatness_tv(d, tol: float = 1e-12) -> float:
     """Distance from uniformity: min TV to a uniform block of occupied sites.
 
     Scans every contiguous window of the occupied-site sequence (parity
     gaps skipped by construction) and compares against the uniform
     distribution on that window; the minimum says how close the
-    distribution is to some top-hat profile. Each width takes all its
-    windows at once from running sums: O(m^2) work in O(m) array calls on
-    m occupied sites, rounding differently from summing each window alone
-    (by about one ulp of the running sum).
+    distribution is to some top-hat profile. Windows follow the index
+    order, so the value means something only where that order is a
+    coordinate (the line, the cycle). Each width takes all its windows at
+    once from running sums: O(m^2) work in O(m) array calls on m occupied
+    sites, rounding differently from summing each window alone (by about
+    one ulp of the running sum).
     """
     p = _as_probs(d)
     occ = occupied_sites(p, tol)

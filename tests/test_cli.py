@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy
 
-from qwalksim import classical, cli, coined, continuous, decoherence
+from qwalksim import classical, cli, coined, continuous, decoherence, stats
 from qwalksim.decoherence import DENSITY_DIMENSION_LIMIT
 from qwalksim.errors import ConfigError, InvariantViolationError
 from qwalksim.graphs import (Graph, GlueSpec, build_cycle, build_glued_trees,
@@ -109,12 +109,12 @@ def test_density_check_residuals_reach_the_metadata_only(tmp_path, capsys):
     assert residuals["min_eigenvalue"] >= -1e-12
     printed = capsys.readouterr().out.split()[2:]
     assert [item.split("=")[0] for item in printed] == [
-        "flatness_ratio", "flatness_tv", "probability_sum", "std_dev", "tv_to_uniform"]
+        "flatness_tv", "probability_sum", "std_dev", "tv_to_uniform"]
     outdir = tmp_path / "sweep"
     assert run(["sweep", "--graph", "line", "--steps", "4", "--axis", "p",
                 "--values", "0,0.2", "--output-dir", str(outdir)]) == 0
     header = (outdir / "sweep_summary.csv").read_text().split("\n")[0]
-    assert header == "p,std_dev,tv_to_uniform,flatness_ratio,flatness_tv"
+    assert header == "p,std_dev,tv_to_uniform,flatness_tv"
 
 
 def test_pure_run_norm_residual_reaches_the_metadata_only(tmp_path, capsys):
@@ -125,6 +125,67 @@ def test_pure_run_norm_residual_reaches_the_metadata_only(tmp_path, capsys):
     assert sorted(residuals) == ["norm_deviation"]
     assert 0.0 <= residuals["norm_deviation"] < 1e-12
     assert "pure_check" not in capsys.readouterr().out
+
+
+# --- summary statistics ---------------------------------------------------
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--graph", "line", "--steps", "30", "--p", "0.05", "--initial", "symmetric"],
+     {"std_dev": 13.800541673371674, "tv_to_uniform": 0.6193680009071637,
+      "flatness_tv": 0.108262458289135}),
+    (["--graph", "cycle", "--n", "9", "--steps", "25", "--p", "0.05", "--initial", "symmetric"],
+     {"std_dev": 4.853079397424706, "tv_to_uniform": 0.06372838831872454,
+      "flatness_tv": 0.06372838831872457}),
+    (["--graph", "cycle", "--n", "15", "--steps", "100", "--coin", "dft",
+      "--initial", "0.6,0.8j"],
+     {"std_dev": 7.734652680592985, "tv_to_uniform": 0.25134529131159644,
+      "flatness_tv": 0.2513452913115965}),
+    (["--walk", "classical", "--graph", "line", "--steps", "40"],
+     {"std_dev": 6.324555320336759, "tv_to_uniform": 0.8010288645553059,
+      "flatness_tv": 0.18469860820065764}),
+])
+def test_coordinate_graphs_keep_their_summary_values(tmp_path, argv, expected):
+    # pinned to the last bit: limiting the statistics to coordinate graphs moves none
+    out = str(tmp_path / "walk.csv")
+    assert run(["walk", *argv, "-o", out]) == 0
+    summary = read_meta(out)["summary"]
+    assert {key: summary[key] for key in expected} == expected
+
+
+@pytest.fixture
+def no_flatness(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("flatness_tv called without coordinates")
+
+    monkeypatch.setattr(stats, "flatness_tv", never)
+
+
+@pytest.mark.parametrize("argv", [
+    [*graph, *walk]
+    for graph in (["--graph", "hypercube", "--dimension", "4"],
+                  ["--graph", "glued-trees", "--depth", "3"])
+    for walk in (["--steps", "6"], ["--steps", "6", "--p", "0.1"],
+                 ["--walk", "classical", "--steps", "6"],
+                 ["--walk", "continuous", "--time", "2"])
+])
+def test_graphs_without_coordinates_report_no_flatness(tmp_path, capsys, no_flatness, argv):
+    # the hypercube's and the glued trees' vertex order is only a numbering,
+    # so neither moments nor contiguous windows mean anything there
+    out = str(tmp_path / "walk.csv")
+    assert run(["walk", *argv, "-o", out]) == 0
+    summary = read_meta(out)["summary"]
+    assert not {"std_dev", "flatness_tv"} & set(summary)
+    assert "tv_to_uniform" in summary
+    assert "flatness" not in capsys.readouterr().out
+
+
+def test_deep_continuous_glued_trees_run_pays_for_its_chain_only(tmp_path, no_flatness):
+    out = str(tmp_path / "deep.csv")
+    assert run(GLUED_CONTINUOUS + ["--depth", "12", "--time", "20", "-o", out]) == 0
+    header, rows = read_csv(out)
+    assert header == "vertex,probability"
+    assert len(rows) == 2 ** 13 + 2 ** 13 - 2
+    assert read_meta(out)["summary"]["continuous_check"]["route"] == "column-chain"
 
 
 def test_walk_rerun_is_byte_identical(tmp_path):
@@ -481,7 +542,7 @@ def test_sweep_over_p(tmp_path):
     header, rows = read_csv(os.path.join(outdir, "sweep_summary.csv"))
     columns = header.split(",")
     assert columns[0] == "p"
-    assert {"std_dev", "tv_to_uniform", "flatness_ratio", "flatness_tv"} <= set(columns)
+    assert {"std_dev", "tv_to_uniform", "flatness_tv"} <= set(columns)
     table = {float(r[0]): dict(zip(columns[1:], map(float, r[1:]))) for r in rows}
     # measurement narrows the quantum spread
     assert table[0.0]["std_dev"] > table[0.1]["std_dev"]
@@ -513,7 +574,7 @@ def test_sweep_threads_do_not_change_results(tmp_path):
     assert a == b
 
 
-def test_sweep_validates_before_running(tmp_path):
+def test_sweep_validates_before_running(tmp_path, capsys):
     outdir = str(tmp_path / "never")
     with pytest.raises(SystemExit) as exc:
         run(["sweep", "--graph", "line", "--steps", "3", "--axis", "spin",
@@ -526,7 +587,41 @@ def test_sweep_validates_before_running(tmp_path):
     # one invalid run in the set aborts the whole sweep up front
     assert run(["sweep", "--graph", "cycle", "--axis", "n", "--values", "5,2",
                 "--steps", "3", "--output-dir", outdir]) == 2
+    capsys.readouterr()
+    # both values would be labelled 0.1 and share one file and one summary label
+    assert run(["sweep", "--graph", "line", "--steps", "10", "--axis", "p",
+                "--values", "0.1,0.10000001", "--output-dir", outdir]) == 2
+    assert "values: 0.1 would label more than one run" in capsys.readouterr().err
+    # a coined walk never reads gamma: two identical files under two labels
+    assert run(["sweep", "--graph", "line", "--steps", "10", "--axis", "gamma",
+                "--values", "1,2", "--output-dir", outdir]) == 2
+    assert "axis: a coined walk on the line never reads gamma" in capsys.readouterr().err
     assert not os.path.exists(outdir)
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["--graph", "cycle", "--n", "5", "--axis", "steps", "--values", "3,3"], "values"),
+    (["--graph", "cycle", "--n", "5", "--axis", "steps", "--values", "1000000,1000001"],
+     "values"),
+    (["--walk", "continuous", "--graph", "cycle", "--n", "5", "--time", "1",
+      "--axis", "p", "--values", "0,0.1"], "axis"),
+    (["--walk", "continuous", "--graph", "cycle", "--n", "5", "--time", "1",
+      "--axis", "steps", "--values", "1,2"], "axis"),
+    (["--walk", "classical", "--graph", "cycle", "--n", "5", "--steps", "3",
+      "--axis", "p", "--values", "0,0.1"], "axis"),
+    (["--graph", "line", "--steps", "3", "--axis", "n", "--values", "5,7"], "axis"),
+    (["--graph", "cycle", "--n", "5", "--steps", "3", "--axis", "dimension",
+      "--values", "2,3"], "axis"),
+    (["--graph", "hypercube", "--dimension", "3", "--steps", "3", "--axis", "depth",
+      "--values", "2,3"], "axis"),
+    (["--graph", "glued-trees", "--depth", "2", "--steps", "3", "--axis", "num-positions",
+      "--values", "5,7"], "axis"),
+])
+def test_sweep_refuses_runs_it_could_not_tell_apart(tmp_path, capsys, argv, field):
+    outdir = tmp_path / "never"
+    assert run(["sweep", *argv, "--output-dir", str(outdir)]) == 2
+    assert f"{field}:" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 # --- trace command --------------------------------------------------------

@@ -13,9 +13,12 @@ glued-trees distributions (``out.csv`` of ``glued-continuous-exit`` and
 ``glued-continuous-random-adjacency``) were recorded when a walk from the
 entrance came to be evolved on the column chain instead of the full
 graph, which moved their last digits; ``tests/test_continuous.py`` holds
-that route to the full graph within 1e-12 per vertex. A change that
-moves one bit of a distribution, an exit series or a sweep summary fails
-here.
+that route to the full graph within 1e-12 per vertex. The two sweep
+summaries (``s_summary.csv`` of ``line-sweep`` and
+``decoherence_summary.csv`` of ``figures``) were recorded when the
+max/min ``flatness_ratio`` column was dropped; each is the earlier file
+with that column cut. A change that moves one bit of a distribution, an
+exit series or a sweep summary fails here.
 
 The density, pure, classical and trajectory engines run sparse steps,
 gather tables, sampling and numpy reductions; the one product among them
@@ -93,7 +96,7 @@ CASES = {
          "s_p=1.csv":
              "ddb3d248d3905114fe7312e5e3c3183775334045fb9a0bb1eee5900cf4319f6e",
          "s_summary.csv":
-             "3e2c16ad6aa502ac460837589c448ac9737800994ddafb8e7c76c5582d40e9cc"},
+             "4bae81f35a74e8ec45c64a17e4ec1fcc7686029ad1bbff5e4a65946a028e89b6"},
     ),
     "cycle-continuous": (
         ["walk", "--walk", "continuous", "--graph", "cycle", "--n", "12", "--time", "3.5",
@@ -142,7 +145,7 @@ CASES = {
          "decoherence_p=0.csv":
              "be886951898edb16f3bda3c12d7599c0655def5c4654d50cf95ea4941f308583",
          "decoherence_summary.csv":
-             "f56674fcc43a9e17b5f581d83a5bb13e3b0857a14961ee724d7b71b826b2706f",
+             "0f9ec4581de81c77956a7cbcda64564b2a8ae4d28e9e9c02c7cc8a2530eab3a3",
          "line_t100_basis0.csv":
              "d2b287bba7b36f888f2aaa40ef7ebfab77052983b233ede5e3ba090a64991902",
          "line_t100_classical.csv":

@@ -13,14 +13,15 @@ def test_public_names_resolve_and_second_paths_are_gone():
     # names that nothing but their own tests called
     gone = [(coined, ("coin_toss", "shift", "step", "evolve", "_apply_coin")),
             (graphs, ("neighbors", "dump_edge_list")),
-            (stats, ("central_std_dev", "uniform_distribution", "time_averaged")),
+            (stats, ("central_std_dev", "uniform_distribution", "time_averaged",
+                     "flatness_ratio")),
             (continuous, ("threshold_crossing_time", "entrance_state")),
             (decoherence, ("record_to_csv",)),
             (coined.CoinedWalk, ("inverse_step_amplitudes", "coin_toss", "shift")),
             (coined.PureState, ("amplitude", "copy")),
             (decoherence.DensityState, ("purity", "copy")),
             (graphs.Graph, ("coin_offset", "direction_index", "half_edge")),
-            (qwalksim, ("ClassicalDistribution",)),
+            (qwalksim, ("ClassicalDistribution", "flatness_ratio")),
             (classical, ("ClassicalDistribution",)),
             (classical.HittingTimeResult, ("censored_fraction",)),
             # settable values, looked up on instances: dataclass fields and

@@ -12,8 +12,8 @@ from qwalksim.classical import evolve_classical_exact, iter_classical_distributi
 from qwalksim.coined import CoinedWalk, initial_state
 from qwalksim.errors import InvariantViolationError
 from qwalksim.graphs import build_cycle, build_line
-from qwalksim.stats import (Distribution, _as_probs, flatness_ratio, flatness_tv,
-                            mixing_time, occupied_sites, position_distribution, std_dev,
+from qwalksim.stats import (Distribution, _as_probs, flatness_tv, mixing_time,
+                            occupied_sites, position_distribution, std_dev,
                             total_variation)
 
 
@@ -353,13 +353,6 @@ def test_mixing_time_matches_serial_loop_on_walks(n, engine):
 
 def test_occupied_sites():
     assert np.array_equal(occupied_sites([0.0, 0.5, 0.0, 0.5]), [1, 3])
-
-
-def test_flatness_ratio():
-    assert flatness_ratio([0.25, 0.0, 0.75]) == pytest.approx(3.0)
-    assert flatness_ratio([0.5, 0.5]) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        flatness_ratio([0.0, 0.0])
 
 
 def test_flatness_tv_perfect_top_hat():
