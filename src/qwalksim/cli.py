@@ -328,11 +328,17 @@ def write_outputs(cfg: WalkConfig, dist: stats.Distribution, summary: dict,
     atomic_write(cfg.output + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def run_and_write(cfg: WalkConfig) -> dict:
-    """Run one validated configuration, write its files and return its summary."""
+def timed_run(cfg: WalkConfig) -> tuple[stats.Distribution, dict, float]:
+    """``run_walk`` of one validated configuration, and its wall time."""
     started = time.perf_counter()
     dist, summary = run_walk(cfg)
-    write_outputs(cfg, dist, summary, time.perf_counter() - started)
+    return dist, summary, time.perf_counter() - started
+
+
+def run_and_write(cfg: WalkConfig) -> dict:
+    """Run one validated configuration, write its files and return its summary."""
+    dist, summary, wall_time = timed_run(cfg)
+    write_outputs(cfg, dist, summary, wall_time)
     return summary
 
 
@@ -435,7 +441,13 @@ def apply_axis(cfg: WalkConfig, axis: str, value, index: int) -> WalkConfig:
 def run_sweep(base: WalkConfig, axis: str, values: list, outdir: str, prefix: str,
               threads: int) -> None:
     """Run ``base`` once per value of ``axis`` and write every run plus a summary
-    table; refuse an axis the walk never reads, or two values of one label."""
+    table; refuse an axis the walk never reads, or two values of one label.
+
+    Every run finishes before any file is written, so a sweep that is
+    refused or fails partway writes nothing.
+    """
+    if base.exit_series is not None:
+        raise ConfigError("exit-series", "every run of a sweep would write the one file")
     if not {"p": base.walk == "coined", "steps": base.walk != "continuous",
             "gamma": base.walk == "continuous", "num-positions": base.graph == "line",
             "n": base.graph == "cycle", "dimension": base.graph == "hypercube",
@@ -454,10 +466,13 @@ def run_sweep(base: WalkConfig, axis: str, values: list, outdir: str, prefix: st
 
     started = time.perf_counter()
     if threads == 1:
-        summaries = [run_and_write(cfg) for cfg in runs]
+        results = [timed_run(cfg) for cfg in runs]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            summaries = list(pool.map(run_and_write, runs))
+            results = list(pool.map(timed_run, runs))
+    for cfg, result in zip(runs, results):
+        write_outputs(cfg, *result)
+    summaries = [summary for _, summary, _ in results]
 
     known_columns = ["std_dev", "tv_to_uniform", "flatness_tv", "exit_peak_time",
                      "exit_peak_height"]

@@ -20,7 +20,6 @@ full graph, which ``hamiltonian`` refuses above
 from __future__ import annotations
 
 import numpy as np
-import scipy.signal
 
 from .graphs import Graph, GlueSpec, glued_trees_entrance_exit
 
@@ -192,11 +191,26 @@ def transfer_series(h: Hamiltonian, source: int, target: int, t_max: float,
 def first_peak_time(times: np.ndarray, values: np.ndarray,
                     floor: float = 1e-6) -> tuple[float, float]:
     """Time and height of the first local maximum above the floor."""
-    peaks, _ = scipy.signal.find_peaks(values, height=floor)
+    peaks = _peak_indices(values, floor)
     if peaks.size == 0:
         raise ValueError("no peak above floor in the given time window")
     k = int(peaks[0])
     return float(times[k]), float(values[k])
+
+
+def _peak_indices(values: np.ndarray, floor: float) -> np.ndarray:
+    """The peaks ``scipy.signal.find_peaks(values, height=floor)`` finds.
+
+    A peak is a run of equal values, one long or a plateau, with a strictly
+    lower neighbour on both sides and a height of at least ``floor``; it is
+    reported at the run's midpoint ``(first + last) // 2``. A run that
+    touches either end of the series is never a peak.
+    """
+    ends = np.flatnonzero(values[1:] != values[:-1])  # the last index of a run
+    before, last = ends[:-1], ends[1:]  # the runs between two changes
+    top = values[last]
+    peak = (values[before] < top) & (top > values[last + 1]) & (top >= floor)
+    return (before[peak] + 1 + last[peak]) // 2
 
 
 def full_graph_exit_signal(graph: Graph, gamma: float = 1.0,

@@ -17,9 +17,9 @@ bipartite graph keeps the parity of its step count, so S is one of two
 halves of the half-edges: a walk started at one site of the line holds
 |S| = 2t after t steps, half of the span it has crossed. Once S covers all
 H half-edges (an odd cycle after a few steps) the step runs on U itself.
-Memory: three HxH complex matrices (the iterate and the half step, each a
-flat buffer reshaped to the set, and the result) besides the real
-dephasing factors on the last two sets, each at most HxH.
+Memory: two flat HxH complex buffers (the iterate and the half step, each
+reshaped to the set) besides the real dephasing factors on the last two
+sets; a ``DensityState`` holds only S and its |S|x|S| block.
 
 Trajectory randomness comes from ``numpy.random.default_rng`` (the PCG64
 generator), so records are bit-reproducible for a fixed seed across
@@ -101,7 +101,9 @@ def _live_indices(matrix: np.ndarray) -> np.ndarray:
 
 
 class DensityState:
-    """Density operator over half-edge basis states."""
+    """Density operator over half-edge basis states: the |S|x|S| complex
+    ``block`` on the ascending half-edges ``support`` (read-only), zero
+    elsewhere. Interference can leave a row of the block all zero."""
 
     def __init__(self, graph: Graph, matrix: np.ndarray):
         _check_density_dimension(graph)
@@ -109,15 +111,29 @@ class DensityState:
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.shape != (n, n):
             raise ValueError(f"matrix must have shape ({n}, {n}), got {matrix.shape}")
-        self.graph = graph
-        self.matrix = matrix
+        support = _live_indices(matrix)
+        support.flags.writeable = False
+        self.graph, self.support, self.block = graph, support, matrix[np.ix_(support, support)]
+
+    @classmethod
+    def _on_support(cls, graph: Graph, support: np.ndarray, block: np.ndarray):
+        rho = cls.__new__(cls)
+        support.flags.writeable = False
+        rho.graph, rho.support, rho.block = graph, support, block
+        return rho
+
+    def _trace(self) -> complex:
+        # numpy's pairwise sum groups terms by position: sum over all H half-edges
+        diagonal = np.zeros(self.graph.half_edge_count, dtype=np.complex128)
+        diagonal[self.support] = np.diagonal(self.block)
+        return diagonal.sum()
 
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        return float(self._trace().real)
 
     def position_distribution(self) -> np.ndarray:
-        weights = np.diag(self.matrix).real
-        return np.bincount(self.graph.half_edge_vertex, weights=weights,
+        return np.bincount(self.graph.half_edge_vertex[self.support],
+                           weights=np.diagonal(self.block).real,
                            minlength=self.graph.num_vertices)
 
     def check(self, herm_tol: float = 1e-10, trace_tol: float = 1e-10,
@@ -130,17 +146,16 @@ class DensityState:
         holding a nonzero entry), which hold every nonzero entry; each dead
         one adds only a zero eigenvalue, so every residual is exact.
         """
-        m = self.matrix
-        live = _live_indices(m)
-        block = m[np.ix_(live, live)]
+        live = _live_indices(self.block)
+        block = self.block[np.ix_(live, live)]
         herm = float(np.max(np.abs(block - block.conj().T), initial=0.0))
         if herm > herm_tol:
             raise InvariantViolationError(f"not Hermitian: max deviation {herm:.3e}")
-        tr = np.trace(m)
+        tr = self._trace()
         if abs(tr - 1.0) > trace_tol:
             raise InvariantViolationError(f"trace {tr} deviates from 1")
         smallest = float(np.linalg.eigvalsh(block)[0]) if live.size else 0.0
-        if live.size < len(m):
+        if live.size < self.graph.half_edge_count:
             smallest = min(smallest, 0.0)
         if smallest < eig_floor:
             raise InvariantViolationError(f"negative eigenvalue {smallest:.3e}")
@@ -149,10 +164,11 @@ class DensityState:
 
 
 def to_density(state: PureState) -> DensityState:
-    """Rank-1 projector |state><state|."""
+    """Rank-1 projector |state><state| on the state's nonzero amplitudes."""
     _check_density_dimension(state.graph)
-    a = state.amplitudes
-    return DensityState(state.graph, np.outer(a, a.conj()))
+    support = np.flatnonzero(state.amplitudes)
+    a = state.amplitudes[support]
+    return DensityState._on_support(state.graph, support, np.outer(a, a.conj()))
 
 
 def _sector_ids(graph: Graph, target: str) -> np.ndarray:
@@ -172,13 +188,11 @@ def _dephasing_block(ids: np.ndarray, p: float) -> np.ndarray:
     return np.where(ids[:, None] == ids[None, :], 1.0, 1.0 - p)
 
 
-def _dephasing_factors(graph: Graph, spec: DecoherenceSpec) -> np.ndarray:
-    return _dephasing_block(_sector_ids(graph, spec.target), spec.p)
-
-
 def apply_channel(rho: DensityState, spec: DecoherenceSpec) -> DensityState:
     """rho -> (1-p) rho + p sum_k P_k rho P_k over the target's projectors."""
-    return DensityState(rho.graph, rho.matrix * _dephasing_factors(rho.graph, spec))
+    ids = _sector_ids(rho.graph, spec.target)[rho.support]
+    return DensityState._on_support(rho.graph, rho.support,
+                                    rho.block * _dephasing_block(ids, spec.p))
 
 
 def _sparse_product(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
@@ -248,12 +262,11 @@ def _density_blocks(rho0: DensityState, spec: DecoherenceSpec, coin: str):
 
     The density matrix after the step is ``block`` on the rows and columns
     ``support`` (ascending half-edge indices) and zero elsewhere. The set
-    starts at the rows and columns of ``rho0`` holding a nonzero entry, and
-    each step maps it to the rows of U that touch it (``_SupportMap``); the
-    step then works on the set alone, which the full-range step would only
-    multiply by zeros. Every entry comes out with the bits of the
-    full-range step: a sparse row product starts each sum at +0 and never
-    reaches -0, so the zero terms it skips change nothing.
+    starts at ``rho0.support`` and each step maps it to the rows of U that
+    touch it (``_SupportMap``); the step then works on the set alone, which
+    the full-range step would only multiply by zeros. Every entry comes out
+    with the bits of the full-range step: a sparse row product starts each
+    sum at +0 and never reaches -0, so the zero terms it skips change nothing.
 
     Each step is exact for any square matrix, Hermitian or not:
     (U rho)^T = rho^T U^T, and conj(U) rho^T U^T = (U rho U†)^T. So a sparse
@@ -269,12 +282,12 @@ def _density_blocks(rho0: DensityState, spec: DecoherenceSpec, coin: str):
     n = graph.half_edge_count
     u = CoinedWalk(graph, coin).step_matrix()
     supports = _SupportMap(u, u.conj(), _sector_ids(graph, spec.target), spec.p)
-    support = _live_indices(rho0.matrix)
+    support = rho0.support
     held_flat = np.empty(n * n, dtype=np.complex128)
     spare = np.empty(n * n, dtype=np.complex128)
     w = len(support)
     held = held_flat[:w * w].reshape(w, w)
-    held[...] = rho0.matrix[np.ix_(support, support)]  # rho, or rho^T when `transposed`
+    held[...] = rho0.block  # rho, or rho^T when `transposed`
     transposed = False
     while True:
         support_next, indptr, indices, data, data_conj, factors = supports.plan(support)
@@ -293,35 +306,22 @@ def _density_blocks(rho0: DensityState, spec: DecoherenceSpec, coin: str):
         yield support, held.T if transposed else held
 
 
-def _full_matrix(support: np.ndarray, block: np.ndarray, n: int) -> np.ndarray:
-    """A new HxH array holding ``block`` on rows and columns ``support``, zero elsewhere."""
-    if len(block) == n:
-        return block.copy()
-    out = np.zeros((n, n), dtype=np.complex128)
-    out[support[:, None], support] = block
-    return out
-
-
 def evolve_density(rho0: DensityState, spec: DecoherenceSpec, steps: int,
                    coin: str = "default") -> DensityState:
-    """Iterate (unitary step, then measurement channel) ``steps`` times."""
+    """Iterate (unitary step, then channel) ``steps`` times; 0 steps return ``rho0``."""
     graph = rho0.graph
-    occupied = graph.half_edge_vertex[np.flatnonzero(np.diag(rho0.matrix))]
+    occupied = graph.half_edge_vertex[rho0.support[np.flatnonzero(np.diagonal(rho0.block))]]
     check_line_headroom(graph.kind, graph.num_vertices, occupied, steps)
-    last = None
-    for last in itertools.islice(_density_blocks(rho0, spec, coin), steps):
+    for support, block in itertools.islice(_density_blocks(rho0, spec, coin), steps):
         pass
-    if last is None:
-        return DensityState(graph, np.ascontiguousarray(rho0.matrix))
-    return DensityState(graph, _full_matrix(*last, graph.half_edge_count))
+    return DensityState._on_support(graph, support, block.copy()) if steps else rho0
 
 
 def iter_density_steps(rho0: DensityState, spec: DecoherenceSpec,
                        coin: str = "default"):
-    """Yield the density state after step 1, 2, ... indefinitely."""
-    n = rho0.graph.half_edge_count
+    """Yield the density state after step 1, 2, ... indefinitely, each on its own block."""
     for support, block in _density_blocks(rho0, spec, coin):
-        yield DensityState(rho0.graph, _full_matrix(support, block, n))
+        yield DensityState._on_support(rho0.graph, support, block.copy())
 
 
 def _chunk_rows(width: int) -> int:

@@ -624,6 +624,33 @@ def test_sweep_refuses_runs_it_could_not_tell_apart(tmp_path, capsys, argv, fiel
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("argv", [
+    ["--graph", "cycle", "--steps", "5", "--start", "7", "--axis", "n", "--values", "10,5"],
+    ["--graph", "hypercube", "--steps", "3", "--initial", "0.6,0.8,0",
+     "--axis", "dimension", "--values", "3,4"],
+    ["--graph", "cycle", "--steps", "3", "--p", "0.1", "--axis", "n",
+     "--values", "10,600"],
+])
+def test_sweep_refused_partway_writes_nothing(tmp_path, capsys, argv, threads):
+    # the first run succeeds and the second is refused by the library
+    outdir = tmp_path / "never"
+    assert run(["sweep", *argv, "--threads", threads, "--output-dir", str(outdir)]) == 2
+    capsys.readouterr()
+    assert not outdir.exists()
+
+
+def test_sweep_refuses_an_exit_series_before_any_run(tmp_path, capsys, monkeypatch):
+    # every run would write the one series file, the last to finish winning
+    monkeypatch.setattr(cli, "run_walk", None)
+    outdir = tmp_path / "never"
+    assert run(["sweep", "--walk", "continuous", "--graph", "glued-trees", "--time", "5",
+                "--axis", "depth", "--values", "2,3", "--output-dir", str(outdir),
+                "--exit-series", str(tmp_path / "d" / "exit.csv")]) == 2
+    assert "exit-series:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- trace command --------------------------------------------------------
 
 def test_trace_stdout_three_steps(capsys):

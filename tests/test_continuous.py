@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qwalksim import cli
+from qwalksim import cli, continuous
 from qwalksim.continuous import (CONTINUOUS_DIMENSION_LIMIT, HAMILTONIAN_CONVENTIONS,
                                  Hamiltonian, column_sizes, evolve_ct, evolve_ct_many,
                                  exit_series_csv, exit_signal, first_peak_time,
@@ -381,6 +384,16 @@ def test_first_peak_on_synthetic_signal():
     peak_time, peak_height = first_peak_time(times, values)
     assert peak_time == pytest.approx(np.pi / 2, abs=0.02)
     assert peak_height == pytest.approx(1.0, abs=1e-3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)), max_size=20),
+       floor=st.integers(-1, 4))
+def test_peaks_are_the_ones_scipy_finds(runs, floor):
+    # few levels and runs of up to four equal values: rises, falls and plateaus
+    values = np.repeat([float(level) for level, _ in runs], [count for _, count in runs])
+    want, _ = scipy.signal.find_peaks(values, height=floor)
+    assert np.array_equal(continuous._peak_indices(values, floor), want)
 
 
 def test_first_peak_requires_a_peak():

@@ -25,8 +25,25 @@ from qwalksim.streams import RowStreams
 from test_half_edge_table import same_bits
 
 
+def embed(support, block, n):
+    """The HxH matrix holding ``block`` on rows and columns ``support``, zero elsewhere."""
+    m = np.zeros((n, n), dtype=np.complex128)
+    m[np.ix_(support, support)] = block
+    return m
+
+
+def dense(rho):
+    """The full HxH matrix of a density state."""
+    return embed(rho.support, rho.block, rho.graph.half_edge_count)
+
+
+def full_factors(graph, spec):
+    """The channel's elementwise factors on all H half-edges."""
+    return decoherence._dephasing_block(decoherence._sector_ids(graph, spec.target), spec.p)
+
+
 def purity(rho):
-    return float(np.sum(np.abs(rho.matrix) ** 2))
+    return float(np.sum(np.abs(dense(rho)) ** 2))
 
 
 def random_density(graph, seed, rank=None):
@@ -74,7 +91,7 @@ def test_to_density_is_rank_one_projector():
     rho = to_density(s)
     assert rho.trace() == pytest.approx(1.0, abs=1e-14)
     assert purity(rho) == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(rho.matrix, rho.matrix.conj().T)
+    assert np.allclose(dense(rho), dense(rho).conj().T)
 
 
 def test_density_position_distribution_matches_pure():
@@ -113,6 +130,38 @@ def test_to_density_refuses_before_allocating(monkeypatch):
     assert peak < projector_bytes // 10
 
 
+def test_states_hold_their_live_support():
+    g = build_line(21)
+    m = np.zeros((g.half_edge_count, g.half_edge_count), dtype=complex)
+    m[18, 21] = m[21, 18] = 0.25
+    m[4, 4] = m[30, 30] = 0.5
+    rho = DensityState(g, m)
+    assert rho.support.tolist() == [4, 18, 21, 30]
+    assert same_bits(rho.block, m[np.ix_(rho.support, rho.support)])
+    m[4, 4] = 0.0  # the state holds a copy
+    assert rho.block[0, 0] == 0.5
+    pure = to_density(initial_state(g, 10, np.array([0.6, 0.8j])))
+    assert pure.support.tolist() == [19, 20]
+    for state in (rho, pure):
+        assert np.array_equal(state.support, decoherence._live_indices(dense(state)))
+        assert state.block.shape == (len(state.support),) * 2
+        with pytest.raises(ValueError, match="read-only"):
+            state.support[0] = 0
+
+
+def test_to_density_allocates_its_support_alone():
+    g = build_line(201)
+    state = initial_state(g, g.params["origin"], "symmetric")
+    tracemalloc.start()
+    try:
+        rho = to_density(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.half_edge_count ** 2 * 16 // 10
+    assert rho.block.shape == (2, 2)
+
+
 def test_check_accepts_valid_state():
     g = build_cycle(4)
     random_density(g, 3).check()
@@ -121,7 +170,7 @@ def test_check_accepts_valid_state():
 def test_check_rejects_non_hermitian():
     g = build_cycle(4)
     rho = random_density(g, 0)
-    rho.matrix[0, 1] += 1e-3
+    rho.block[0, 1] += 1e-3
     with pytest.raises(InvariantViolationError):
         rho.check()
 
@@ -129,7 +178,7 @@ def test_check_rejects_non_hermitian():
 def test_check_rejects_bad_trace():
     g = build_cycle(4)
     rho = random_density(g, 1)
-    rho.matrix *= 1.5
+    rho.block *= 1.5
     with pytest.raises(InvariantViolationError):
         rho.check()
 
@@ -178,7 +227,7 @@ def test_check_returns_its_residuals():
     assert sorted(residuals) == ["hermiticity_deviation", "live_dimension",
                                  "min_eigenvalue", "trace_deviation"]
     assert residuals["live_dimension"] == g.half_edge_count
-    assert residuals["min_eigenvalue"] == np.linalg.eigvalsh(rho.matrix)[0]
+    assert residuals["min_eigenvalue"] == np.linalg.eigvalsh(dense(rho))[0]
     assert residuals["trace_deviation"] <= 1e-12
 
 
@@ -188,13 +237,13 @@ def test_channel_identity_at_p_zero():
     g = build_cycle(5)
     rho = random_density(g, 7)
     out = apply_channel(rho, DecoherenceSpec(0.0, "both"))
-    assert np.array_equal(out.matrix, rho.matrix)
+    assert np.array_equal(dense(out), dense(rho))
 
 
 def test_channel_full_measurement_kills_off_diagonals():
     g = build_cycle(5)
     out = apply_channel(random_density(g, 8), DecoherenceSpec(1.0, "both"))
-    off = out.matrix - np.diag(np.diag(out.matrix))
+    off = dense(out) - np.diag(np.diag(dense(out)))
     assert np.all(off == 0.0)
 
 
@@ -204,7 +253,7 @@ def test_channel_preserves_trace_exactly():
     for target in ("position", "coin", "both"):
         out = apply_channel(rho, DecoherenceSpec(0.37, target))
         # same-sector factors are exactly 1, so the diagonal is untouched
-        assert np.array_equal(np.diag(out.matrix), np.diag(rho.matrix))
+        assert np.array_equal(np.diag(dense(out)), np.diag(dense(rho)))
 
 
 def test_position_measurement_keeps_coin_coherence():
@@ -214,8 +263,8 @@ def test_position_measurement_keeps_coin_coherence():
     for v in range(g.num_vertices):
         lo = g.offsets[v]
         hi = lo + g.degree(v)
-        assert np.array_equal(out.matrix[lo:hi, lo:hi], rho.matrix[lo:hi, lo:hi])
-        assert np.all(out.matrix[lo:hi, hi:] == 0.0)
+        assert np.array_equal(dense(out)[lo:hi, lo:hi], dense(rho)[lo:hi, lo:hi])
+        assert np.all(dense(out)[lo:hi, hi:] == 0.0)
 
 
 def test_channel_matches_explicit_projector_sum():
@@ -224,32 +273,32 @@ def test_channel_matches_explicit_projector_sum():
     g = build_line(7)
     rho = random_density(g, 11)
     p = 0.42
-    acc = np.zeros_like(rho.matrix)
+    acc = np.zeros_like(dense(rho))
     for v in range(g.num_vertices):
         mask = np.zeros(g.half_edge_count)
         lo = g.offsets[v]
         mask[lo:lo + g.degree(v)] = 1.0
         proj = np.diag(mask)
-        acc += proj @ rho.matrix @ proj
-    expected = (1 - p) * rho.matrix + p * acc
+        acc += proj @ dense(rho) @ proj
+    expected = (1 - p) * dense(rho) + p * acc
     out = apply_channel(rho, DecoherenceSpec(p, "position"))
-    assert np.allclose(out.matrix, expected, atol=1e-14)
+    assert np.allclose(dense(out), expected, atol=1e-14)
 
 
 def test_coin_channel_matches_explicit_projector_sum():
     g = build_cycle(6)
     rho = random_density(g, 12)
     p = 0.6
-    acc = np.zeros_like(rho.matrix)
+    acc = np.zeros_like(dense(rho))
     for c in range(2):
         mask = np.zeros(g.half_edge_count)
         for v in range(g.num_vertices):
             mask[g.offsets[v] + c] = 1.0
         proj = np.diag(mask)
-        acc += proj @ rho.matrix @ proj
-    expected = (1 - p) * rho.matrix + p * acc
+        acc += proj @ dense(rho) @ proj
+    expected = (1 - p) * dense(rho) + p * acc
     out = apply_channel(rho, DecoherenceSpec(p, "coin"))
-    assert np.allclose(out.matrix, expected, atol=1e-14)
+    assert np.allclose(dense(out), expected, atol=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
@@ -260,8 +309,8 @@ def test_channel_keeps_a_density_matrix(name, target, p, rank, seed):
     # low rank leaves most eigenvalues at zero, where a channel that is
     # not positive would push some below it
     rho = random_density(TRAJECTORY_GRAPHS[name](), seed, rank)
-    out = apply_channel(rho, DecoherenceSpec(p, target)).matrix
-    assert abs(np.trace(out) - np.trace(rho.matrix)) <= 1e-12
+    out = dense(apply_channel(rho, DecoherenceSpec(p, target)))
+    assert abs(np.trace(out) - np.trace(dense(rho))) <= 1e-12
     assert np.max(np.abs(out - out.conj().T)) <= 1e-12
     assert np.linalg.eigvalsh(out).min() >= -1e-12
 
@@ -273,7 +322,7 @@ def test_density_evolution_matches_pure_at_p_zero():
     s = initial_state(g, g.params["origin"], "symmetric")
     rho = evolve_density(to_density(s), DecoherenceSpec(0.0), 8)
     pure = CoinedWalk(g).evolve(s, 8)
-    assert np.allclose(rho.matrix, to_density(pure).matrix, atol=1e-12)
+    assert np.allclose(dense(rho), dense(to_density(pure)), atol=1e-12)
 
 
 def test_density_evolution_p_one_matches_classical():
@@ -321,7 +370,7 @@ def test_iter_density_matches_evolve():
     for steps in range(1, 6):
         stepped = next(it)
         direct = evolve_density(to_density(s), spec, steps)
-        assert np.allclose(stepped.matrix, direct.matrix, atol=1e-13)
+        assert np.allclose(dense(stepped), dense(direct), atol=1e-13)
 
 
 def test_density_evolution_rejects_negative_steps():
@@ -382,8 +431,8 @@ def test_density_step_matches_dense_reference(graph_name, coin, target):
         return
     u = dense_step_operator(g, coin)
     for _ in range(3):  # odd and even steps: both layouts of the iterate
-        m = apply_channel(DensityState(g, u @ m @ u.conj().T), spec).matrix
-        got = next(steps).matrix
+        m = dense(apply_channel(DensityState(g, u @ m @ u.conj().T), spec))
+        got = dense(next(steps))
         assert np.max(np.abs(got - m)) < 1e-12 * np.max(np.abs(m))
 
 
@@ -398,8 +447,8 @@ def test_density_step_matches_dense_reference_on_cycles(n, p, seed, target, coin
     u = dense_step_operator(g, coin)
     steps = iter_density_steps(DensityState(g, m), spec, coin)
     for _ in range(2):
-        m = apply_channel(DensityState(g, u @ m @ u.conj().T), spec).matrix
-        assert np.max(np.abs(next(steps).matrix - m)) < 1e-12 * np.max(np.abs(m))
+        m = dense(apply_channel(DensityState(g, u @ m @ u.conj().T), spec))
+        assert np.max(np.abs(dense(next(steps)) - m)) < 1e-12 * np.max(np.abs(m))
 
 
 @pytest.mark.parametrize("steps", [1, 2, 5])
@@ -410,8 +459,8 @@ def test_evolve_density_matches_dense_reference(steps):
     u = dense_step_operator(g, "default")
     want = m
     for _ in range(steps):
-        want = apply_channel(DensityState(g, u @ want @ u.conj().T), spec).matrix
-    got = evolve_density(DensityState(g, m), spec, steps).matrix
+        want = dense(apply_channel(DensityState(g, u @ want @ u.conj().T), spec))
+    got = dense(evolve_density(DensityState(g, m), spec, steps))
     assert got.flags.c_contiguous
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
@@ -420,14 +469,33 @@ def test_iter_density_steps_yields_independent_copies():
     g = build_cycle(5)
     spec = DecoherenceSpec(0.1, "both")
     rho0 = random_density(g, 6)
-    before = rho0.matrix.copy()
+    before = dense(rho0)
     it = iter_density_steps(rho0, spec)
     first = next(it)
-    first.matrix[:] = 0.0
+    first.block[:] = 0.0
     second = next(it)
-    assert np.array_equal(rho0.matrix, before)
+    assert np.array_equal(dense(rho0), before)
     direct = evolve_density(rho0, spec, 2)
-    assert np.allclose(second.matrix, direct.matrix, atol=1e-14)
+    assert np.allclose(dense(second), dense(direct), atol=1e-14)
+
+
+def test_yielded_states_own_their_support_blocks():
+    g = build_line(41)
+    rho0 = to_density(initial_state(g, g.params["origin"], "symmetric"))
+    spec = DecoherenceSpec(0.2, "position")
+    before = rho0.block.copy()
+    reference = [dense(rho) for rho in itertools.islice(iter_density_steps(rho0, spec), 8)]
+    for rho, want in zip(iter_density_steps(rho0, spec), reference):
+        assert np.array_equal(rho.support, decoherence._live_indices(want))
+        assert rho.block.shape == (len(rho.support),) * 2
+        assert rho.block.flags.c_contiguous
+        assert np.array_equal(dense(rho), want)
+        rho.block[:] = 0.0
+    assert same_bits(rho0.block, before)
+    last = evolve_density(rho0, spec, 8)
+    assert last.block.flags.c_contiguous
+    assert np.array_equal(dense(last), reference[-1])
+    assert evolve_density(rho0, spec, 0) is rho0
 
 
 # --- light-cone window against the full-range step ----------------------
@@ -440,9 +508,9 @@ def full_range_density_matrices(rho0, spec, coin):
     graph = rho0.graph
     u = CoinedWalk(graph, coin).step_matrix()
     u_conj = u.conj()
-    factors = decoherence._dephasing_factors(graph, spec)
-    turned = np.empty(rho0.matrix.shape, dtype=np.complex128)
-    held = rho0.matrix
+    factors = full_factors(graph, spec)
+    held = dense(rho0)
+    turned = np.empty(held.shape, dtype=np.complex128)
     transposed = False
     while True:
         first, second = (u_conj, u) if transposed else (u, u_conj)
@@ -467,7 +535,7 @@ def assert_same_bits_as_full_range(rho0, spec, coin, steps):
             next(windowed)
         return
     for _ in range(steps):
-        assert np.array_equal(bits(next(windowed).matrix), bits(next(reference)))
+        assert np.array_equal(bits(dense(next(windowed))), bits(next(reference)))
 
 
 def line_start(g, kind, rng):
@@ -516,11 +584,11 @@ def test_evolve_density_on_a_line_is_the_full_range_result(target):
     rho0 = to_density(initial_state(g, g.params["origin"], np.array([0.6, 0.8j])))
     spec = DecoherenceSpec(0.07, target)
     for steps in (0, 1, 17, 30):
-        want = rho0.matrix
+        want = dense(rho0)
         for want in itertools.islice(full_range_density_matrices(rho0, spec, "default"),
                                      steps):
             pass
-        got = evolve_density(rho0, spec, steps).matrix
+        got = dense(evolve_density(rho0, spec, steps))
         assert got.flags.c_contiguous
         assert np.array_equal(bits(got), bits(want))
 
@@ -532,7 +600,7 @@ def test_coherence_without_diagonal_starts_the_window():
     m = np.zeros((g.half_edge_count, g.half_edge_count), dtype=complex)
     m[18, 21] = m[21, 18] = 0.5
     steps = iter_density_steps(DensityState(g, m), DecoherenceSpec(0.2, "position"))
-    assert np.any(next(steps).matrix != 0)
+    assert np.any(dense(next(steps)) != 0)
     assert_same_bits_as_full_range(DensityState(g, m), DecoherenceSpec(0.2, "position"),
                                    "default", 12)
 
@@ -575,7 +643,7 @@ def test_full_support_runs_on_the_step_operator_itself():
     assert np.array_equal(support_next, np.arange(n))
     assert indptr is u.indptr and indices is u.indices
     assert data is u.data and data_conj is u_conj.data
-    assert same_bits(factors, decoherence._dephasing_factors(g, spec))
+    assert same_bits(factors, full_factors(g, spec))
 
 
 def test_support_map_grows_to_the_rows_that_touch_the_set():
@@ -583,7 +651,7 @@ def test_support_map_grows_to_the_rows_that_touch_the_set():
     u = CoinedWalk(g).step_matrix()
     n = g.half_edge_count
     spec = DecoherenceSpec(0.3, "position")
-    factors = decoherence._dephasing_factors(g, spec)
+    factors = full_factors(g, spec)
     supports = decoherence._SupportMap(u, u.conj(), decoherence._sector_ids(g, spec.target),
                                        spec.p)
     dense = u.toarray()
@@ -641,7 +709,7 @@ def test_line_steps_on_the_live_half_edges_alone():
     n = g.half_edge_count
     for t, (support, block) in enumerate(
             itertools.islice(decoherence._density_blocks(rho0, spec, "default"), 100), 1):
-        got = decoherence._full_matrix(support, block, n)
+        got = embed(support, block, n)
         assert np.array_equal(bits(got), bits(next(reference)))
         assert len(support) == DensityState(g, got).check()["live_dimension"] == 2 * t
     assert len(support) == 200 == n // 2
@@ -657,7 +725,7 @@ BIPARTITE_GRAPHS = {
 
 def support_sets(rho0, spec, steps):
     blocks = decoherence._density_blocks(rho0, spec, "default")
-    return [decoherence._live_indices(rho0.matrix)] + [
+    return [decoherence._live_indices(dense(rho0))] + [
         support for support, _ in itertools.islice(blocks, steps)]
 
 

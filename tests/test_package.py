@@ -1,5 +1,9 @@
 """The public names of the package: one path per operation."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 
 import qwalksim
@@ -16,7 +20,7 @@ def test_public_names_resolve_and_second_paths_are_gone():
             (stats, ("central_std_dev", "uniform_distribution", "time_averaged",
                      "flatness_ratio")),
             (continuous, ("threshold_crossing_time", "entrance_state")),
-            (decoherence, ("record_to_csv",)),
+            (decoherence, ("record_to_csv", "_full_matrix", "_dephasing_factors")),
             (coined.CoinedWalk, ("inverse_step_amplitudes", "coin_toss", "shift")),
             (coined.PureState, ("amplitude", "copy")),
             (decoherence.DensityState, ("purity", "copy")),
@@ -28,9 +32,20 @@ def test_public_names_resolve_and_second_paths_are_gone():
             # attributes set in __init__ live there
             (stats.Distribution(np.ones(1)), ("metadata",)),
             (continuous.Hamiltonian(np.eye(1)), ("basis", "gamma")),
+            (decoherence.DensityState(graphs.build_cycle(3), np.eye(6) / 6), ("matrix",)),
             (cli, ("THREADS_ENV_VAR", "sweep_thread_count"))]
     for owner, names in gone:
         for name in names:
             assert not hasattr(owner, name), (owner, name)
     assert not {"coin_toss", "shift", "step", "evolve", "neighbors",
                 "time_averaged"} & set(qwalksim.__all__)
+
+
+def test_the_command_line_does_not_import_scipy_signal():
+    # scipy.signal took most of every qwalksim process's start-up
+    src = os.path.dirname(os.path.dirname(qwalksim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, qwalksim.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout == "False\n"
