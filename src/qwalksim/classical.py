@@ -2,7 +2,9 @@
 
 The transition rule is degree-uniform: probability mass at a vertex splits
 equally over its neighbors, which on the line interior is the fair +-1
-coin-toss walk. Exact propagation is the oracle for every sampled result
+coin-toss walk. Exact propagation steps on the half-edge table: a step
+moves p(v)/degree(v) along each half-edge out of v, in O(H) memory and
+work, and builds no V x V array. It is the oracle for every sampled result
 and for the quantum classical-limit checks. ``evolve_classical_exact``
 returns a ``stats.Distribution``: the state at step ``steps`` of the
 sequence whose later states ``iter_classical_distributions`` yields.
@@ -43,26 +45,25 @@ _DRAW_BLOCK = 256
 _UINT32_MAX = 2 ** 32 - 1
 
 
-def transition_matrix(g: Graph) -> np.ndarray:
-    """Row-stochastic matrix T[v, u] = 1/degree(v) for each edge (v, u)."""
+def _shares(g: Graph) -> np.ndarray:
+    """1/degree(v), the chance of each move out of v; refused for an isolated vertex."""
     if np.any(g.degrees == 0):
         raise ValueError("graph has an isolated vertex; walk undefined there")
-    return g.adjacency_matrix() / g.degrees[:, None]
+    return 1.0 / g.degrees
 
 
 def _distributions(g: Graph, start: int, steps: int | None = None) -> Iterator[np.ndarray]:
-    """The exact distribution at step 0, 1, 2, ..., none of them ever written.
-
-    The start vertex, and for a run of known length ``steps`` the line
-    rule, are checked when this is called, before anything is iterated.
-    """
+    """The exact distribution at step 0, 1, 2, ..., none of them ever written;
+    the start vertex, the line rule (for a run of known length ``steps``) and
+    isolated vertices are checked when this is called, before any step."""
     g.check_vertex(start)
     if steps is not None:
         check_line_headroom(g.kind, g.num_vertices, [start], steps)
-    t = transition_matrix(g)
+    share = _shares(g)
     p = np.zeros(g.num_vertices)
     p[start] = 1.0
-    return itertools.accumulate(itertools.repeat(t), np.matmul, initial=p)
+    return itertools.accumulate(itertools.repeat(None), lambda p, _: np.bincount(
+        g.heads, weights=(p * share)[g.half_edge_vertex], minlength=g.num_vertices), initial=p)
 
 
 def evolve_classical_exact(g: Graph, start: int, steps: int) -> Distribution:
@@ -71,10 +72,9 @@ def evolve_classical_exact(g: Graph, start: int, steps: int) -> Distribution:
     return Distribution(p, g.coordinates)
 
 
-def iter_classical_distributions(g: Graph, start: int):
-    """Yield the exact distribution after step 1, 2, ... indefinitely."""
-    for p in itertools.islice(_distributions(g, start), 1, None):
-        yield p.copy()
+def iter_classical_distributions(g: Graph, start: int) -> Iterator[np.ndarray]:
+    """Yield the exact distribution after step 1, 2, ... indefinitely, each the caller's own."""
+    return map(np.copy, itertools.islice(_distributions(g, start), 1, None))
 
 
 def _uint32_block(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -170,20 +170,19 @@ def sample_endpoint_histogram(g: Graph, start: int, steps: int,
 
 
 def hitting_time_exact(g: Graph, start: int, target: int) -> float:
-    """Expected steps to first reach the target, by absorbing-chain solve.
-
-    Makes the target absorbing and solves (I - Q) tau = 1 over the
-    transient vertices.
-    """
+    """Expected steps to first reach the target: with the target absorbing, a dense
+    solve of (I - Q) tau = 1, one row per transient vertex (v - 1 above the target)."""
     for v in (start, target):
         g.check_vertex(v)
     if start == target:
         return 0.0
-    t = transition_matrix(g)
-    transient = np.array([v for v in range(g.num_vertices) if v != target])
-    q = t[np.ix_(transient, transient)]
-    tau = scipy.linalg.solve(np.eye(len(transient)) - q, np.ones(len(transient)))
-    return float(tau[int(np.searchsorted(transient, start))])
+    moves = (g.half_edge_vertex != target) & (g.heads != target)
+    tails, heads = g.half_edge_vertex[moves], g.heads[moves]
+    row = np.arange(g.num_vertices) - (np.arange(g.num_vertices) > target)
+    m = np.eye(g.num_vertices - 1, order="F")  # I - Q; LAPACK factors Fortran order in place
+    m[row[tails], row[heads]] -= _shares(g)[tails]
+    tau = scipy.linalg.solve(m, np.ones(g.num_vertices - 1), overwrite_a=True)
+    return float(tau[row[start]])
 
 
 @dataclass

@@ -23,6 +23,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import json
+import math
 import os
 import platform
 import sys
@@ -95,10 +96,10 @@ class WalkConfig:
                 raise ConfigError("glue-seed", "random-cycle glue requires a seed")
 
         if self.walk == "continuous":
-            if self.time is None or self.time < 0:
-                raise ConfigError("time", "continuous walk needs time >= 0")
-            if self.gamma <= 0:
-                raise ConfigError("gamma", "hopping rate must be > 0")
+            if self.time is None or not (math.isfinite(self.time) and self.time >= 0):
+                raise ConfigError("time", "continuous walk needs a finite time >= 0")
+            if not (math.isfinite(self.gamma) and self.gamma > 0):
+                raise ConfigError("gamma", "hopping rate must be finite and > 0")
         else:
             if self.steps is None or self.steps < 0:
                 raise ConfigError("steps", f"{self.walk} walk needs steps >= 0")

@@ -10,11 +10,14 @@ For glued trees the walk started at the entrance stays in the
 column-uniform subspace, so a (2*depth+2)-dimensional chain Hamiltonian
 (``reduce_columns``) reproduces the full-graph dynamics: column c's
 probability |a_c|^2 spreads evenly over its ``column_sizes`` N_c vertices.
-The command line runs every walk from the entrance this way, at any
-depth. Every other start and graph builds the dense Hamiltonian of the
-full graph, which ``hamiltonian`` refuses above
-``CONTINUOUS_DIMENSION_LIMIT`` vertices before allocating it;
-``full_graph_exit_signal`` keeps that route as the chain's oracle.
+The chain runs at any depth. The command line runs every walk from the
+entrance this way, but it still builds the full graph to write one row
+per vertex, so its memory grows with the 2^(depth+2) - 2 vertices (about
+300 MB at depth 18; depth 40 would need 16 TiB). Every other start and
+graph builds the dense Hamiltonian of the full graph, which
+``hamiltonian`` refuses above ``CONTINUOUS_DIMENSION_LIMIT`` vertices
+before allocating it; ``full_graph_exit_signal`` keeps that route as the
+chain's oracle.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ class Hamiltonian:
 
 
 def _check_generator(gamma: float, convention: str) -> None:
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
     if convention not in HAMILTONIAN_CONVENTIONS:
         raise ValueError(
             f"convention must be one of {HAMILTONIAN_CONVENTIONS}, got {convention!r}")
@@ -73,7 +76,7 @@ def hamiltonian(g: Graph, gamma: float = 1.0,
         raise ValueError(
             f"graph has {g.num_vertices} vertices, above the dense Hamiltonian limit "
             f"{CONTINUOUS_DIMENSION_LIMIT}; a glued-trees walk started at the "
-            "entrance runs on the column chain at any depth")
+            "entrance runs on the column chain")
     a = g.adjacency_matrix()
     if convention == "adjacency":
         return Hamiltonian(-gamma * a)
@@ -94,8 +97,9 @@ def evolve_ct_many(h: Hamiltonian, initial: np.ndarray,
     their BLAS kernels may round a row differently in the last place.
     """
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError(f"times must be >= 0, got {times.min()}")
+    bad = ~(np.isfinite(times) & (times >= 0))
+    if bad.any():
+        raise ValueError(f"times must be finite and >= 0, got {times[bad][0]}")
     initial = np.asarray(initial, dtype=np.complex128)
     if initial.shape != (h.dimension,):
         raise ValueError(

@@ -15,11 +15,12 @@ U that touch S. That costs O(|S|^2·d) per step instead of the O(H^3) of
 dense matmuls on all H, with the bits of the full-range step. A walk on a
 bipartite graph keeps the parity of its step count, so S is one of two
 halves of the half-edges: a walk started at one site of the line holds
-|S| = 2t after t steps, half of the span it has crossed. Once S covers all
-H half-edges (an odd cycle after a few steps) the step runs on U itself.
-Memory: two flat HxH complex buffers (the iterate and the half step, each
-reshaped to the set) besides the real dephasing factors on the last two
-sets; a ``DensityState`` holds only S and its |S|x|S| block.
+|S| = 2t after t steps, half of the span it has crossed; an odd cycle
+covers all H half-edges after a few steps. Memory: two flat complex
+buffers (the iterate and the half step, each reshaped to the set), at
+least doubled when a set first needs more room and never beyond H^2
+entries, besides the real dephasing factors on the last two sets; a
+``DensityState`` holds only S and its |S|x|S| block.
 
 Trajectory randomness comes from ``numpy.random.default_rng`` (the PCG64
 generator), so records are bit-reproducible for a fixed seed across
@@ -217,9 +218,8 @@ class _SupportMap:
     U and of conj(U) as CSR arrays with columns renumbered 0..|S|-1 in
     ascending order, and the dephasing factors on S'xS'. Each row keeps its
     terms in U's order, so a product with the block skips only terms that
-    multiply zero rows of the state. The full set returns U's own arrays.
-    The last two plans are kept: on a bipartite graph the sets alternate
-    between two halves of the half-edges.
+    multiply zero rows of the state. The last two plans are kept: on a
+    bipartite graph the sets alternate between two halves of the half-edges.
     """
 
     def __init__(self, u, u_conj, sector_ids: np.ndarray, p: float):
@@ -241,20 +241,24 @@ class _SupportMap:
 def _step_plan(supports: _SupportMap, support: np.ndarray) -> tuple:
     """``_SupportMap.plan`` for a set not among the last two."""
     u, n = supports.u, supports.u.shape[0]
-    if len(support) == n:
-        support_next, indptr, indices = support, u.indptr, u.indices
-        data, data_conj = u.data, supports.u_conj.data
-    else:
-        column = np.full(n, -1, dtype=u.indices.dtype)
-        column[support] = np.arange(len(support))
-        keep = column[u.indices] >= 0
-        counts = np.bincount(supports.entry_rows[keep], minlength=n)
-        support_next = np.flatnonzero(counts)
-        indptr = np.concatenate(([0], np.cumsum(counts[support_next]))).astype(u.indices.dtype)
-        indices = column[u.indices[keep]]
-        data, data_conj = u.data[keep], supports.u_conj.data[keep]
+    column = np.full(n, -1, dtype=u.indices.dtype)
+    column[support] = np.arange(len(support))
+    keep = column[u.indices] >= 0
+    counts = np.bincount(supports.entry_rows[keep], minlength=n)
+    support_next = np.flatnonzero(counts)
+    indptr = np.concatenate(([0], np.cumsum(counts[support_next]))).astype(u.indices.dtype)
+    indices = column[u.indices[keep]]
+    data, data_conj = u.data[keep], supports.u_conj.data[keep]
     factors = _dephasing_block(supports.sector_ids[support_next], supports.p)
     return support_next, indptr, indices, data, data_conj, factors
+
+
+def _room(flat: np.ndarray, size: int, cap: int) -> np.ndarray:
+    """``flat`` if it has ``size`` entries, else a new buffer at least twice
+    its size and at most ``cap``; a new buffer keeps nothing of the old."""
+    if flat.size >= size:
+        return flat
+    return np.empty(min(max(size, 2 * flat.size), cap), dtype=flat.dtype)
 
 
 def _density_blocks(rho0: DensityState, spec: DecoherenceSpec, coin: str):
@@ -274,27 +278,28 @@ def _density_blocks(rho0: DensityState, spec: DecoherenceSpec, coin: str):
     transposed result, which the next step consumes with the roles of U
     and conj(U) swapped. Every other block is therefore held transposed
     and yielded as a transposed view; the dephasing factors are symmetric
-    and apply in either layout. Two flat HxH buffers hold the iterate and
-    the half step, each reshaped to the set. A yielded block is the
-    generator's working state: read it before the next resume, never write.
+    and apply in either layout. Two flat buffers hold the iterate and the
+    half step, each reshaped to the set; one grows when a set first needs
+    more room than it has. A yielded block is the generator's working
+    state: read it before the next resume, never write.
     """
     graph = rho0.graph
     n = graph.half_edge_count
     u = CoinedWalk(graph, coin).step_matrix()
     supports = _SupportMap(u, u.conj(), _sector_ids(graph, spec.target), spec.p)
     support = rho0.support
-    held_flat = np.empty(n * n, dtype=np.complex128)
-    spare = np.empty(n * n, dtype=np.complex128)
-    w = len(support)
-    held = held_flat[:w * w].reshape(w, w)
-    held[...] = rho0.block  # rho, or rho^T when `transposed`
+    held_flat = np.array(rho0.block, dtype=np.complex128).ravel()
+    spare = np.empty(0, dtype=np.complex128)
+    held = held_flat.reshape(rho0.block.shape)  # rho, or rho^T when `transposed`
     transposed = False
     while True:
         support_next, indptr, indices, data, data_conj, factors = supports.plan(support)
         w, w_next = len(support), len(support_next)
         first, second = (data_conj, data) if transposed else (data, data_conj)
+        spare = _room(spare, w_next * max(w, w_next), n * n)
         half = _sparse_product(indptr, indices, first, held,
                                spare[:w_next * w].reshape(w_next, w))
+        held_flat = _room(held_flat, w * w_next, n * n)  # held is read: its room is free
         turned = held_flat[:w * w_next].reshape(w, w_next)
         np.copyto(turned, half.T)
         held = _sparse_product(indptr, indices, second, turned,

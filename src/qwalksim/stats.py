@@ -8,8 +8,9 @@ that intermediate decoherence produces on the line and the cycle.
 
 A ``Distribution`` is checked when it is built, whichever engine made it:
 entries in [-NEGATIVE_CLAMP_TOL, 0) are rounding debris, clamped to 0 with
-a warning; anything more negative, or a sum further than
-``NORMALIZATION_TOL`` from 1, raises ``InvariantViolationError``.
+a warning; anything more negative, a NaN or infinite entry, or a sum
+further than ``NORMALIZATION_TOL`` from 1, raises
+``InvariantViolationError``.
 
 ``mixing_time`` reads its series in blocks of at most 256 items and 64 KiB
 (one item, if an item is larger). It reads no item that a loop taking one
@@ -63,15 +64,16 @@ class Distribution:
     def __post_init__(self):
         probs = np.asarray(self.probabilities, dtype=float)
         worst = float(probs.min()) if probs.size else 0.0
-        if worst < -NEGATIVE_CLAMP_TOL:
+        if not worst >= -NEGATIVE_CLAMP_TOL:  # NaN fails every comparison
             raise InvariantViolationError(
-                f"probability {worst:.3e} below the -{NEGATIVE_CLAMP_TOL:g} clamp tolerance")
+                f"probability {worst:.3e} is NaN or below the -{NEGATIVE_CLAMP_TOL:g} "
+                "clamp tolerance")
         if worst < 0.0:
             logger.warning("clamped %d negative probabilities (worst %.3e) to 0",
                            int(np.sum(probs < 0)), worst)
             probs = np.clip(probs, 0.0, None)
         total = float(probs.sum())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:  # a NaN sum fails too
             raise InvariantViolationError(f"probabilities sum to {total}, not 1")
         self.probabilities = probs
 

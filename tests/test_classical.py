@@ -1,7 +1,10 @@
+import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,35 +12,111 @@ from qwalksim import classical
 from qwalksim.classical import (HittingTimeResult, evolve_classical_exact,
                                 hitting_time, hitting_time_exact,
                                 iter_classical_distributions,
-                                sample_endpoint_histogram, sample_walk,
-                                transition_matrix)
+                                sample_endpoint_histogram, sample_walk)
 from qwalksim.graphs import (GlueSpec, Graph, build_cycle, build_glued_trees,
                              build_hypercube, build_line,
                              glued_trees_entrance_exit)
 from qwalksim.stats import position_distribution, std_dev, total_variation
 from qwalksim.streams import RowStreams
 
+from test_half_edge_table import same_bits
+
 
 # --- transition matrix ---------------------------------------------------
+#
+# Row v of the chain's transition matrix is one step from the delta at v.
+# The dense chain below is the one stepped before the half-edge table:
+# T = A / degree, then p @ T.
+
+def transition_rows(g):
+    return np.array([next(iter_classical_distributions(g, v))
+                     for v in range(g.num_vertices)])
+
+
+def dense_chain(g, start, steps):
+    t = g.adjacency_matrix() / g.degrees[:, None]
+    p = np.zeros(g.num_vertices)
+    p[start] = 1.0
+    series = []
+    for _ in range(steps):
+        p = p @ t
+        series.append(p)
+    return np.array(series)
+
+
+def dense_hitting_time(g, start, target):
+    t = g.adjacency_matrix() / g.degrees[:, None]
+    transient = np.array([v for v in range(g.num_vertices) if v != target])
+    q = t[np.ix_(transient, transient)]
+    tau = scipy.linalg.solve(np.eye(len(transient)) - q, np.ones(len(transient)))
+    return float(tau[int(np.searchsorted(transient, start))])
+
 
 def test_transition_matrix_line():
-    t = transition_matrix(build_line(5))
+    t = transition_rows(build_line(5))
     assert t[0, 1] == 1.0  # reflecting endpoint
     assert t[2, 1] == t[2, 3] == 0.5
     assert np.allclose(t.sum(axis=1), 1.0)
 
 
 def test_transition_matrix_cycle_and_hypercube():
-    t = transition_matrix(build_cycle(4))
+    t = transition_rows(build_cycle(4))
     assert t[0, 1] == t[0, 3] == 0.5
-    t = transition_matrix(build_hypercube(3))
+    t = transition_rows(build_hypercube(3))
     assert np.allclose(t[t > 0], 1.0 / 3.0)
     assert np.allclose(t.sum(axis=1), 1.0)
 
 
 def test_transition_matrix_rejects_isolated_vertex():
-    with pytest.raises(ValueError):
-        transition_matrix(Graph(2, ()))
+    # refused when called, before anything is iterated
+    g = Graph(2, ())
+    for call in (lambda: iter_classical_distributions(g, 0),
+                 lambda: evolve_classical_exact(g, 0, 1),
+                 lambda: hitting_time_exact(g, 0, 1)):
+        with pytest.raises(ValueError, match="isolated vertex"):
+            call()
+
+
+@pytest.mark.parametrize("g, start, steps", [
+    (build_line(201), 100, 100),
+    (build_cycle(15), 0, 3000),
+    (build_cycle(16), 3, 3000),
+])
+def test_chain_has_the_bits_of_the_dense_chain_at_degree_two(g, start, steps):
+    # two terms reach each vertex, and their sum does not depend on the order
+    got = np.array(list(itertools.islice(iter_classical_distributions(g, start), steps)))
+    assert same_bits(got, dense_chain(g, start, steps))
+
+
+@pytest.mark.parametrize("g, steps", [
+    (build_hypercube(8), 61),
+    (build_glued_trees(5, GlueSpec()), 81),
+    (build_glued_trees(5, GlueSpec("random-cycle", 4)), 81),
+])
+def test_chain_agrees_with_the_dense_chain_at_higher_degree(g, steps):
+    # BLAS adds three or more terms in its own order
+    got = np.array(list(itertools.islice(iter_classical_distributions(g, 0), steps)))
+    assert np.max(np.abs(got - dense_chain(g, 0, steps))) <= 1e-15
+
+
+def test_chain_allocates_no_vertex_by_vertex_array():
+    g = build_glued_trees(12, GlueSpec())  # 16,382 vertices: V x V floats take 2.1 GB
+    tracemalloc.start()
+    try:
+        dist = evolve_classical_exact(g, 0, 50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_yielded_distributions_are_the_callers_own():
+    g = build_cycle(7)
+    it = iter_classical_distributions(g, 0)
+    first = next(it)
+    first[:] = 0.0
+    assert same_bits(next(it), dense_chain(g, 0, 2)[1])
 
 
 # --- exact evolution ------------------------------------------------------
@@ -82,7 +161,7 @@ def test_iter_matches_direct_evolution():
 
 def test_uniform_is_stationary_on_regular_graphs():
     for g in (build_cycle(9), build_hypercube(4)):
-        t = transition_matrix(g)
+        t = transition_rows(g)
         uniform = np.full(g.num_vertices, 1.0 / g.num_vertices)
         assert np.allclose(uniform @ t, uniform, atol=1e-14)
 
@@ -144,6 +223,18 @@ def test_hitting_time_exact_on_cycles():
     for n, k in ((8, 1), (8, 3), (8, 4), (15, 7)):
         g = build_cycle(n)
         assert hitting_time_exact(g, 0, k) == pytest.approx(k * (n - k), abs=1e-9)
+
+
+@pytest.mark.parametrize("g, start, target", [
+    (build_line(21), 10, 17),
+    (build_cycle(9), 0, 4),
+    (build_hypercube(5), 0, 31),
+    (build_glued_trees(4, GlueSpec()), 0, 61),
+    (build_glued_trees(6, GlueSpec("random-cycle", 5)), 0, 253),
+    (build_glued_trees(6, GlueSpec("random-cycle", 5)), 100, 7),
+])
+def test_hitting_time_exact_has_the_bits_of_the_dense_solve(g, start, target):
+    assert hitting_time_exact(g, start, target) == dense_hitting_time(g, start, target)
 
 
 def test_hitting_time_exact_same_vertex():

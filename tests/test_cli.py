@@ -209,6 +209,14 @@ def test_walk_classical_matches_module(tmp_path):
         assert got.get(float(v), 0.0) == pytest.approx(exact[v], abs=1e-12)
 
 
+def test_classical_walk_on_a_large_hypercube(tmp_path):
+    # 131,072 vertices: a V x V transition matrix would take 128 GiB
+    out = str(tmp_path / "cube.csv")
+    assert run(["walk", "--walk", "classical", "--graph", "hypercube", "--dimension", "17",
+                "--steps", "30", "-o", out]) == 0
+    assert read_meta(out)["summary"]["probability_sum"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_walk_density_mode(tmp_path):
     out = str(tmp_path / "dens.csv")
     assert run(["walk", "--graph", "line", "--steps", "10", "--p", "0.1",
@@ -453,6 +461,15 @@ def test_config_file_values_are_checked_like_flags(tmp_path, capsys, command, co
     (["walk", "--steps", "5", "--p", "0.1", "--trajectories", "4", "--seed=-3"], "seed"),
     (["walk", "--walk", "continuous", "--graph", "glued-trees", "--depth", "3",
       "--glue-mode", "random-cycle", "--glue-seed=-2", "--time", "1"], "glue-seed"),
+    # NaN and infinity pass every "< 0" test; the run wrote an empty distribution
+    (["walk", "--walk", "continuous", "--graph", "hypercube", "--dimension", "3",
+      "--time", "nan"], "time"),
+    (["walk", "--walk", "continuous", "--graph", "hypercube", "--dimension", "3",
+      "--time", "inf"], "time"),
+    (["walk", "--walk", "continuous", "--graph", "cycle", "--n", "5", "--time", "1",
+      "--gamma", "nan"], "gamma"),
+    (["walk", "--walk", "continuous", "--graph", "cycle", "--n", "5", "--time", "1",
+      "--gamma", "inf"], "gamma"),
 ])
 def test_bad_configuration_exits_2(tmp_path, capsys, argv, field):
     out = str(tmp_path / "never.csv")

@@ -170,6 +170,19 @@ def test_evolve_many_rejects_negative_times():
         evolve_ct_many(h, np.eye(3)[0], np.array([0.0, -1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_times_and_gamma_are_refused(bad):
+    h = hamiltonian(build_cycle(3))
+    with pytest.raises(ValueError, match="times must be finite"):
+        evolve_ct_many(h, np.eye(3)[0], np.array([0.0, bad]))
+    with pytest.raises(ValueError, match="times must be finite"):
+        evolve_ct(h, np.eye(3)[0], bad)
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        hamiltonian(build_cycle(3), gamma=bad)
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        reduce_columns(3, GlueSpec(), gamma=bad)
+
+
 def test_evolve_many_validates_initial():
     h = hamiltonian(build_cycle(3))
     with pytest.raises(ValueError, match="shape"):

@@ -162,6 +162,20 @@ def test_to_density_allocates_its_support_alone():
     assert rho.block.shape == (2, 2)
 
 
+def test_density_step_buffers_follow_the_set():
+    # one step from the origin reaches |S| = 2 half-edges of H = 400
+    g = build_line(201)
+    rho = to_density(initial_state(g, g.params["origin"], "symmetric"))
+    tracemalloc.start()
+    try:
+        stepped = evolve_density(rho, DecoherenceSpec(0.1), 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.half_edge_count ** 2 * 16 // 10
+    assert stepped.block.shape == (2, 2)
+
+
 def test_check_accepts_valid_state():
     g = build_cycle(4)
     random_density(g, 3).check()
@@ -641,8 +655,10 @@ def test_full_support_runs_on_the_step_operator_itself():
                                        spec.p)
     support_next, indptr, indices, data, data_conj, factors = supports.plan(np.arange(n))
     assert np.array_equal(support_next, np.arange(n))
-    assert indptr is u.indptr and indices is u.indices
-    assert data is u.data and data_conj is u_conj.data
+    # the general plan on the full set is U's own arrays, bytes and dtypes
+    for got, want in ((indptr, u.indptr), (indices, u.indices), (data, u.data),
+                      (data_conj, u_conj.data)):
+        assert same_bits(got, want)
     assert same_bits(factors, full_factors(g, spec))
 
 

@@ -26,7 +26,7 @@ def test_public_names_resolve_and_second_paths_are_gone():
             (decoherence.DensityState, ("purity", "copy")),
             (graphs.Graph, ("coin_offset", "direction_index", "half_edge")),
             (qwalksim, ("ClassicalDistribution", "flatness_ratio")),
-            (classical, ("ClassicalDistribution",)),
+            (classical, ("ClassicalDistribution", "transition_matrix")),
             (classical.HittingTimeResult, ("censored_fraction",)),
             # settable values, looked up on instances: dataclass fields and
             # attributes set in __init__ live there

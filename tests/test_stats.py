@@ -66,6 +66,14 @@ def test_large_negative_entries_raise():
         position_distribution(StubState(g, probs))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_raise(bad):
+    # NaN fails every comparison, so neither check may pass on one
+    for probs in ([1.0, bad, 0.0], [bad, 0.0, 0.0], [0.5, 0.5, bad]):
+        with pytest.raises(InvariantViolationError):
+            Distribution(np.array(probs))
+
+
 def test_unnormalized_distribution_raises():
     g = build_cycle(4)
     with pytest.raises(InvariantViolationError):
