@@ -9,19 +9,22 @@ and for the quantum classical-limit checks. ``evolve_classical_exact``
 returns a ``stats.Distribution``: the state at step ``steps`` of the
 sequence whose later states ``iter_classical_distributions`` yields.
 
-The sampled engines are batched. Up to ``_CHUNK_ROWS`` walks move
-together as one vector of current vertices, walk i on its own generator
-``default_rng(seed + i)``, so each walk is the one a serial loop of
+The sampled engines are batched. Walks move together as one vector of
+current vertices, walk i on its own stream ``default_rng(seed + i)``
+(``RowStreams``), so each walk is the one a serial loop of
 ``nbrs[rng.integers(len(nbrs))]`` calls gives, bit for bit. Each walk's
 stream is drawn ahead ``_DRAW_BLOCK`` full-range uint32 values at a time
-(1 KiB a walk, 256 KiB a chunk) and read through a per-row cursor; a walk
-that runs out, as a long hitting-time walk does, draws its next block.
-Scalar ``integers(k)`` draws exactly like this: degree k = 1 consumes
-nothing; otherwise it takes one uint32 x and, by Lemire's rule, returns
-(x*k) >> 32 unless the low 32 bits of x*k fall below (2^32 - k) mod k, in
-which case it rejects x and takes the next draw. Mixed degrees (glued
-trees, a line's ends) therefore consume the stream unevenly, which the
-per-row cursor follows. ``sample_walk`` is the same engine on one row.
+(1 KiB a walk), or fewer for a walk of fewer moves, and read through a
+per-row cursor; a walk that runs out, as a long hitting-time walk does,
+draws its next block. A chunk holds ``_DRAW_BYTES`` (256 KiB) of
+pre-drawn uint32s, so its row count follows from the block: 256 walks of
+a hitting time, thousands of a short histogram walk. Scalar
+``integers(k)`` draws exactly like this: degree k = 1 consumes nothing;
+otherwise it takes one uint32 x and, by Lemire's rule, returns (x*k) >> 32
+unless the low 32 bits of x*k fall below (2^32 - k) mod k, in which case
+it rejects x and takes the next draw. Mixed degrees (glued trees, a
+line's ends) therefore consume the stream unevenly, which the per-row
+cursor follows. ``sample_walk`` is the same engine on one row.
 """
 
 from __future__ import annotations
@@ -35,11 +38,12 @@ import scipy.linalg
 
 from .graphs import Graph, check_line_headroom
 from .stats import Distribution
-from .streams import RowStreams
+from .streams import RowStreams, uint32
 
-# Walks stepped together. Each holds a generator (about 2 KiB of Python
-# objects) and a block of uint32 draws; 256 keeps a chunk near 1 MiB.
-_CHUNK_ROWS = 256
+# Bytes of pre-drawn uint32s a chunk of walks holds; the chunk's row count
+# follows from each walk's draw block. The draws are the chunk's largest
+# array, and refilling them takes a few temporaries of about their size.
+_DRAW_BYTES = 1 << 18
 # uint32 draws each walk's stream reads ahead (1 KiB a walk)
 _DRAW_BLOCK = 256
 _UINT32_MAX = 2 ** 32 - 1
@@ -77,14 +81,18 @@ def iter_classical_distributions(g: Graph, start: int) -> Iterator[np.ndarray]:
     return map(np.copy, itertools.islice(_distributions(g, start), 1, None))
 
 
-def _uint32_block(rng: np.random.Generator, n: int) -> np.ndarray:
-    """The next n (even) full-range uint32 draws of ``rng``.
+def _draw_block(moves: int) -> int:
+    """uint32 draws a walk of ``moves`` moves reads ahead: even, as each
+    raw output of its stream gives two."""
+    block = max(1, min(moves, _DRAW_BLOCK))
+    return block + block % 2
 
-    PCG64 serves 32-bit draws from its 64-bit outputs, low half first; a
-    fresh generator read only in pairs holds no spare half, so n/2 raw
-    outputs are exactly what n ``integers(2**32)`` draws would consume.
-    """
-    return rng.bit_generator.random_raw(n // 2).astype("<u8", copy=False).view("<u4")
+
+def _chunks(num_samples: int, seed: int, moves: int) -> Iterator[range]:
+    """The seeds of each chunk of walks, as many as ``_DRAW_BYTES`` of draws hold."""
+    rows = max(1, _DRAW_BYTES // (4 * _draw_block(moves)))
+    for first in range(0, num_samples, rows):
+        yield range(seed + first, seed + min(first + rows, num_samples))
 
 
 def _bounded_draws(streams: RowStreams, rows: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -116,8 +124,7 @@ class _Walkers:
         self._degree = g.degrees.astype(np.uint64)
         self._offsets = g.offsets
         self._heads = g.heads
-        block = max(1, min(moves, _DRAW_BLOCK))
-        self._streams = RowStreams(seeds, _uint32_block, block + block % 2)
+        self._streams = RowStreams(seeds, uint32, _draw_block(moves) // 2)
         self.at = np.full(len(seeds), start, dtype=np.int64)
 
     def move(self, rows: np.ndarray) -> None:
@@ -159,8 +166,7 @@ def sample_endpoint_histogram(g: Graph, start: int, steps: int,
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     _check_walk_start(g, start, steps)
     counts = np.zeros(g.num_vertices)
-    for first in range(0, num_samples, _CHUNK_ROWS):
-        seeds = range(seed + first, seed + min(first + _CHUNK_ROWS, num_samples))
+    for seeds in _chunks(num_samples, seed, steps):
         walkers = _Walkers(g, start, seeds, steps)
         everyone = np.arange(len(seeds))
         for _ in range(steps):
@@ -214,8 +220,7 @@ def hitting_time(g: Graph, start: int, target: int, seed: int,
     _check_walk_start(g, start, cap)
     hits = []
     censored = 0
-    for first in range(0, num_samples, _CHUNK_ROWS):
-        seeds = range(seed + first, seed + min(first + _CHUNK_ROWS, num_samples))
+    for seeds in _chunks(num_samples, seed, cap):
         walkers = _Walkers(g, start, seeds, cap)
         hit_at = np.zeros(len(seeds), dtype=np.int64)
         active = np.arange(len(seeds))

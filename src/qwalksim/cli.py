@@ -119,6 +119,12 @@ class WalkConfig:
                 if self.seed is None:
                     raise ConfigError("seed", "trajectory mode requires a seed")
             parse_initial_coin(self.initial)
+        # only a coined walk reads them: refuse them elsewhere rather than echo
+        # them into the metadata of a run they never touched
+        elif self.trajectories is not None:
+            raise ConfigError("trajectories", f"a {self.walk} walk never reads trajectories")
+        elif self.p != 0.0:
+            raise ConfigError("p", f"a {self.walk} walk never reads p")
         if self.exit_series is not None and not (
                 self.walk == "continuous" and self.graph == "glued-trees"
                 and self.start in (None, GLUED_TREES_ENTRANCE)):
@@ -302,13 +308,17 @@ def config_metadata(cfg: WalkConfig) -> dict:
 
 
 def environment_metadata() -> dict:
-    """The interpreter, numpy and scipy versions and the BLAS thread settings.
+    """The interpreter, numpy and scipy versions, the BLAS library and its threads.
 
-    Stream bits follow numpy's ``SeedSequence``, which ``streams`` mirrors,
-    and BLAS threading can move float bits, so a run records both.
+    Stream bits follow numpy's ``SeedSequence`` and PCG64 algorithms, which
+    ``streams`` reproduces, and the BLAS library and its threading can move
+    float bits, so a run records them all. The BLAS name and version come
+    from ``numpy.__config__.CONFIG``, null where numpy does not give them.
     """
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
     env = {"python": platform.python_version(), "numpy": np.__version__,
-           "scipy": scipy.__version__}
+           "scipy": scipy.__version__, "blas": blas.get("name"),
+           "blas_version": blas.get("version")}
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[name] = os.environ.get(name)
     return env

@@ -29,14 +29,14 @@ platforms. Trajectory i of an ensemble uses seed ``seed + i``.
 The trajectory engine is batched: a chunk of trajectories is one
 (rows, H) complex array, row r being trajectory r, stepped by one compiled
 ``CoinedWalk.step_rows`` per step; only the rows whose measurement fired
-are collapsed, together. Each row keeps its own generator. Its uniforms
-are drawn ahead in blocks of up to ``_DRAW_BLOCK`` (``RowStreams``) and
-read through a per-row cursor, one per step for "measure now?" plus one
-per collapse, so a row reads exactly what a lone trajectory would, and
-``evolve_trajectory`` is the same kernel run on one row. A chunk holds
-about ``_CHUNK_BYTES`` (192 KiB) of amplitudes, a few temporaries of that
-size, and rows x 2 KiB of pre-drawn uniforms; the chunk's row count
-follows from H.
+are collapsed, together. Each row keeps its own PCG64 stream, one row of
+``RowStreams``'s state arrays. Its uniforms are drawn ahead in blocks of
+up to ``_DRAW_BLOCK`` and read through a per-row cursor, one per step for
+"measure now?" plus one per collapse, so a row reads exactly what a lone
+trajectory would, and ``evolve_trajectory`` is the same kernel run on one
+row. A chunk holds about ``_CHUNK_BYTES`` (192 KiB) of amplitudes, a few
+temporaries of that size, and rows x 2 KiB of pre-drawn uniforms; the
+chunk's row count follows from H.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from scipy.sparse import _sparsetools
 from .coined import CoinedWalk, PureState, _row_bincount, _support
 from .errors import InvariantViolationError
 from .graphs import Graph, check_line_headroom
-from .streams import RowStreams
+from .streams import RowStreams, uniform
 
 # Exact density evolution holds an HxH complex matrix (H = half-edge count);
 # above this dimension use trajectory mode instead.
@@ -389,7 +389,7 @@ def _trajectories(walk: CoinedWalk, amps0: np.ndarray, spec: DecoherenceSpec,
         record = np.full((rows, steps, 4), NOT_MEASURED, dtype=np.int64)
         record[:, :, 0] = np.arange(1, steps + 1)
         record[:, :, 1] = 0
-    streams = RowStreams(seeds, np.random.Generator.random, max(1, min(2 * steps, _DRAW_BLOCK)))
+    streams = RowStreams(seeds, uniform, max(1, min(2 * steps, _DRAW_BLOCK)))
     coin_ids = _sector_ids(graph, "coin")
     everyone = np.arange(rows)
     for t in range(steps):

@@ -17,7 +17,7 @@ from qwalksim.graphs import (GlueSpec, Graph, build_cycle, build_glued_trees,
                              build_hypercube, build_line,
                              glued_trees_entrance_exit)
 from qwalksim.stats import position_distribution, std_dev, total_variation
-from qwalksim.streams import RowStreams
+from qwalksim.streams import RowStreams, uint32
 
 from test_half_edge_table import same_bits
 
@@ -384,11 +384,15 @@ def test_batched_sampling_matches_serial_loop(name, data, steps, seed, samples,
     start = data.draw(st.integers(0, g.num_vertices - 1))
     target = data.draw(st.integers(0, g.num_vertices - 1))
     cap = data.draw(st.integers(1, 60))
-    with mock.patch.object(classical, "_CHUNK_ROWS", chunk), \
-            mock.patch.object(classical, "_DRAW_BLOCK", block):
+    with mock.patch.object(classical, "_DRAW_BLOCK", block):
         path = sample_walk(g, start, steps, seed)
-        hist = sample_endpoint_histogram(g, start, steps, samples, seed)
-        hit = hitting_time(g, start, target, seed, samples, cap)
+        # a byte budget of `chunk` walks' draw blocks for each call
+        with mock.patch.object(classical, "_DRAW_BYTES", 4 * chunk * classical._draw_block(steps)):
+            assert len(next(classical._chunks(samples, seed, steps))) == min(chunk, samples)
+            hist = sample_endpoint_histogram(g, start, steps, samples, seed)
+        with mock.patch.object(classical, "_DRAW_BYTES", 4 * chunk * classical._draw_block(cap)):
+            assert len(next(classical._chunks(samples, seed, cap))) == min(chunk, samples)
+            hit = hitting_time(g, start, target, seed, samples, cap)
     assert np.array_equal(path, serial_walk(g, start, steps, seed))
     assert np.array_equal(hist, serial_histogram(g, start, steps, samples, seed))
     if start != target:
@@ -398,8 +402,10 @@ def test_batched_sampling_matches_serial_loop(name, data, steps, seed, samples,
 def test_batched_sampling_matches_serial_at_default_chunking():
     g = build_glued_trees(5, GlueSpec("random-cycle", 11))
     entrance, exit_vertex = glued_trees_entrance_exit(g)
-    hist = sample_endpoint_histogram(g, entrance, 25, 1100, seed=3)
-    assert np.array_equal(hist, serial_histogram(g, entrance, 25, 1100, 3))
+    # 25-step walks read 26 uint32s ahead, so 2,600 of them fill two chunks
+    assert len(next(classical._chunks(2600, 3, 25))) < 2600
+    hist = sample_endpoint_histogram(g, entrance, 25, 2600, seed=3)
+    assert np.array_equal(hist, serial_histogram(g, entrance, 25, 2600, 3))
     # walks longer than one draw block, some of them censored
     result = hitting_time(g, entrance, exit_vertex, seed=5, num_samples=40, cap=1100)
     assert result == serial_hitting_time(g, entrance, exit_vertex, 5, 40, 1100)
@@ -407,11 +413,13 @@ def test_batched_sampling_matches_serial_at_default_chunking():
 
 
 def test_uint32_block_equals_integers_draws():
-    a = np.random.default_rng(8)
-    b = np.random.default_rng(8)
-    blocks = np.concatenate([classical._uint32_block(a, n) for n in (2, 6, 4)])
-    draws = b.integers(0, 2 ** 32 - 1, size=12, dtype=np.uint32, endpoint=True)
-    assert np.array_equal(blocks, draws)
+    # blocks of one and three raw outputs, read through several refills
+    for block in (1, 3):
+        streams = RowStreams([8], uint32, block)
+        draws = [streams.next(np.zeros(1, dtype=np.intp))[0] for _ in range(12)]
+        want = np.random.default_rng(8).integers(0, 2 ** 32 - 1, size=12, dtype=np.uint32,
+                                                 endpoint=True)
+        assert np.array_equal(draws, want)
 
 
 @pytest.mark.parametrize("bounds", [(1, 2, 3, 4), (3 * 2 ** 30, 2 ** 31 + 1, 1, 5, 7)])
@@ -419,7 +427,7 @@ def test_bounded_draws_follow_numpy_rejection_rule(bounds):
     # the large bounds reject about a quarter and a half of all draws, so
     # this pins numpy's Lemire rule: a rejected row takes its next draw
     seeds = [21, 22, 23]
-    streams = RowStreams(seeds, classical._uint32_block, 6)
+    streams = RowStreams(seeds, uint32, 3)
     scalar = [np.random.default_rng(s) for s in seeds]
     pick = np.random.default_rng(0)
     rows = np.arange(len(seeds))
@@ -438,7 +446,7 @@ def test_uint32_row_streams_across_2_32_through_block_refills():
     # seeds on both sides of 2^32 (one and two entropy words); each row
     # refills its 4-draw block several times, raw and through Lemire's rule
     seeds = range(2 ** 32 - 3, 2 ** 32 + 3)
-    streams = RowStreams(seeds, classical._uint32_block, 4)
+    streams = RowStreams(seeds, uint32, 2)
     scalar = [np.random.default_rng(s) for s in seeds]
     rows = np.arange(len(seeds))
     for _ in range(5):
@@ -455,7 +463,8 @@ def test_batched_sampling_matches_serial_across_seed_2_32():
     g = build_glued_trees(3, GlueSpec("random-cycle", 4))
     entrance, exit_vertex = glued_trees_entrance_exit(g)
     seed = 2 ** 32 - 3
-    with mock.patch.object(classical, "_CHUNK_ROWS", 4), \
+    # chunks of four walks, each reading four uint32s ahead
+    with mock.patch.object(classical, "_DRAW_BYTES", 64), \
             mock.patch.object(classical, "_DRAW_BLOCK", 4):
         path = sample_walk(g, entrance, 15, 2 ** 32)
         hist = sample_endpoint_histogram(g, entrance, 15, 7, seed)

@@ -91,11 +91,17 @@ def test_environment_reaches_the_metadata_only(tmp_path, monkeypatch):
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__
         assert env["scipy"] == scipy.__version__
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        assert (env["blas"], env["blas_version"]) == (blas["name"], blas["version"])
         assert env["OPENBLAS_NUM_THREADS"] == "1"
         assert env["MKL_NUM_THREADS"] is None
         assert "OMP_NUM_THREADS" in env
     # the distribution's own metadata stays free of it, so its bytes do not move
     assert "environment" not in json.loads(Path(out).read_text())["metadata"]
+    # a numpy that does not say which BLAS it links records null
+    monkeypatch.setattr(np.__config__, "CONFIG", {})
+    env = cli.environment_metadata()
+    assert env["blas"] is None and env["blas_version"] is None
 
 
 def test_density_check_residuals_reach_the_metadata_only(tmp_path, capsys):
@@ -470,6 +476,14 @@ def test_config_file_values_are_checked_like_flags(tmp_path, capsys, command, co
       "--gamma", "nan"], "gamma"),
     (["walk", "--walk", "continuous", "--graph", "cycle", "--n", "5", "--time", "1",
       "--gamma", "inf"], "gamma"),
+    # fields only a coined walk reads; the run ignored them and echoed them
+    (["walk", "--walk", "classical", "--graph", "line", "--steps", "10",
+      "--trajectories", "5", "--seed", "1"], "trajectories"),
+    (["walk", "--walk", "continuous", "--graph", "cycle", "--n", "5", "--time", "1",
+      "--trajectories", "5", "--seed", "1"], "trajectories"),
+    (["walk", "--walk", "classical", "--graph", "line", "--steps", "10", "--p", "0.5"], "p"),
+    (["walk", "--walk", "continuous", "--graph", "cycle", "--n", "5", "--time", "1",
+      "--p", "0.5"], "p"),
 ])
 def test_bad_configuration_exits_2(tmp_path, capsys, argv, field):
     out = str(tmp_path / "never.csv")

@@ -20,7 +20,7 @@ from qwalksim.decoherence import (DENSITY_DIMENSION_LIMIT, NOT_MEASURED,
 from qwalksim.errors import InvariantViolationError, UnsupportedDegreeError
 from qwalksim.graphs import (GlueSpec, build_cycle, build_glued_trees,
                              build_hypercube, build_line)
-from qwalksim.streams import RowStreams
+from qwalksim.streams import RowStreams, uniform
 
 from test_half_edge_table import same_bits
 
@@ -1065,7 +1065,7 @@ def test_ensemble_matches_serial_across_default_chunk():
 def test_row_streams_refill_per_row():
     # rows read at different rates and refill at different times, yet each
     # sees exactly its own generator's scalar sequence
-    streams = RowStreams([4, 5, 6], lambda rng, n: rng.random(n), 3)
+    streams = RowStreams([4, 5, 6], uniform, 3)
     scalar = [np.random.default_rng(s) for s in (4, 5, 6)]
     pick = np.random.default_rng(1)
     for _ in range(50):
@@ -1073,13 +1073,13 @@ def test_row_streams_refill_per_row():
         got = streams.next(rows)
         assert got.tolist() == [scalar[r].random() for r in rows]
     with pytest.raises(ValueError, match="block"):
-        RowStreams([4], lambda rng, n: rng.random(n), 0)
+        RowStreams([4], uniform, 0)
 
 
 def test_row_streams_refill_per_row_across_2_32():
     # the same, for seeds on both sides of 2^32 (one and two entropy words)
     seeds = range(2 ** 32 - 2, 2 ** 32 + 2)
-    streams = RowStreams(seeds, lambda rng, n: rng.random(n), 3)
+    streams = RowStreams(seeds, uniform, 3)
     scalar = [np.random.default_rng(s) for s in seeds]
     pick = np.random.default_rng(1)
     for _ in range(50):

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from qwalksim import streams
+from qwalksim.classical import hitting_time, sample_endpoint_histogram, sample_walk
+from qwalksim.coined import initial_state
+from qwalksim.decoherence import DecoherenceSpec, evolve_trajectory, run_ensemble
+from qwalksim.graphs import GlueSpec, build_glued_trees, build_line, glued_trees_entrance_exit
 from qwalksim.streams import RowStreams, seed_words
 
 
@@ -49,9 +53,65 @@ def test_seed_words_match_numpy_on_random_seeds():
     assert np.array_equal(seed_words(seeds), numpy_words(seeds))
 
 
+# seeds at word boundaries, on both sides of 2^32 and above 2^128
+STREAM_SEEDS = EDGE_SEEDS + [2 ** 32 - 2, 2 ** 32 + 1, 2 ** 128, 2 ** 200 + 3]
+
+
+def test_seeded_state_and_increment_match_numpy_pcg64():
+    seeds = STREAM_SEEDS + list(range(2 ** 32 - 20, 2 ** 32 + 20))
+    state, inc = streams._seeded(seed_words(seeds))
+    assert state.dtype == inc.dtype == np.uint64
+    assert state.shape == inc.shape == (len(seeds), 2)
+    for s, (s_hi, s_lo), (i_hi, i_lo) in zip(seeds, state.tolist(), inc.tolist()):
+        want = np.random.PCG64(s).state["state"]
+        assert (s_hi << 64 | s_lo, i_hi << 64 | i_lo) == (want["state"], want["inc"])
+
+
+def raw(values):
+    return values
+
+
+# each conversion, with numpy's draws of n values of the same kind
+CONVERSIONS = {
+    "raw": (raw, lambda s, n: np.random.PCG64(s).random_raw(n)),
+    "uniform": (streams.uniform, lambda s, n: np.random.default_rng(s).random(n)),
+    "uint32": (streams.uint32, lambda s, n: np.random.default_rng(s).integers(
+        0, 2 ** 32 - 1, size=n, dtype=np.uint32, endpoint=True)),
+}
+
+
+@pytest.mark.parametrize("block", [1, 3, streams.MAX_BLOCK])
+@pytest.mark.parametrize("kind", sorted(CONVERSIONS))
+def test_row_streams_match_numpy_through_refills(kind, block):
+    convert, numpy_draws = CONVERSIONS[kind]
+    rows = RowStreams(STREAM_SEEDS, convert, block)
+    width = len(convert(np.zeros((1, block), dtype=np.uint64))[0])
+    n = 2 * width + 1  # through two refills
+    everyone = np.arange(len(STREAM_SEEDS))
+    got = np.stack([rows.next(everyone) for _ in range(n)], axis=1)
+    assert np.array_equal(got, [numpy_draws(s, n) for s in STREAM_SEEDS])
+
+
+@pytest.mark.parametrize("kind", sorted(CONVERSIONS))
+def test_row_streams_read_at_different_rates(kind):
+    # rows read at different rates and refill at different times, yet each
+    # sees exactly numpy's sequence for its seed
+    convert, numpy_draws = CONVERSIONS[kind]
+    rows = RowStreams(STREAM_SEEDS, convert, 2)
+    pick = np.random.default_rng(3)
+    read = [[] for _ in STREAM_SEEDS]
+    for _ in range(60):
+        rates = np.linspace(0.4, 0.95, len(STREAM_SEEDS))
+        listed = np.flatnonzero(pick.random(len(STREAM_SEEDS)) < rates)
+        for r, value in zip(listed, rows.next(listed)):
+            read[r].append(value)
+    for s, values in zip(STREAM_SEEDS, read):
+        assert len(values) > 8 and np.array_equal(values, numpy_draws(s, len(values)))
+
+
 def test_row_streams_read_default_rng_at_word_boundaries():
     seeds = EDGE_SEEDS + [2 ** 128, 2 ** 200 + 3]
-    rows = RowStreams(seeds, np.random.Generator.random, 3)
+    rows = RowStreams(seeds, streams.uniform, 3)
     scalar = [np.random.default_rng(s) for s in seeds]
     everyone = np.arange(len(seeds))
     for _ in range(7):  # through two refills
@@ -62,14 +122,33 @@ def test_row_streams_read_default_rng_at_word_boundaries():
 def test_negative_seed_raises_before_any_generator_is_built(seeds):
     with pytest.raises(ValueError, match="expected non-negative integer"):
         np.random.default_rng(-1)  # the error numpy gives
-    with mock.patch.object(np.random, "PCG64", wraps=np.random.PCG64) as pcg64:
+    with mock.patch.object(streams, "_seeded", wraps=streams._seeded) as seeded:
         with pytest.raises(ValueError, match="expected non-negative integer"):
-            RowStreams(seeds, np.random.Generator.random, 4)
+            RowStreams(seeds, streams.uniform, 4)
+    seeded.assert_not_called()
+
+
+@pytest.mark.parametrize("block", [0, streams.MAX_BLOCK + 1])
+def test_row_streams_refuse_a_block_out_of_range(block):
+    with pytest.raises(ValueError, match="block must be in 1..256"):
+        RowStreams([4], streams.uniform, block)
+
+
+def test_monte_carlo_engines_build_no_numpy_generator():
+    line = build_line(21)
+    origin = line.params["origin"]
+    state = initial_state(line, origin, "symmetric")
+    spec = DecoherenceSpec(0.3, "both")
+    trees = build_glued_trees(2, GlueSpec("symmetric"))
+    entrance, exit_vertex = glued_trees_entrance_exit(trees)
+    with mock.patch.object(np.random, "Generator", wraps=np.random.Generator) as generator, \
+            mock.patch.object(np.random, "PCG64", wraps=np.random.PCG64) as pcg64, \
+            mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as rng:
+        run_ensemble(state, spec, 8, 5, seed=1)
+        evolve_trajectory(state, spec, 8, seed=2)
+        sample_walk(line, origin, 8, seed=3)
+        sample_endpoint_histogram(line, origin, 8, 20, seed=4)
+        hitting_time(trees, entrance, exit_vertex, seed=5, num_samples=10)
+    generator.assert_not_called()
     pcg64.assert_not_called()
-
-
-def test_seed_words_answer_only_the_request_pcg64_makes():
-    words = streams._SeedWords(seed_words([3])[0])
-    assert np.array_equal(words.generate_state(4, np.uint64), numpy_words([3])[0])
-    with pytest.raises(ValueError, match="asked for 624 of uint32"):
-        np.random.MT19937(words)
+    rng.assert_not_called()
