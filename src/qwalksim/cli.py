@@ -20,7 +20,6 @@ offending field), 3 numeric invariant failure during the run.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
@@ -45,6 +44,10 @@ SWEEPABLE_AXES = ("p", "steps", "num-positions", "n", "depth", "dimension", "gam
 
 FIG_DECOHERENCE_SWEEP = (0.0, 0.003, 0.01, 0.03, 0.1)
 GLUED_TREES_ENTRANCE = 0  # the vertex build_glued_trees gives the entrance root
+# A graph of more half-edges is refused before it is built. The limit admits
+# hypercube(17) and glued trees of depth 18; a 1-step walk on a line at the
+# limit peaks at 395 MB (classical) and 718 MB (coined), one BLAS thread.
+MAX_HALF_EDGES = 1 << 22
 
 
 @dataclasses.dataclass
@@ -79,21 +82,34 @@ class WalkConfig:
         for field, seed in (("seed", self.seed), ("glue-seed", self.glue_seed)):
             if seed is not None and seed < 0:
                 raise ConfigError(field, f"must be a non-negative integer, got {seed}")
+        # each graph's size field and half-edge count; exponents stop at 64,
+        # far past the limit, so a huge dimension or depth makes no huge int
         if self.graph == "line":
             npos = self._line_size()
             if npos is None or npos < 1 or npos % 2 == 0:
                 raise ConfigError("num-positions", "line needs a positive odd size")
+            field = "steps" if self.num_positions is None else "num-positions"
+            half_edges = 2 * npos - 2
         elif self.graph == "cycle":
             if self.n is None or self.n < 3:
                 raise ConfigError("n", "cycle needs n >= 3")
+            field, half_edges = "n", 2 * self.n
         elif self.graph == "hypercube":
             if self.dimension is None or self.dimension < 1:
                 raise ConfigError("dimension", "hypercube needs dimension >= 1")
+            field, half_edges = "dimension", self.dimension << min(self.dimension, 64)
         else:
             if self.depth is None or self.depth < 1:
                 raise ConfigError("depth", "glued-trees needs depth >= 1")
             if self.glue_mode == "random-cycle" and self.glue_seed is None:
                 raise ConfigError("glue-seed", "random-cycle glue requires a seed")
+            # two trees of 2 * leaves - 2 edges, and one or two glue edges a leaf
+            leaves = 1 << min(self.depth, 64)
+            glue = leaves if self.glue_mode == "symmetric" else 2 * leaves
+            field, half_edges = "depth", 2 * (4 * leaves - 4 + glue)
+        if half_edges > MAX_HALF_EDGES:
+            raise ConfigError(field, f"the {self.graph} graph would have {half_edges} "
+                                     f"half-edges, above the limit {MAX_HALF_EDGES}")
 
         if self.walk == "continuous":
             if self.time is None or not (math.isfinite(self.time) and self.time >= 0):
@@ -104,7 +120,7 @@ class WalkConfig:
             if self.steps is None or self.steps < 0:
                 raise ConfigError("steps", f"{self.walk} walk needs steps >= 0")
             if self.graph == "line":
-                start = self.start_vertex(build_line(npos))
+                start = self.start_vertex(npos)
                 try:
                     check_line_headroom("line", npos, [start], self.steps)
                 except BoundaryOverflowError as exc:
@@ -147,14 +163,12 @@ class WalkConfig:
             return build_hypercube(self.dimension)
         return build_glued_trees(self.depth, GlueSpec(self.glue_mode, self.glue_seed))
 
-    def start_vertex(self, graph: Graph) -> int:
-        """``--start``, or the line's origin and vertex 0 elsewhere; a refusal names ``start``."""
+    def start_vertex(self, num_vertices: int) -> int:
+        """``--start``, or a line's origin and vertex 0 elsewhere; a refusal names ``start``."""
         if self.start is None:
-            return graph.params["origin"] if graph.kind == "line" else 0
-        try:
-            graph.check_vertex(self.start)
-        except ValueError as exc:
-            raise ConfigError("start", str(exc)) from None
+            return (num_vertices - 1) // 2 if self.graph == "line" else 0
+        if not 0 <= self.start < num_vertices:
+            raise ConfigError("start", f"vertex {self.start} out of range [0, {num_vertices})")
         return self.start
 
 
@@ -184,7 +198,7 @@ def start_state(graph: Graph, start: int, text: str) -> coined.PureState:
 def run_walk(cfg: WalkConfig) -> tuple[stats.Distribution, dict]:
     """Execute one configured walk; returns the distribution and a summary."""
     graph = cfg.build_graph()
-    start = cfg.start_vertex(graph)
+    start = cfg.start_vertex(graph.num_vertices)
     summary: dict = {}
 
     if cfg.walk == "classical":
@@ -449,8 +463,7 @@ def apply_axis(cfg: WalkConfig, axis: str, value, index: int) -> WalkConfig:
     return dataclasses.replace(cfg, **{field: value}, **derived)
 
 
-def run_sweep(base: WalkConfig, axis: str, values: list, outdir: str, prefix: str,
-              threads: int) -> None:
+def run_sweep(base: WalkConfig, axis: str, values: list, outdir: str, prefix: str) -> None:
     """Run ``base`` once per value of ``axis`` and write every run plus a summary
     table; refuse an axis the walk never reads, or two values of one label.
 
@@ -476,11 +489,7 @@ def run_sweep(base: WalkConfig, axis: str, values: list, outdir: str, prefix: st
         runs.append(cfg)
 
     started = time.perf_counter()
-    if threads == 1:
-        results = [timed_run(cfg) for cfg in runs]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(timed_run, runs))
+    results = [timed_run(cfg) for cfg in runs]
     for cfg, result in zip(runs, results):
         write_outputs(cfg, *result)
     summaries = [summary for _, summary, _ in results]
@@ -508,7 +517,7 @@ def run_sweep(base: WalkConfig, axis: str, values: list, outdir: str, prefix: st
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = config_from_args(args)
     values = parse_sweep_values(args.axis, args.values)
-    run_sweep(base, args.axis, values, args.output_dir, args.prefix, max(1, args.threads))
+    run_sweep(base, args.axis, values, args.output_dir, args.prefix)
     return 0
 
 
@@ -564,8 +573,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     # decoherence sweep at t=100: the flatness minimum sits at intermediate p
     base = WalkConfig(walk="coined", graph="line", steps=steps, initial="symmetric",
                       target="both")
-    run_sweep(base, "p", list(FIG_DECOHERENCE_SWEEP), outdir, "decoherence_",
-              max(1, args.threads))
+    run_sweep(base, "p", list(FIG_DECOHERENCE_SWEEP), outdir, "decoherence_")
     made.append(os.path.join(outdir, "decoherence_summary.csv"))
 
     print("\n".join(made))
@@ -595,7 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--output-dir", dest="output_dir", default=".",
                        help="directory for per-value files and the summary")
     sweep.add_argument("--prefix", default="sweep_", help="output file name prefix")
-    sweep.add_argument("--threads", type=int, default=1, help="concurrent runs")
     sweep.set_defaults(handler=cmd_sweep)
 
     trace = sub.add_parser(
@@ -610,7 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
         "figures", help="emit the canned figure datasets (line profiles at "
                         "t=100 and the decoherence flatness sweep)")
     figures.add_argument("--outdir", default="figures_data")
-    figures.add_argument("--threads", type=int, default=1, help="concurrent runs")
     figures.set_defaults(handler=cmd_figures)
     return parser
 

@@ -28,11 +28,13 @@ steps past ``steps`` nor more than one block past the last item read.
 share one gather table, indexed by output half-edge: the two half-edges
 each output reads and the coin entries that weigh them. Every other degree
 keeps a block plan: the half-edge block, its shifted target and the coin.
-``step_amplitudes`` (one walker) and ``step_rows`` (a batch) run a step as
-one gather, one multiply and one add over that table (plus a scatter
-unless degree 2 covers every half-edge, as on cycles), and a block matmul
-per other degree, writing each coin output straight to its shifted
-half-edge. ``step_matrix`` assembles the same two plans as a sparse
+``step_amplitudes``, the one step kernel, runs a step as one gather, one
+multiply and one add over that table (plus a scatter unless degree 2
+covers every half-edge, as on cycles), and a block matmul per other
+degree, writing each coin output straight to its shifted half-edge. A
+batch of R walkers is one walker on R disjoint copies of the graph:
+``copies(R)`` tiles the plan, and the same kernel steps the batch's flat
+(R*H,) array. ``step_matrix`` assembles the same two plans as a sparse
 matrix. The tests hold the two-pass form, a coin toss over every vertex
 then a shift, built from per-vertex loops (``ReferenceLayout`` in
 ``tests/test_half_edge_table.py``), and check the step against it bit for
@@ -208,10 +210,26 @@ class CoinedWalk:
                 dest = None
             self._gather = (src, coef, len(order), dest)
 
-    def _undefined_coin(self, idx: np.ndarray) -> UnsupportedDegreeError:
-        return UnsupportedDegreeError(
-            f"{self.coin_family} coin undefined for degree "
-            f"{idx.shape[1]} but amplitude occupies such a vertex")
+    def copies(self, rows: int) -> CoinedWalk:
+        """This walk on ``rows`` disjoint copies of the graph, for
+        ``step_amplitudes`` on a (rows, H) batch's flat view: each row steps
+        bit for bit as alone. Plan indices shift by r*H for copy r; all
+        direction-0 gather terms stay ahead of all direction-1 terms, and
+        blocks take shape (rows, m, d), one stacked matmul. ``graph`` stays
+        the one copy."""
+        shift = self.graph.half_edge_count * np.arange(rows)
+        batch = CoinedWalk.__new__(CoinedWalk)
+        batch.graph, batch.coin_family, batch._gather = self.graph, self.coin_family, None
+        if self._gather is not None:
+            src, coef, n, dest = self._gather
+            src = (src.reshape(2, 1, n) + shift[:, None]).ravel()
+            coef = np.broadcast_to(coef.reshape(2, 1, n), (2, rows, n)).ravel()
+            if dest is not None:
+                dest = (dest + shift[:, None]).ravel()
+            batch._gather = (src, coef, rows * n, dest)
+        batch._block_plan = [(idx + shift[:, None, None], moved + shift[:, None, None], coin_t)
+                             for idx, moved, coin_t in self._block_plan]
+        return batch
 
     def step_amplitudes(self, amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One step, coin toss then shift: each coin output is written
@@ -236,39 +254,10 @@ class CoinedWalk:
             else:
                 block = amps[idx]
                 if np.any(block):
-                    raise self._undefined_coin(idx)
+                    raise UnsupportedDegreeError(
+                        f"{self.coin_family} coin undefined for degree "
+                        f"{idx.shape[-1]} but amplitude occupies such a vertex")
                 out[moved] = block
-        return out
-
-    def step_rows(self, amps: np.ndarray) -> np.ndarray:
-        """One step of every row of a (rows, H) batch of independent walkers.
-
-        Row r comes out bit-identical to ``step_amplitudes(amps[r])``: the
-        same table and arithmetic on whole columns, where a stacked matmul
-        multiplies each row's (m, d) block on its own.
-        """
-        if self._gather is None:
-            out = np.empty_like(amps)
-        else:
-            src, coef, n, dest = self._gather
-            x = amps[:, src]
-            x *= coef
-            if dest is None:
-                return x[:, :n] + x[:, n:]
-            # summed in place: a batch-sized temporary next to out made
-            # glibc hand the heap top back and fault it in again every step
-            total = x[:, :n]
-            total += x[:, n:]
-            out = np.empty_like(amps)
-            out[:, dest] = total
-        for idx, moved, coin_t in self._block_plan:
-            if coin_t is not None:
-                out[:, moved] = amps[:, idx] @ coin_t
-            else:
-                block = amps[:, idx]
-                if np.any(block):
-                    raise self._undefined_coin(idx)
-                out[:, moved] = block
         return out
 
     def evolve(self, state: PureState, steps: int) -> PureState:

@@ -27,14 +27,15 @@ generator), so records are bit-reproducible for a fixed seed across
 platforms. Trajectory i of an ensemble uses seed ``seed + i``.
 
 The trajectory engine is batched: a chunk of trajectories is one
-(rows, H) complex array, row r being trajectory r, stepped by one compiled
-``CoinedWalk.step_rows`` per step; only the rows whose measurement fired
-are collapsed, together. Each row keeps its own PCG64 stream, one row of
-``RowStreams``'s state arrays. Its uniforms are drawn ahead in blocks of
-up to ``_DRAW_BLOCK`` and read through a per-row cursor, one per step for
-"measure now?" plus one per collapse, so a row reads exactly what a lone
-trajectory would, and ``evolve_trajectory`` is the same kernel run on one
-row. A chunk holds about ``_CHUNK_BYTES`` (192 KiB) of amplitudes, a few
+(rows, H) complex array, row r being trajectory r, stepped as one walker
+on rows disjoint copies of the graph (``CoinedWalk.copies``) by
+``step_amplitudes``, the one step kernel; only the rows whose measurement
+fired are collapsed, together. Each row keeps its own PCG64 stream, one
+row of ``RowStreams``'s state arrays. Its uniforms are drawn ahead in
+blocks of up to ``_DRAW_BLOCK`` and read through a per-row cursor, one per
+step for "measure now?" plus one per collapse, so a row reads exactly what
+a lone trajectory would, and ``evolve_trajectory`` is the same kernel run
+on one row. A chunk holds about ``_CHUNK_BYTES`` (192 KiB) of amplitudes, a few
 temporaries of that size, and rows x 2 KiB of pre-drawn uniforms; the
 chunk's row count follows from H.
 """
@@ -392,8 +393,9 @@ def _trajectories(walk: CoinedWalk, amps0: np.ndarray, spec: DecoherenceSpec,
     streams = RowStreams(seeds, uniform, max(1, min(2 * steps, _DRAW_BLOCK)))
     coin_ids = _sector_ids(graph, "coin")
     everyone = np.arange(rows)
+    batch = walk.copies(rows)
     for t in range(steps):
-        amps = walk.step_rows(amps)
+        amps = batch.step_amplitudes(amps.reshape(-1)).reshape(rows, -1)
         fired = everyone[streams.next(everyone) < spec.p]
         if fired.size == 0:
             continue

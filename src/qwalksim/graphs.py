@@ -169,7 +169,8 @@ def build_line(num_positions: int) -> Graph:
     """
     if num_positions < 1 or num_positions % 2 == 0:
         raise ValueError(f"num_positions must be a positive odd integer, got {num_positions}")
-    edges = [(k, k + 1) for k in range(num_positions - 1)]
+    k = np.arange(num_positions - 1)
+    edges = np.column_stack((k, k + 1))
     offset = (num_positions - 1) // 2
     coords = np.arange(num_positions) - offset
     return Graph(num_positions, edges, coordinates=coords, kind="line",
@@ -180,7 +181,8 @@ def build_cycle(n: int) -> Graph:
     """N-cycle: a line segment of length n with the ends joined."""
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
-    edges = [(k, (k + 1) % n) for k in range(n)]
+    k = np.arange(n)
+    edges = np.column_stack((k, (k + 1) % n))
     return Graph(n, edges, coordinates=np.arange(n), kind="cycle", params={"n": n})
 
 

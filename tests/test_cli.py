@@ -492,6 +492,58 @@ def test_bad_configuration_exits_2(tmp_path, capsys, argv, field):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("argv, field", [
+    # 16 TiB and 8 TiB of half-edge table: both died allocating, exit 1
+    (["--walk", "continuous", "--graph", "glued-trees", "--depth", "40", "--time", "1"],
+     "depth"),
+    (["--walk", "classical", "--graph", "hypercube", "--dimension", "40", "--steps", "1"],
+     "dimension"),
+    (["--walk", "continuous", "--graph", "glued-trees", "--depth", "10000000",
+      "--time", "1"], "depth"),
+    (["--walk", "classical", "--graph", "line", "--num-positions",
+      str(cli.MAX_HALF_EDGES // 2 + 3), "--steps", "1"], "num-positions"),
+    (["--walk", "classical", "--graph", "line", "--steps",
+      str(cli.MAX_HALF_EDGES // 4 + 1)], "steps"),
+    (["--graph", "cycle", "--n", str(cli.MAX_HALF_EDGES // 2 + 1), "--steps", "1"], "n"),
+])
+def test_oversized_graph_exits_2_before_building(tmp_path, capsys, monkeypatch, argv, field):
+    def never(*args, **kwargs):
+        raise AssertionError("graph built above the half-edge limit")
+
+    monkeypatch.setattr(Graph, "__init__", never)
+    assert run(["walk", *argv, "-o", str(tmp_path / "big.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid configuration: {field}: " in err
+    assert f"above the limit {cli.MAX_HALF_EDGES}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_validate_builds_no_graph_and_admits_the_documented_sizes(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("graph built during validation")
+
+    monkeypatch.setattr(Graph, "__init__", never)
+    WalkConfig = cli.WalkConfig
+    WalkConfig(walk="classical", graph="hypercube", dimension=17, steps=1).validate()
+    WalkConfig(walk="continuous", graph="glued-trees", depth=18, time=1.0,
+               glue_mode="random-cycle", glue_seed=1).validate()
+    at_limit = cli.MAX_HALF_EDGES // 2 + 1
+    WalkConfig(walk="classical", graph="line", num_positions=at_limit, steps=1).validate()
+    # the line's start is checked against its size, with the origin as default
+    WalkConfig(graph="line", num_positions=9, steps=4).validate()
+    with pytest.raises(ConfigError, match=r"^start: vertex 9 out of range \[0, 9\)$"):
+        WalkConfig(graph="line", num_positions=9, steps=1, start=9).validate()
+    with pytest.raises(ConfigError, match="^num-positions: "):
+        WalkConfig(graph="line", num_positions=9, steps=4, start=5).validate()
+
+
+def test_sweep_and_figures_take_no_threads_flag(capsys):
+    for argv in (["sweep", "--graph", "line", "--steps", "3", "--axis", "p",
+                  "--values", "0", "--threads", "2"], ["figures", "--threads", "2"]):
+        assert exit_code(argv) == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
 def test_validate_parses_initial_before_any_computation():
     with pytest.raises(ConfigError) as info:
         cli.WalkConfig(graph="line", steps=2, initial="sideways").validate()
@@ -593,18 +645,6 @@ def test_sweep_increments_seed_per_run(tmp_path):
     assert meta_b["config"]["seed"] == 101
 
 
-def test_sweep_threads_do_not_change_results(tmp_path):
-    base = ["sweep", "--graph", "line", "--steps", "10", "--axis", "p",
-            "--values", "0,0.05,0.2"]
-    serial = str(tmp_path / "serial")
-    threaded = str(tmp_path / "threaded")
-    assert run(base + ["--output-dir", serial]) == 0
-    assert run(base + ["--output-dir", threaded, "--threads", "3"]) == 0
-    a = Path(serial, "sweep_summary.csv").read_bytes()
-    b = Path(threaded, "sweep_summary.csv").read_bytes()
-    assert a == b
-
-
 def test_sweep_validates_before_running(tmp_path, capsys):
     outdir = str(tmp_path / "never")
     with pytest.raises(SystemExit) as exc:
@@ -655,7 +695,6 @@ def test_sweep_refuses_runs_it_could_not_tell_apart(tmp_path, capsys, argv, fiel
     assert not outdir.exists()
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("argv", [
     ["--graph", "cycle", "--steps", "5", "--start", "7", "--axis", "n", "--values", "10,5"],
     ["--graph", "hypercube", "--steps", "3", "--initial", "0.6,0.8,0",
@@ -663,10 +702,10 @@ def test_sweep_refuses_runs_it_could_not_tell_apart(tmp_path, capsys, argv, fiel
     ["--graph", "cycle", "--steps", "3", "--p", "0.1", "--axis", "n",
      "--values", "10,600"],
 ])
-def test_sweep_refused_partway_writes_nothing(tmp_path, capsys, argv, threads):
+def test_sweep_refused_partway_writes_nothing(tmp_path, capsys, argv):
     # the first run succeeds and the second is refused by the library
     outdir = tmp_path / "never"
-    assert run(["sweep", *argv, "--threads", threads, "--output-dir", str(outdir)]) == 2
+    assert run(["sweep", *argv, "--output-dir", str(outdir)]) == 2
     capsys.readouterr()
     assert not outdir.exists()
 

@@ -495,20 +495,24 @@ def random_amplitudes(rng, shape):
 @given(g=builder_graphs(), family=st.sampled_from(COIN_FAMILIES),
        seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 4))
 def test_step_is_the_two_pass_step_on_every_builder(g, family, seed, rows):
+    # the batch is one walker on `rows` disjoint copies of the graph
     walk = CoinedWalk(g, family)
+    copies = walk.copies(rows)
     ref = reference(g)
     rng = np.random.default_rng(seed)
     batch = random_amplitudes(rng, (rows, g.half_edge_count))
     undefined = undefined_coin_half_edges(g, family)
     if undefined.size:
-        # amplitude on a vertex whose coin is undefined raises in both forms
+        # amplitude on a vertex whose coin is undefined raises in both
+        # forms, with the same message
         batch[:, undefined[0]] = 1.0
-        with pytest.raises(UnsupportedDegreeError):
+        with pytest.raises(UnsupportedDegreeError) as single:
             walk.step_amplitudes(batch[0])
-        with pytest.raises(UnsupportedDegreeError):
-            walk.step_rows(batch)
+        with pytest.raises(UnsupportedDegreeError) as batched:
+            copies.step_amplitudes(batch.reshape(-1))
+        assert str(batched.value) == str(single.value)
         batch[:, undefined] = complex(-0.0, -0.0)
-    stepped = walk.step_rows(batch)
+    stepped = copies.step_amplitudes(batch.reshape(-1)).reshape(rows, -1)
     for amps, row in zip(batch, stepped):
         want = ref.two_pass_step(amps, family)
         assert same_bits(walk.step_amplitudes(amps), want)

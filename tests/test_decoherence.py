@@ -994,18 +994,21 @@ def start_of(graph):
 @pytest.mark.parametrize("name", sorted(TRAJECTORY_GRAPHS))
 @pytest.mark.parametrize("family", COIN_FAMILIES)
 def test_step_rows_matches_single_rows(name, family):
+    # five rows step as one walker on five disjoint copies of the graph
     g = TRAJECTORY_GRAPHS[name]()
     walk = CoinedWalk(g, family)
+    copies = walk.copies(5)
     rng = np.random.default_rng(3)
     rows = rng.normal(size=(5, g.half_edge_count)) + 1j * rng.normal(size=(5, g.half_edge_count))
     try:
         singles = [walk.step_amplitudes(r) for r in rows]
-    except UnsupportedDegreeError:
-        with pytest.raises(UnsupportedDegreeError):
-            walk.step_rows(rows)
+    except UnsupportedDegreeError as exc:
+        with pytest.raises(UnsupportedDegreeError) as batched:
+            copies.step_amplitudes(rows.reshape(-1))
+        assert str(batched.value) == str(exc)
         return
     for _ in range(6):
-        rows = walk.step_rows(rows)
+        rows = copies.step_amplitudes(rows.reshape(-1)).reshape(5, -1)
         for r, single in enumerate(singles):
             assert same_bits(rows[r], single)
         singles = [walk.step_amplitudes(s) for s in singles]

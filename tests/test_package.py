@@ -13,15 +13,15 @@ from qwalksim import classical, cli, coined, continuous, decoherence, graphs, st
 def test_public_names_resolve_and_second_paths_are_gone():
     for name in qwalksim.__all__:
         assert hasattr(qwalksim, name), name
-    # second paths to what CoinedWalk, Graph and --threads already do, and
-    # names that nothing but their own tests called
+    # second paths to what CoinedWalk and Graph already do, knobs that
+    # gained nothing, and names that nothing but their own tests called
     gone = [(coined, ("coin_toss", "shift", "step", "evolve", "_apply_coin")),
             (graphs, ("neighbors", "dump_edge_list")),
             (stats, ("central_std_dev", "uniform_distribution", "time_averaged",
                      "flatness_ratio")),
             (continuous, ("threshold_crossing_time", "entrance_state")),
             (decoherence, ("record_to_csv", "_full_matrix", "_dephasing_factors")),
-            (coined.CoinedWalk, ("inverse_step_amplitudes", "coin_toss", "shift")),
+            (coined.CoinedWalk, ("inverse_step_amplitudes", "coin_toss", "shift", "step_rows")),
             (coined.PureState, ("amplitude", "copy")),
             (decoherence.DensityState, ("purity", "copy")),
             (graphs.Graph, ("coin_offset", "direction_index", "half_edge")),
