@@ -31,14 +31,18 @@ keeps a block plan: the half-edge block, its shifted target and the coin.
 ``step_amplitudes``, the one step kernel, runs a step as one gather, one
 multiply and one add over that table (plus a scatter unless degree 2
 covers every half-edge, as on cycles), and a block matmul per other
-degree, writing each coin output straight to its shifted half-edge. A
-batch of R walkers is one walker on R disjoint copies of the graph:
-``copies(R)`` tiles the plan, and the same kernel steps the batch's flat
-(R*H,) array. ``step_matrix`` assembles the same two plans as a sparse
-matrix. The tests hold the two-pass form, a coin toss over every vertex
-then a shift, built from per-vertex loops (``ReferenceLayout`` in
-``tests/test_half_edge_table.py``), and check the step against it bit for
-bit.
+degree, writing each coin output straight to its shifted half-edge.
+``step_support`` runs the same step for a batch of states that are zero
+outside a set S of half-edges, held as the columns of an (|S| + 1, R)
+array whose last row is zero; ``support_plan(S)`` reads S', the set U
+reaches from S, and the positions each term reads off the two plans. An
+entry of S' takes the operands and operations that ``step_amplitudes``
+gives it, and the block matmul keeps its per-state shape, so each state
+gets that step's bits. ``step_matrix`` assembles the same two plans as a
+sparse matrix. The tests hold the two-pass form, a coin toss over every
+vertex then a shift, built from per-vertex loops (``ReferenceLayout`` in
+``tests/test_half_edge_table.py``), and check both steps against it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -189,6 +193,7 @@ class CoinedWalk:
         # residue where opposite-sign products should cancel bit-exactly
         # (the interference zeros)
         self._gather = None
+        self._zero_terms = None
         self._block_plan = []
         for d in np.unique(graph.degrees[graph.degrees > 0]).tolist():
             offs = graph.offsets[:-1][graph.degrees == d]
@@ -209,27 +214,10 @@ class CoinedWalk:
             if np.array_equal(dest, np.arange(graph.half_edge_count)):
                 dest = None
             self._gather = (src, coef, len(order), dest)
-
-    def copies(self, rows: int) -> CoinedWalk:
-        """This walk on ``rows`` disjoint copies of the graph, for
-        ``step_amplitudes`` on a (rows, H) batch's flat view: each row steps
-        bit for bit as alone. Plan indices shift by r*H for copy r; all
-        direction-0 gather terms stay ahead of all direction-1 terms, and
-        blocks take shape (rows, m, d), one stacked matmul. ``graph`` stays
-        the one copy."""
-        shift = self.graph.half_edge_count * np.arange(rows)
-        batch = CoinedWalk.__new__(CoinedWalk)
-        batch.graph, batch.coin_family, batch._gather = self.graph, self.coin_family, None
-        if self._gather is not None:
-            src, coef, n, dest = self._gather
-            src = (src.reshape(2, 1, n) + shift[:, None]).ravel()
-            coef = np.broadcast_to(coef.reshape(2, 1, n), (2, rows, n)).ravel()
-            if dest is not None:
-                dest = (dest + shift[:, None]).ravel()
-            batch._gather = (src, coef, rows * n, dest)
-        batch._block_plan = [(idx + shift[:, None, None], moved + shift[:, None, None], coin_t)
-                             for idx, moved, coin_t in self._block_plan]
-        return batch
+            # the terms whose coin entry is zero (the Grover coin's
+            # diagonal) reach nothing; (2, n) indices for support_plan
+            if not np.all(coef):
+                self._zero_terms = np.nonzero(coef.reshape(2, -1) == 0)
 
     def step_amplitudes(self, amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One step, coin toss then shift: each coin output is written
@@ -258,6 +246,101 @@ class CoinedWalk:
                         f"{self.coin_family} coin undefined for degree "
                         f"{idx.shape[-1]} but amplitude occupies such a vertex")
                 out[moved] = block
+        return out
+
+    def support_plan(self, support: np.ndarray) -> tuple:
+        """Plan one ``step_support`` from the ascending half-edges S.
+
+        Returns ``(reached, gather, blocks)``, every index int32.
+        ``reached`` (S') holds, ascending, the half-edges that U reaches
+        from S through a nonzero entry: the rows of ``step_matrix`` with a
+        nonzero in a column of S. ``gather`` is None or ``(src, terms,
+        dest)``: ``terms`` are the gather-table rows whose output lies in
+        S'; ``src`` (2, len(terms)) holds the positions in S of their
+        direction-0 and direction-1 sources (|S|, the zero row, for a
+        source outside S); ``dest`` holds the outputs' positions in S', or
+        is None when they fill S' in order. A degree whose block touches S
+        gives ``(src, touched, dest, coin_t)``. ``src`` holds the positions
+        of every vertex of that degree, so its matmul has the full step's
+        shape, and ``touched`` marks the vertices that touch S (None for
+        all of them). ``dest`` holds the shifted positions in S' of the
+        touched vertices; it is None for an undefined coin, which reaches
+        nothing. The block coins (Grover, DFT) have no zero entry, so a
+        touched vertex reaches all of its shifted half-edges.
+        """
+        w = len(support)
+        column = np.empty(self.graph.half_edge_count, dtype=np.int32)
+        column.fill(w)
+        column[support] = np.arange(w, dtype=np.int32)
+        gather, blocks, outputs = None, [], []  # outputs: (plan, its shifted half-edges)
+        if self._gather is not None:
+            src, _, n, dest = self._gather
+            pos = column[src].reshape(2, n)
+            hit = pos < w
+            if self._zero_terms is not None:
+                hit[self._zero_terms] = False
+            terms = (hit[0] | hit[1]).nonzero()[0]
+            gather = [np.take(pos, terms, axis=1), terms.astype(np.int32), None]
+            outputs.append((gather, terms if dest is None else dest[terms]))
+        for idx, moved, coin_t in self._block_plan:
+            pos = column[idx]
+            touched = pos < w
+            if not touched.any():
+                continue
+            touched = touched.any(axis=1)
+            if coin_t is None:
+                blocks.append((pos, None, None, None))
+                continue
+            if touched.all():
+                touched = None
+            blocks.append([pos, touched, None, coin_t])
+            outputs.append((blocks[-1], moved if touched is None else moved[touched]))
+        if len(outputs) == 1 and gather is not None:
+            # the table is sorted by output half-edge
+            return outputs[0][1].astype(np.int32), gather, blocks
+        reached = np.concatenate([np.empty(0, np.int32)] + [e.ravel() for _, e in outputs])
+        reached = np.sort(reached).astype(np.int32)
+        for plan, e in outputs:
+            plan[2] = np.searchsorted(reached, e).astype(np.int32)
+        return reached, gather, blocks
+
+    def step_support(self, plan: tuple, held: np.ndarray) -> np.ndarray:
+        """One step of states held on S, ``plan`` being
+        ``support_plan(S)``. Column r of the (|S| + 1, R) array ``held`` is
+        a state, zero outside S: row i holds its amplitude on half-edge
+        S[i], and the last row is zero. Returns the stepped states, held
+        the same way on S'. Each entry takes the operands and operations
+        that ``step_amplitudes`` gives it, so it has that step's bits, and
+        that step gives zeros outside S'. A state stepped at full width all
+        along may hold -0 where the set holds +0, in zeros outside and
+        inside S', which no probability sees. Every state steps with the
+        same plan, so the sources are whole rows of ``held``."""
+        reached, gather, blocks = plan
+        out = np.empty((len(reached) + 1, held.shape[1]), dtype=np.complex128)
+        out[-1] = 0.0
+        if gather is not None:
+            src, terms, dest = gather
+            k = len(terms)
+            x = held[src]
+            x *= self._gather[1].reshape(2, -1)[:, terms, None]
+            if dest is None:
+                np.add(x[0], x[1], out=out[:k])
+            else:
+                x[0] += x[1]
+                out[dest] = x[0]
+        for src, touched, dest, coin_t in blocks:
+            block = held[src]
+            if coin_t is None:
+                if np.any(block):
+                    raise UnsupportedDegreeError(
+                        f"{self.coin_family} coin undefined for degree "
+                        f"{src.shape[-1]} but amplitude occupies such a vertex")
+                continue
+            # each state's (m, d) block is C-contiguous, as in step_amplitudes
+            block = np.ascontiguousarray(block.transpose(2, 0, 1)) @ coin_t
+            if touched is not None:
+                block = block[:, touched]
+            out[dest] = block.transpose(1, 2, 0)
         return out
 
     def evolve(self, state: PureState, steps: int) -> PureState:

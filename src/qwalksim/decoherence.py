@@ -26,18 +26,24 @@ Trajectory randomness comes from ``numpy.random.default_rng`` (the PCG64
 generator), so records are bit-reproducible for a fixed seed across
 platforms. Trajectory i of an ensemble uses seed ``seed + i``.
 
-The trajectory engine is batched: a chunk of trajectories is one
-(rows, H) complex array, row r being trajectory r, stepped as one walker
-on rows disjoint copies of the graph (``CoinedWalk.copies``) by
-``step_amplitudes``, the one step kernel; only the rows whose measurement
-fired are collapsed, together. Each row keeps its own PCG64 stream, one
-row of ``RowStreams``'s state arrays. Its uniforms are drawn ahead in
-blocks of up to ``_DRAW_BLOCK`` and read through a per-row cursor, one per
-step for "measure now?" plus one per collapse, so a row reads exactly what
-a lone trajectory would, and ``evolve_trajectory`` is the same kernel run
-on one row. A chunk holds about ``_CHUNK_BYTES`` (192 KiB) of amplitudes, a few
-temporaries of that size, and rows x 2 KiB of pre-drawn uniforms; the
-chunk's row count follows from H.
+The trajectory engine is batched and works on the reachable set S_t, the
+half-edges U reaches in t steps from the start's support. A collapse only
+shrinks a state's support, so one set per step holds every trajectory: a
+chunk is one (|S_t| + 1, rows) complex array, column r being trajectory r,
+whose zero last row every source outside S_t reads. ``run_ensemble``
+plans each step once (``CoinedWalk.support_plan``, about 16 bytes per
+reachable half-edge per step) for all its chunks, which step with
+``CoinedWalk.step_support``: each kept entry has the bits of the
+full-width ``step_amplitudes`` of the state the chunk holds. Only the
+trajectories whose measurement fired are collapsed, together, on the set.
+Each keeps its own PCG64 stream, one row of ``RowStreams``'s state arrays,
+whose uniforms are drawn ahead in blocks of up to ``_DRAW_BLOCK`` and read
+through a per-row cursor, one per step for "measure now?" plus one per
+collapse, so a trajectory reads exactly what it would alone, and
+``evolve_trajectory`` is the same kernel run on a single trajectory. A
+chunk's row count follows from H: it holds at most ``_CHUNK_BYTES`` (192
+KiB) of amplitudes, temporaries of up to twice that, and rows x 2 KiB of
+pre-drawn uniforms.
 """
 
 from __future__ import annotations
@@ -53,8 +59,10 @@ from .errors import InvariantViolationError
 from .graphs import Graph, check_line_headroom
 from .streams import RowStreams, uniform
 
-# Exact density evolution holds an HxH complex matrix (H = half-edge count);
-# above this dimension use trajectory mode instead.
+# Exact density evolution holds an |S|x|S| complex block on the reachable
+# half-edges S (at most HxH, H = half-edge count), but graphs above this
+# many half-edges are refused before the first step; use trajectory mode
+# instead.
 DENSITY_DIMENSION_LIMIT = 1024
 
 MEASUREMENT_TARGETS = ("position", "coin", "both")
@@ -62,12 +70,13 @@ MEASUREMENT_TARGETS = ("position", "coin", "both")
 # sentinel in measurement records for a register that was not measured
 NOT_MEASURED = -1
 
-# Trajectories step together as one (rows, H) complex array of at most
-# this many bytes. A step allocates a few temporaries of about that size;
-# past about 384 KiB the allocator stops reusing them and every step
-# page-faults (line(101), 200 half-edges: 2 us per trajectory-step at
-# 32-96 rows, 8 us at 128 rows); 192 KiB also keeps the peak memory of a
-# run at what the serial loop needed.
+# Trajectories step together as one (|S| + 1, rows) complex array, |S| <= H,
+# and rows x H complex numbers take at most this many bytes. A step
+# allocates a few temporaries of up to twice that size; past about 384 KiB
+# the allocator stops reusing them and every step page-faults (line(101),
+# 200 half-edges: 2 us per trajectory-step at 32-96 rows, 8 us at 128
+# rows); 192 KiB also keeps the peak memory of a run at what the serial
+# loop needed.
 _CHUNK_BYTES = 3 << 16
 # uniform draws each trajectory's stream reads ahead (2 KiB a trajectory)
 _DRAW_BLOCK = 256
@@ -336,76 +345,110 @@ def _chunk_rows(width: int) -> int:
 
 
 def _collapse_rows(amps: np.ndarray, rows: np.ndarray, draws: np.ndarray,
-                   graph: Graph, target: str,
-                   coin_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Measure the target register of the listed rows, collapsing them in place.
+                   graph: Graph, support: np.ndarray, target: str) -> np.ndarray:
+    """Measure the target register of the listed trajectories, collapsing
+    them in place.
 
-    A row's outcome is ``searchsorted(cum, draw * cum[-1], side="right")``
-    over its cumulated outcome probabilities; counting the entries not
-    above the threshold is the same index. Returns each row's measured
-    position and coin, NOT_MEASURED for a register the target leaves alone.
+    ``amps`` holds the states on the ascending half-edges ``support``, one
+    column per trajectory, as ``CoinedWalk.step_support`` lays them out; its
+    last row stays zero. A trajectory's outcome is
+    ``searchsorted(cum, draw * cum[-1], side="right")`` over its cumulated
+    outcome probabilities; counting the entries not above the threshold is
+    the same index. The half-edges outside the set hold zeros, so every sum
+    has the bits it has over all H of them. Returns each outcome: the
+    measured half-edge's place in ``support``, or the measured vertex or
+    coin.
     """
-    picked = amps[rows]
+    picked = amps[:-1, rows].T
     weights = np.abs(picked) ** 2
     if target == "both":
         probs = weights
-    elif target == "position":
-        probs = _row_bincount(graph.half_edge_vertex, weights, graph.num_vertices)
     else:
-        probs = _row_bincount(coin_ids, weights, int(coin_ids.max()) + 1)
+        labels = graph.half_edge_vertex[support]
+        count = graph.num_vertices
+        if target == "coin":
+            labels, count = support - graph.offsets[labels], int(graph.degrees.max())
+        probs = _row_bincount(labels, weights, count)
     cum = np.cumsum(probs, axis=1)
     outcome = (cum <= (draws * cum[:, -1])[:, None]).sum(axis=1)
     if target == "both":
         kept = picked[np.arange(len(rows)), outcome]
-        amps[rows] = 0.0
+        amps[:, rows] = 0.0
         # the phase a lone trajectory keeps, amps[k] / abs(amps[k]) on
         # scalars: abs of a complex scalar is the hypot of its parts, which
         # np.abs on an array misses in the last bit
-        amps[rows, outcome] = kept / np.hypot(kept.real, kept.imag)
-        return graph.half_edge_vertex[outcome], coin_ids[outcome]
-    labels = graph.half_edge_vertex if target == "position" else coin_ids
+        amps[outcome, rows] = kept / np.hypot(kept.real, kept.imag)
+        return outcome
     norm = np.sqrt(probs[np.arange(len(rows)), outcome])
-    amps[rows] = np.where(labels == outcome[:, None], picked, 0.0) / norm[:, None]
-    unmeasured = np.full(len(rows), NOT_MEASURED)
-    if target == "position":
-        return outcome, unmeasured
-    return unmeasured, outcome
+    amps[:-1, rows] = (np.where(labels == outcome[:, None], picked, 0.0) / norm[:, None]).T
+    return outcome
 
 
-def _trajectories(walk: CoinedWalk, amps0: np.ndarray, spec: DecoherenceSpec,
-                  steps: int, seeds, keep_record: bool):
-    """Run one measured trajectory per seed, as the rows of one array.
+def _step_plans(walk: CoinedWalk, support: np.ndarray, steps: int) -> list:
+    """``walk.support_plan`` of each of ``steps`` steps from the ascending
+    half-edges ``support``. A collapse only shrinks a state's support, so
+    the sets reached without one hold every trajectory of every chunk, and
+    one list serves a whole run. It holds positions only: 16 bytes per
+    reachable half-edge per step (int32: its place in the set, two sources
+    and a gather-table row), plus 4 bytes per half-edge of every degree
+    other than 2 whose vertices the set touches, since those blocks keep
+    the full step's matmul shape. A set met again reuses its plan, so a
+    walk whose sets repeat, as on a cycle, builds only its distinct ones."""
+    plans, built = [], {}
+    support = support.astype(np.int32)
+    for _ in range(steps):
+        key = support.tobytes()
+        plan = built.get(key)
+        if plan is None:
+            plan = built[key] = walk.support_plan(support)
+        plans.append(plan)
+        support = plan[0]
+    return plans
 
-    Row r is the trajectory of ``default_rng(seeds[r])``. Each step draws
-    one uniform to decide whether to measure and, when it fires, one more
-    for the outcome, in that order, so a row reads its stream exactly as a
-    lone trajectory would. Returns the final (rows, H) amplitudes and, with
-    ``keep_record``, the (rows, steps, 4) measurement records.
+
+def _trajectories(walk: CoinedWalk, support: np.ndarray, plans: list, start: np.ndarray,
+                  spec: DecoherenceSpec, seeds, keep_record: bool):
+    """Run one measured trajectory per seed, as the columns of one array.
+
+    Every trajectory starts as ``start``, the amplitudes on the ascending
+    half-edges ``support`` (zero elsewhere), and step t is
+    ``walk.step_support`` on ``plans[t]`` (``_step_plans`` from
+    ``support``). Trajectory r, column r, is that of
+    ``default_rng(seeds[r])``. Each step draws one uniform to decide whether
+    to measure and, when it fires, one more for the outcome, in that order,
+    so a trajectory reads its stream exactly as a lone one would. Returns
+    the last set, the final (|set| + 1, len(seeds)) amplitudes held on it
+    (a zero last row) and, with ``keep_record``, the (len(seeds), steps, 4)
+    measurement records.
     """
     graph = walk.graph
-    rows = len(seeds)
-    amps = np.repeat(amps0[None, :], rows, axis=0)
+    rows, steps = len(seeds), len(plans)
+    amps = np.zeros((len(support) + 1, rows), dtype=np.complex128)
+    amps[:-1] = start[:, None]
     record = None
     if keep_record:
         record = np.full((rows, steps, 4), NOT_MEASURED, dtype=np.int64)
         record[:, :, 0] = np.arange(1, steps + 1)
         record[:, :, 1] = 0
     streams = RowStreams(seeds, uniform, max(1, min(2 * steps, _DRAW_BLOCK)))
-    coin_ids = _sector_ids(graph, "coin")
     everyone = np.arange(rows)
-    batch = walk.copies(rows)
-    for t in range(steps):
-        amps = batch.step_amplitudes(amps.reshape(-1)).reshape(rows, -1)
+    for t, plan in enumerate(plans):
+        amps = walk.step_support(plan, amps)
+        support = plan[0]
         fired = everyone[streams.next(everyone) < spec.p]
         if fired.size == 0:
             continue
-        position, coin_out = _collapse_rows(amps, fired, streams.next(fired), graph,
-                                            spec.target, coin_ids)
+        outcome = _collapse_rows(amps, fired, streams.next(fired), graph, support,
+                                 spec.target)
         if keep_record:
             record[fired, t, 1] = 1
-            record[fired, t, 2] = position
-            record[fired, t, 3] = coin_out
-    return amps, record
+            if spec.target == "both":
+                outcome = support[outcome]
+                vertex = graph.half_edge_vertex[outcome]
+                record[fired, t, 2:] = np.column_stack((vertex, outcome - graph.offsets[vertex]))
+            else:
+                record[fired, t, 2 if spec.target == "position" else 3] = outcome
+    return support, amps, record
 
 
 def evolve_trajectory(state0: PureState, spec: DecoherenceSpec, steps: int,
@@ -421,8 +464,12 @@ def evolve_trajectory(state0: PureState, spec: DecoherenceSpec, steps: int,
     graph = state0.graph
     check_line_headroom(graph.kind, graph.num_vertices, _support(state0), steps)
     walk = CoinedWalk(graph, coin)
-    amps, record = _trajectories(walk, state0.amplitudes, spec, steps, [seed], keep_record)
-    return PureState(graph, amps[0]), None if record is None else record[0]
+    support = np.flatnonzero(state0.amplitudes)
+    support, held, record = _trajectories(walk, support, _step_plans(walk, support, steps),
+                                          state0.amplitudes[support], spec, [seed], keep_record)
+    amps = np.zeros(graph.half_edge_count, dtype=np.complex128)
+    amps[support] = held[:-1, 0]
+    return PureState(graph, amps), None if record is None else record[0]
 
 
 def run_ensemble(state0: PureState, spec: DecoherenceSpec, steps: int,
@@ -439,14 +486,17 @@ def run_ensemble(state0: PureState, spec: DecoherenceSpec, steps: int,
     graph = state0.graph
     check_line_headroom(graph.kind, graph.num_vertices, _support(state0), steps)
     walk = CoinedWalk(graph, coin)
+    support = np.flatnonzero(state0.amplitudes)
+    plans = _step_plans(walk, support, steps)
+    start = state0.amplitudes[support]
     n = graph.num_vertices
     total = np.zeros(n)
     total_sq = np.zeros(n)
     chunk = _chunk_rows(graph.half_edge_count)
     for first in range(0, trajectories, chunk):
         seeds = range(seed + first, seed + min(first + chunk, trajectories))
-        amps, _ = _trajectories(walk, state0.amplitudes, spec, steps, seeds, False)
-        p = _row_bincount(graph.half_edge_vertex, np.abs(amps) ** 2, n)
+        final, amps, _ = _trajectories(walk, support, plans, start, spec, seeds, False)
+        p = _row_bincount(graph.half_edge_vertex[final], np.abs(amps[:-1].T) ** 2, n)
         # running sums in trajectory order, the bits a serial loop adds up
         total = np.cumsum(np.vstack((total, p)), axis=0)[-1]
         total_sq = np.cumsum(np.vstack((total_sq, p * p)), axis=0)[-1]

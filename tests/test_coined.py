@@ -495,12 +495,13 @@ def random_amplitudes(rng, shape):
 @given(g=builder_graphs(), family=st.sampled_from(COIN_FAMILIES),
        seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 4))
 def test_step_is_the_two_pass_step_on_every_builder(g, family, seed, rows):
-    # the batch is one walker on `rows` disjoint copies of the graph
+    # the lone walker's step, and the support step of `rows` states held on
+    # a random set of half-edges (zero elsewhere, a zero last row)
     walk = CoinedWalk(g, family)
-    copies = walk.copies(rows)
     ref = reference(g)
     rng = np.random.default_rng(seed)
-    batch = random_amplitudes(rng, (rows, g.half_edge_count))
+    n = g.half_edge_count
+    batch = random_amplitudes(rng, (rows, n))
     undefined = undefined_coin_half_edges(g, family)
     if undefined.size:
         # amplitude on a vertex whose coin is undefined raises in both
@@ -508,15 +509,26 @@ def test_step_is_the_two_pass_step_on_every_builder(g, family, seed, rows):
         batch[:, undefined[0]] = 1.0
         with pytest.raises(UnsupportedDegreeError) as single:
             walk.step_amplitudes(batch[0])
+        held = np.vstack((batch.T, np.zeros((1, rows), np.complex128)))
         with pytest.raises(UnsupportedDegreeError) as batched:
-            copies.step_amplitudes(batch.reshape(-1))
+            walk.step_support(walk.support_plan(np.arange(n)), held)
         assert str(batched.value) == str(single.value)
         batch[:, undefined] = complex(-0.0, -0.0)
-    stepped = copies.step_amplitudes(batch.reshape(-1)).reshape(rows, -1)
+    support = np.flatnonzero(rng.random(n) < 0.5)
+    batch[:, np.setdiff1d(np.arange(n), support)] = 0.0
+    held = np.zeros((len(support) + 1, rows), np.complex128)
+    held[:-1] = batch[:, support].T
+    plan = walk.support_plan(support)
+    if not undefined.size:
+        # S' is the rows of U with a nonzero entry in a column of S
+        u = walk.step_matrix().tocsc()[:, support]
+        assert np.array_equal(plan[0], np.unique(u.nonzero()[0]))
+    stepped = walk.step_support(plan, held).T.copy()
     for amps, row in zip(batch, stepped):
         want = ref.two_pass_step(amps, family)
         assert same_bits(walk.step_amplitudes(amps), want)
-        assert same_bits(row, want)
+        assert same_bits(row, np.append(want[plan[0]], 0.0))
+        assert not np.any(np.delete(want, plan[0]))
 
 
 @pytest.mark.parametrize("g", [build_cycle(9), build_line(21)], ids=["cycle", "line"])

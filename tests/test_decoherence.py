@@ -991,27 +991,67 @@ def start_of(graph):
     return graph.params["origin"] if graph.kind == "line" else 0
 
 
+def held_on(support, amps):
+    """Full-width rows of amplitudes held on ``support``: one column each,
+    and the zero row."""
+    held = np.zeros((len(support) + 1, len(amps)), dtype=np.complex128)
+    held[:-1] = amps[:, support].T
+    return held
+
+
+def spread(support, held, n):
+    """The full-width rows of the states held on ``support``, +0 elsewhere."""
+    amps = np.zeros((held.shape[1], n), dtype=np.complex128)
+    amps[:, support] = held[:-1].T
+    return amps
+
+
 @pytest.mark.parametrize("name", sorted(TRAJECTORY_GRAPHS))
 @pytest.mark.parametrize("family", COIN_FAMILIES)
 def test_step_rows_matches_single_rows(name, family):
-    # five rows step as one walker on five disjoint copies of the graph
+    # five states held on the reachable set S_t take the support step.
+    # Given the same operands (the states spread to full width), the
+    # full-width step has its bits on S_{t+1} and zeros outside. Lone rows
+    # stepped at full width all along have its values; a signed zero may
+    # differ, as they carry -0 outside the set where it holds +0
     g = TRAJECTORY_GRAPHS[name]()
+    n = g.half_edge_count
     walk = CoinedWalk(g, family)
-    copies = walk.copies(5)
     rng = np.random.default_rng(3)
-    rows = rng.normal(size=(5, g.half_edge_count)) + 1j * rng.normal(size=(5, g.half_edge_count))
-    try:
-        singles = [walk.step_amplitudes(r) for r in rows]
-    except UnsupportedDegreeError as exc:
-        with pytest.raises(UnsupportedDegreeError) as batched:
-            copies.step_amplitudes(rows.reshape(-1))
-        assert str(batched.value) == str(exc)
-        return
-    for _ in range(6):
-        rows = copies.step_amplitudes(rows.reshape(-1)).reshape(5, -1)
-        for r, single in enumerate(singles):
-            assert same_bits(rows[r], single)
-        singles = [walk.step_amplitudes(s) for s in singles]
+    support = np.sort(rng.choice(n, size=4, replace=False))
+    singles = np.zeros((5, n), dtype=np.complex128)
+    singles[:, support] = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    singles[:, support[0]] = complex(-0.0, 0.0)
+    rows = held_on(support, singles)
+    # only the Hadamard family raises, on vertices of degree other than 2
+    undefined = np.flatnonzero(g.degrees[g.half_edge_vertex] != 2)
+    raised = 0
+    for _ in range(8):
+        plan = walk.support_plan(support)
+        try:
+            want = [walk.step_amplitudes(amps) for amps in spread(support, rows, n)]
+        except UnsupportedDegreeError as exc:
+            # amplitude sits on a vertex without a coin: the support step
+            # raises the same error; with none there, both go on
+            with pytest.raises(UnsupportedDegreeError) as batched:
+                walk.step_support(plan, rows)
+            assert str(batched.value) == str(exc)
+            assert np.any(singles[:, undefined])
+            singles[:, undefined] = 0.0
+            rows = held_on(support, singles)
+            raised += 1
+            continue
+        singles = np.array([walk.step_amplitudes(single) for single in singles])
+        rows = walk.step_support(plan, rows)
+        support = plan[0]
+        outside = np.setdiff1d(np.arange(n), support)
+        for r, (full, single) in enumerate(zip(want, singles)):
+            assert same_bits(rows[:-1, r].copy(), full[support])
+            assert np.array_equal(rows[:-1, r], single[support])
+            assert not np.any(full[outside]) and not np.any(single[outside])
+        assert same_bits(rows[-1], np.zeros(5, np.complex128))
+    # every graph but the cycle has vertices without a Hadamard coin
+    assert bool(raised) == (family == "hadamard" and name != "cycle")
 
 
 @settings(max_examples=60, deadline=None)
@@ -1040,8 +1080,11 @@ def test_batched_trajectories_match_serial_loop(name, family, target, p, steps, 
     with mock.patch.object(decoherence, "_CHUNK_BYTES", 16 * g.half_edge_count * chunk_rows), \
             mock.patch.object(decoherence, "_DRAW_BLOCK", block):
         walk = CoinedWalk(g, family)
-        amps, records = decoherence._trajectories(
-            walk, s.amplitudes, spec, steps, range(seed, seed + trajectories), True)
+        support = np.flatnonzero(s.amplitudes)
+        final, held, records = decoherence._trajectories(
+            walk, support, decoherence._step_plans(walk, support, steps),
+            s.amplitudes[support], spec, range(seed, seed + trajectories), True)
+        amps = spread(final, held, g.half_edge_count)
         for i, (want_amps, want_record) in enumerate(reference):
             single, record = evolve_trajectory(s, spec, steps, seed + i, family)
             assert np.array_equal(amps[i], want_amps)
@@ -1063,6 +1106,51 @@ def test_ensemble_matches_serial_across_default_chunk():
     want_mean, want_stderr = serial_ensemble(s, spec, 20, trajectories, 17, "default")
     assert np.array_equal(mean, want_mean)
     assert np.array_equal(stderr, want_stderr)
+
+
+@pytest.mark.parametrize("g,steps", [(build_line(41), 12), (build_cycle(7), 30)],
+                         ids=["line", "cycle"])
+def test_ensemble_plans_each_step_once_for_all_chunks(g, steps):
+    # four chunks of three rows share one plan per step; a set met again
+    # (the cycle's, once they cover it) reuses its plan
+    s = initial_state(g, start_of(g), "uniform")
+    walk = CoinedWalk(g)
+    sets, support = set(), np.flatnonzero(s.amplitudes).astype(np.int32)
+    for _ in range(steps):
+        sets.add(support.tobytes())
+        support = walk.support_plan(support)[0]
+    plan = CoinedWalk.support_plan
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return plan(*args)
+    spec = DecoherenceSpec(0.2, "both")
+    with mock.patch.object(decoherence, "_CHUNK_BYTES", 16 * g.half_edge_count * 3), \
+            mock.patch.object(CoinedWalk, "support_plan", counted):
+        assert -(-10 // decoherence._chunk_rows(g.half_edge_count)) == 4
+        mean, stderr = run_ensemble(s, spec, steps, 10, seed=5)
+    assert calls[0] == len(sets)
+    assert len(sets) == steps if g.kind == "line" else len(sets) < steps
+    want_mean, want_stderr = serial_ensemble(s, spec, steps, 10, 5, "default")
+    assert np.array_equal(mean, want_mean)
+    assert np.array_equal(stderr, want_stderr)
+
+
+def test_step_plans_hold_16_bytes_per_reached_half_edge():
+    # positions only, as int32: each reached half-edge of each step keeps
+    # its place in the set, its two sources and its gather-table row
+    g = build_line(101)
+    s = initial_state(g, g.params["origin"], "symmetric")
+    plans = decoherence._step_plans(CoinedWalk(g), np.flatnonzero(s.amplitudes), 50)
+    reached = 0
+    for support, (src, terms, dest), blocks in plans:
+        assert support.dtype == src.dtype == terms.dtype == np.int32
+        assert dest is None and not blocks
+        assert src.shape == (2, len(support)) and terms.shape == support.shape
+        reached += len(support)
+    assert reached == 2550
+    assert sum(p[0].nbytes + p[1][0].nbytes + p[1][1].nbytes for p in plans) == 16 * reached
 
 
 def test_row_streams_refill_per_row():

@@ -21,7 +21,8 @@ def test_public_names_resolve_and_second_paths_are_gone():
                      "flatness_ratio")),
             (continuous, ("threshold_crossing_time", "entrance_state")),
             (decoherence, ("record_to_csv", "_full_matrix", "_dephasing_factors")),
-            (coined.CoinedWalk, ("inverse_step_amplitudes", "coin_toss", "shift", "step_rows")),
+            (coined.CoinedWalk, ("inverse_step_amplitudes", "coin_toss", "shift", "step_rows",
+                                "copies")),
             (coined.PureState, ("amplitude", "copy")),
             (decoherence.DensityState, ("purity", "copy")),
             (graphs.Graph, ("coin_offset", "direction_index", "half_edge")),
