@@ -35,7 +35,8 @@ degree, writing each coin output straight to its shifted half-edge.
 ``step_support`` runs the same step for a batch of states that are zero
 outside a set S of half-edges, held as the columns of an (|S| + 1, R)
 array whose last row is zero; ``support_plan(S)`` reads S', the set U
-reaches from S, and the positions each term reads off the two plans. An
+reaches from S, and the positions each term reads off the two plans,
+visiting only the gather-table rows that read a half-edge of S. An
 entry of S' takes the operands and operations that ``step_amplitudes``
 gives it, and the block matmul keeps its per-state shape, so each state
 gets that step's bits. ``step_matrix`` assembles the same two plans as a
@@ -193,7 +194,7 @@ class CoinedWalk:
         # residue where opposite-sign products should cancel bit-exactly
         # (the interference zeros)
         self._gather = None
-        self._zero_terms = None
+        self._readers = None
         self._block_plan = []
         for d in np.unique(graph.degrees[graph.degrees > 0]).tolist():
             offs = graph.offsets[:-1][graph.degrees == d]
@@ -214,10 +215,17 @@ class CoinedWalk:
             if np.array_equal(dest, np.arange(graph.half_edge_count)):
                 dest = None
             self._gather = (src, coef, len(order), dest)
-            # the terms whose coin entry is zero (the Grover coin's
-            # diagonal) reach nothing; (2, n) indices for support_plan
-            if not np.all(coef):
-                self._zero_terms = np.nonzero(coef.reshape(2, -1) == 0)
+            # for support_plan: row h lists the (at most two) table rows
+            # that read half-edge h through a nonzero coin entry, n for
+            # none; a zero entry (the Grover coin's diagonal) reaches nothing
+            n, reads = len(order), coef != 0
+            rows = np.tile(np.arange(n, dtype=np.int32), 2)[reads]
+            read = src[reads]
+            by_source = np.argsort(read, kind="stable")
+            read = read[by_source]
+            again = np.concatenate(([False], read[1:] == read[:-1]))
+            self._readers = np.full((graph.half_edge_count, 2), n, dtype=np.int32)
+            self._readers[read, again.astype(np.intp)] = rows[by_source]
 
     def step_amplitudes(self, amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One step, coin toss then shift: each coin output is written
@@ -262,11 +270,12 @@ class CoinedWalk:
         is None when they fill S' in order. A degree whose block touches S
         gives ``(src, touched, dest, coin_t)``. ``src`` holds the positions
         of every vertex of that degree, so its matmul has the full step's
-        shape, and ``touched`` marks the vertices that touch S (None for
+        shape, and ``touched`` lists the vertices that touch S (None for
         all of them). ``dest`` holds the shifted positions in S' of the
         touched vertices; it is None for an undefined coin, which reaches
         nothing. The block coins (Grover, DFT) have no zero entry, so a
-        touched vertex reaches all of its shifted half-edges.
+        touched vertex reaches all of its shifted half-edges. The gather
+        table is read only at the rows S reaches.
         """
         w = len(support)
         column = np.empty(self.graph.half_edge_count, dtype=np.int32)
@@ -275,29 +284,27 @@ class CoinedWalk:
         gather, blocks, outputs = None, [], []  # outputs: (plan, its shifted half-edges)
         if self._gather is not None:
             src, _, n, dest = self._gather
-            pos = column[src].reshape(2, n)
-            hit = pos < w
-            if self._zero_terms is not None:
-                hit[self._zero_terms] = False
-            terms = (hit[0] | hit[1]).nonzero()[0]
-            gather = [np.take(pos, terms, axis=1), terms.astype(np.int32), None]
+            read = np.zeros(n + 1, dtype=bool)
+            read[self._readers.take(support, axis=0).ravel()] = True
+            terms = read[:n].nonzero()[0].astype(np.int32)
+            gather = [column[src.reshape(2, n).take(terms, axis=1)], terms, None]
             outputs.append((gather, terms if dest is None else dest[terms]))
         for idx, moved, coin_t in self._block_plan:
             pos = column[idx]
             touched = pos < w
             if not touched.any():
                 continue
-            touched = touched.any(axis=1)
+            touched = touched.any(axis=1).nonzero()[0].astype(np.int32)
             if coin_t is None:
                 blocks.append((pos, None, None, None))
                 continue
-            if touched.all():
+            if len(touched) == len(idx):
                 touched = None
             blocks.append([pos, touched, None, coin_t])
             outputs.append((blocks[-1], moved if touched is None else moved[touched]))
         if len(outputs) == 1 and gather is not None:
             # the table is sorted by output half-edge
-            return outputs[0][1].astype(np.int32), gather, blocks
+            return outputs[0][1].astype(np.int32, copy=False), gather, blocks
         reached = np.concatenate([np.empty(0, np.int32)] + [e.ravel() for _, e in outputs])
         reached = np.sort(reached).astype(np.int32)
         for plan, e in outputs:
@@ -321,25 +328,26 @@ class CoinedWalk:
         if gather is not None:
             src, terms, dest = gather
             k = len(terms)
-            x = held[src]
-            x *= self._gather[1].reshape(2, -1)[:, terms, None]
+            x = held.take(src, axis=0)
+            x *= self._gather[1].reshape(2, -1).take(terms, axis=1)[:, :, None]
             if dest is None:
                 np.add(x[0], x[1], out=out[:k])
             else:
                 x[0] += x[1]
                 out[dest] = x[0]
         for src, touched, dest, coin_t in blocks:
-            block = held[src]
             if coin_t is None:
-                if np.any(block):
+                if np.any(held[src]):
                     raise UnsupportedDegreeError(
                         f"{self.coin_family} coin undefined for degree "
                         f"{src.shape[-1]} but amplitude occupies such a vertex")
                 continue
-            # each state's (m, d) block is C-contiguous, as in step_amplitudes
-            block = np.ascontiguousarray(block.transpose(2, 0, 1)) @ coin_t
+            # take lays each state's (m, d) block out C-contiguous, as in
+            # step_amplitudes; one stacked (R·m, d) matmul would round a
+            # one-vertex block (m = 1) differently
+            block = held.T.take(src, axis=1) @ coin_t
             if touched is not None:
-                block = block[:, touched]
+                block = block.take(touched, axis=1)
             out[dest] = block.transpose(1, 2, 0)
         return out
 

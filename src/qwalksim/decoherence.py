@@ -30,11 +30,13 @@ The trajectory engine is batched and works on the reachable set S_t, the
 half-edges U reaches in t steps from the start's support. A collapse only
 shrinks a state's support, so one set per step holds every trajectory: a
 chunk is one (|S_t| + 1, rows) complex array, column r being trajectory r,
-whose zero last row every source outside S_t reads. ``run_ensemble``
-plans each step once (``CoinedWalk.support_plan``, about 16 bytes per
-reachable half-edge per step) for all its chunks, which step with
-``CoinedWalk.step_support``: each kept entry has the bits of the
-full-width ``step_amplitudes`` of the state the chunk holds. Only the
+whose zero last row every source outside S_t reads. A chunk steps with
+``CoinedWalk.step_support`` on the plan ``CoinedWalk.support_plan`` makes
+for its set (about 16 bytes per reachable half-edge); each kept entry has
+the bits of the full-width ``step_amplitudes`` of the state the chunk
+holds. ``run_ensemble`` plans each step once for all its chunks while the
+plans fit in ``_PLAN_BYTES`` (16 MiB), and each chunk plans the steps
+past them again; a run of one chunk keeps no plan. Only the
 trajectories whose measurement fired are collapsed, together, on the set.
 Each keeps its own PCG64 stream, one row of ``RowStreams``'s state arrays,
 whose uniforms are drawn ahead in blocks of up to ``_DRAW_BLOCK`` and read
@@ -80,6 +82,11 @@ NOT_MEASURED = -1
 _CHUNK_BYTES = 3 << 16
 # uniform draws each trajectory's stream reads ahead (2 KiB a trajectory)
 _DRAW_BLOCK = 256
+# A run of more than one chunk keeps the plans of its first steps, up to
+# this many bytes, for all its chunks (``_StepPlans``); each chunk plans the
+# later steps again. The ensemble workload's 50 steps on line(101) take 41
+# KB, a 400-step line walk 2.6 MB; 10,000 steps on a line would take 1.6 GB.
+_PLAN_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -384,36 +391,70 @@ def _collapse_rows(amps: np.ndarray, rows: np.ndarray, draws: np.ndarray,
     return outcome
 
 
-def _step_plans(walk: CoinedWalk, support: np.ndarray, steps: int) -> list:
+def _plan_bytes(plan: tuple) -> int:
+    """Bytes of the positions a ``support_plan`` holds (the coins are the
+    walk's own)."""
+    reached, gather, blocks = plan
+    arrays = [reached, *(gather or ())] + [a for block in blocks for a in block[:3]]
+    return sum(a.nbytes for a in arrays if a is not None)
+
+
+class _StepPlans:
     """``walk.support_plan`` of each of ``steps`` steps from the ascending
-    half-edges ``support``. A collapse only shrinks a state's support, so
-    the sets reached without one hold every trajectory of every chunk, and
-    one list serves a whole run. It holds positions only: 16 bytes per
-    reachable half-edge per step (int32: its place in the set, two sources
-    and a gather-table row), plus 4 bytes per half-edge of every degree
-    other than 2 whose vertices the set touches, since those blocks keep
-    the full step's matmul shape. A set met again reuses its plan, so a
-    walk whose sets repeat, as on a cycle, builds only its distinct ones."""
-    plans, built = [], {}
-    support = support.astype(np.int32)
-    for _ in range(steps):
-        key = support.tobytes()
-        plan = built.get(key)
-        if plan is None:
-            plan = built[key] = walk.support_plan(support)
-        plans.append(plan)
-        support = plan[0]
-    return plans
+    half-edges ``support``, in step order on every pass. A collapse only
+    shrinks a state's support, so the sets reached without one hold every
+    trajectory of every chunk, and one plan per step serves a whole run.
+
+    A plan holds positions only, as int32: 16 bytes per reachable
+    half-edge of a degree-2 vertex (its place in the set, two sources and a
+    gather-table row). A block degree whose vertices the set touches takes
+    4 bytes per half-edge of that degree, since its matmul keeps the full
+    step's shape, and at most 12 per reachable half-edge. The
+    first pass keeps the plans of the first steps while they fit in
+    ``budget`` bytes; every pass plans the later steps again as it reaches
+    them and keeps none of them, so memory stays bounded however long the
+    walk. A set equal to one of the last two planned reuses its plan, so a
+    walk whose sets alternate or stay put, as on a cycle, plans them once.
+    """
+
+    def __init__(self, walk: CoinedWalk, support: np.ndarray, steps: int, budget: int):
+        self.walk, self.steps = walk, steps
+        self.start = support.astype(np.int32)
+        self.kept: list = []
+        self.room = budget  # negative once a plan did not fit
+        self.recent: dict[bytes, tuple] = {}
+
+    def __len__(self) -> int:
+        return self.steps
+
+    def __iter__(self):
+        yield from self.kept
+        support = self.kept[-1][0] if self.kept else self.start
+        for _ in range(len(self.kept), self.steps):
+            key = support.tobytes()
+            plan = self.recent.get(key)
+            if plan is None:
+                plan = self.walk.support_plan(support)
+                if self.room >= 0:
+                    self.room -= _plan_bytes(plan)
+                if len(self.recent) == 2:
+                    del self.recent[next(iter(self.recent))]
+                self.recent[key] = plan
+            if self.room >= 0:
+                # while every plan fits, a reused one is kept already
+                self.kept.append(plan)
+            yield plan
+            support = plan[0]
 
 
-def _trajectories(walk: CoinedWalk, support: np.ndarray, plans: list, start: np.ndarray,
+def _trajectories(walk: CoinedWalk, support: np.ndarray, plans: _StepPlans, start: np.ndarray,
                   spec: DecoherenceSpec, seeds, keep_record: bool):
     """Run one measured trajectory per seed, as the columns of one array.
 
     Every trajectory starts as ``start``, the amplitudes on the ascending
     half-edges ``support`` (zero elsewhere), and step t is
-    ``walk.step_support`` on ``plans[t]`` (``_step_plans`` from
-    ``support``). Trajectory r, column r, is that of
+    ``walk.step_support`` on the t-th plan of ``plans`` (a ``_StepPlans``
+    from ``support``). Trajectory r, column r, is that of
     ``default_rng(seeds[r])``. Each step draws one uniform to decide whether
     to measure and, when it fires, one more for the outcome, in that order,
     so a trajectory reads its stream exactly as a lone one would. Returns
@@ -459,13 +500,17 @@ def evolve_trajectory(state0: PureState, spec: DecoherenceSpec, steps: int,
     Returns the final pure state and, when ``keep_record`` is set, an
     integer array with one ``step, measured, position, coin`` row per step
     (-1 marks a register that was not measured). Deterministic per seed;
-    it is the ensemble kernel run on a single row.
+    it is the ensemble kernel run on a single row. The amplitudes equal
+    those of the walker stepped over all H half-edges by
+    ``step_amplitudes``, and on the line and cycle have its bytes; where
+    a vertex's degree is not 2, a zero amplitude may be +0 where that
+    walker holds -0. Probabilities and records are the same bytes.
     """
     graph = state0.graph
     check_line_headroom(graph.kind, graph.num_vertices, _support(state0), steps)
     walk = CoinedWalk(graph, coin)
     support = np.flatnonzero(state0.amplitudes)
-    support, held, record = _trajectories(walk, support, _step_plans(walk, support, steps),
+    support, held, record = _trajectories(walk, support, _StepPlans(walk, support, steps, 0),
                                           state0.amplitudes[support], spec, [seed], keep_record)
     amps = np.zeros(graph.half_edge_count, dtype=np.complex128)
     amps[support] = held[:-1, 0]
@@ -487,12 +532,12 @@ def run_ensemble(state0: PureState, spec: DecoherenceSpec, steps: int,
     check_line_headroom(graph.kind, graph.num_vertices, _support(state0), steps)
     walk = CoinedWalk(graph, coin)
     support = np.flatnonzero(state0.amplitudes)
-    plans = _step_plans(walk, support, steps)
+    chunk = _chunk_rows(graph.half_edge_count)
+    plans = _StepPlans(walk, support, steps, _PLAN_BYTES if trajectories > chunk else 0)
     start = state0.amplitudes[support]
     n = graph.num_vertices
     total = np.zeros(n)
     total_sq = np.zeros(n)
-    chunk = _chunk_rows(graph.half_edge_count)
     for first in range(0, trajectories, chunk):
         seeds = range(seed + first, seed + min(first + chunk, trajectories))
         final, amps, _ = _trajectories(walk, support, plans, start, spec, seeds, False)

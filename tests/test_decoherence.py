@@ -1048,6 +1048,8 @@ def test_step_rows_matches_single_rows(name, family):
         for r, (full, single) in enumerate(zip(want, singles)):
             assert same_bits(rows[:-1, r].copy(), full[support])
             assert np.array_equal(rows[:-1, r], single[support])
+            if name in ("line", "cycle"):
+                assert same_bits(rows[:-1, r].copy(), single[support])
             assert not np.any(full[outside]) and not np.any(single[outside])
         assert same_bits(rows[-1], np.zeros(5, np.complex128))
     # every graph but the cycle has vertices without a Hadamard coin
@@ -1082,7 +1084,7 @@ def test_batched_trajectories_match_serial_loop(name, family, target, p, steps, 
         walk = CoinedWalk(g, family)
         support = np.flatnonzero(s.amplitudes)
         final, held, records = decoherence._trajectories(
-            walk, support, decoherence._step_plans(walk, support, steps),
+            walk, support, decoherence._StepPlans(walk, support, steps, 0),
             s.amplitudes[support], spec, range(seed, seed + trajectories), True)
         amps = spread(final, held, g.half_edge_count)
         for i, (want_amps, want_record) in enumerate(reference):
@@ -1090,6 +1092,8 @@ def test_batched_trajectories_match_serial_loop(name, family, target, p, steps, 
             assert np.array_equal(amps[i], want_amps)
             assert np.array_equal(records[i], want_record)
             assert np.array_equal(single.amplitudes, want_amps)
+            if name in ("line", "cycle"):
+                assert same_bits(single.amplitudes, want_amps)
             assert np.array_equal(record, want_record)
         mean, stderr = run_ensemble(s, spec, steps, trajectories, seed, family)
     want_mean, want_stderr = serial_ensemble(s, spec, steps, trajectories, seed, family)
@@ -1142,7 +1146,7 @@ def test_step_plans_hold_16_bytes_per_reached_half_edge():
     # its place in the set, its two sources and its gather-table row
     g = build_line(101)
     s = initial_state(g, g.params["origin"], "symmetric")
-    plans = decoherence._step_plans(CoinedWalk(g), np.flatnonzero(s.amplitudes), 50)
+    plans = list(decoherence._StepPlans(CoinedWalk(g), np.flatnonzero(s.amplitudes), 50, 0))
     reached = 0
     for support, (src, terms, dest), blocks in plans:
         assert support.dtype == src.dtype == terms.dtype == np.int32
@@ -1150,7 +1154,52 @@ def test_step_plans_hold_16_bytes_per_reached_half_edge():
         assert src.shape == (2, len(support)) and terms.shape == support.shape
         reached += len(support)
     assert reached == 2550
-    assert sum(p[0].nbytes + p[1][0].nbytes + p[1][1].nbytes for p in plans) == 16 * reached
+    assert sum(map(decoherence._plan_bytes, plans)) == 16 * reached == 40_800
+
+
+@pytest.mark.parametrize("budget,kept", [(0, 0), (1000, 7), (40_799, 49), (40_800, 50)])
+def test_step_plans_keep_the_first_steps_that_fit(budget, kept):
+    # the first pass keeps the plans of the first steps while they fit
+    # (step t plans 32 (t + 1) bytes); a second pass yields those and plans
+    # the later steps again, to the same positions
+    g = build_line(101)
+    s = initial_state(g, g.params["origin"], "symmetric")
+    plans = decoherence._StepPlans(CoinedWalk(g), np.flatnonzero(s.amplitudes), 50, budget)
+    first = list(plans)
+    assert len(plans.kept) == kept
+    assert sum(map(decoherence._plan_bytes, plans.kept)) <= budget
+    second = list(plans)
+    assert all(a is b for a, b in zip(first[:kept], second))
+    for a, b in zip(first, second):
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1][0], b[1][0]) and np.array_equal(a[1][1], b[1][1])
+
+
+def test_long_line_ensemble_keeps_its_plans_under_the_budget():
+    # 1,000 steps on a line plan 16 MB of positions; with a 1 MiB budget the
+    # two chunks hold 1 MiB of them and plan the rest step by step
+    g = build_line(2401)
+    s = initial_state(g, g.params["origin"], "symmetric")
+    spec = DecoherenceSpec(0.01, "both")
+    assert decoherence._chunk_rows(g.half_edge_count) == 2
+    plan = CoinedWalk.support_plan
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return plan(*args)
+    with mock.patch.object(decoherence, "_PLAN_BYTES", 1 << 20), \
+            mock.patch.object(CoinedWalk, "support_plan", counted):
+        tracemalloc.start()
+        mean, stderr = run_ensemble(s, spec, 1000, 3, seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    # step t plans 32 (t + 1) bytes: 255 steps fit in 1 MiB
+    assert calls[0] == 255 + 2 * 745
+    assert peak < 3 << 20
+    want_mean, want_stderr = serial_ensemble(s, spec, 1000, 3, 11, "default")
+    assert np.array_equal(mean, want_mean)
+    assert np.array_equal(stderr, want_stderr)
 
 
 def test_row_streams_refill_per_row():
