@@ -45,7 +45,8 @@ collapse, so a trajectory reads exactly what it would alone, and
 ``evolve_trajectory`` is the same kernel run on a single trajectory. A
 chunk's row count follows from H: it holds at most ``_CHUNK_BYTES`` (192
 KiB) of amplitudes, temporaries of up to twice that, and rows x 2 KiB of
-pre-drawn uniforms.
+pre-drawn uniforms. Once the plans outgrow ``_PLAN_BYTES``, the later
+chunks hold up to 4 MiB of amplitudes, so that fewer of them plan again.
 """
 
 from __future__ import annotations
@@ -84,8 +85,10 @@ _CHUNK_BYTES = 3 << 16
 _DRAW_BLOCK = 256
 # A run of more than one chunk keeps the plans of its first steps, up to
 # this many bytes, for all its chunks (``_StepPlans``); each chunk plans the
-# later steps again. The ensemble workload's 50 steps on line(101) take 41
-# KB, a 400-step line walk 2.6 MB; 10,000 steps on a line would take 1.6 GB.
+# later steps again, and the chunks after the first grow to a quarter of
+# this many bytes of amplitudes, so fewer chunks plan them. The ensemble
+# workload's 50 steps on line(101) take 41 KB, a 400-step line walk 2.6
+# MB; 10,000 steps on a line would take 1.6 GB.
 _PLAN_BYTES = 16 << 20
 
 
@@ -532,14 +535,22 @@ def run_ensemble(state0: PureState, spec: DecoherenceSpec, steps: int,
     check_line_headroom(graph.kind, graph.num_vertices, _support(state0), steps)
     walk = CoinedWalk(graph, coin)
     support = np.flatnonzero(state0.amplitudes)
-    chunk = _chunk_rows(graph.half_edge_count)
+    width = graph.half_edge_count
+    chunk = _chunk_rows(width)
     plans = _StepPlans(walk, support, steps, _PLAN_BYTES if trajectories > chunk else 0)
     start = state0.amplitudes[support]
     n = graph.num_vertices
     total = np.zeros(n)
     total_sq = np.zeros(n)
-    for first in range(0, trajectories, chunk):
+    first = 0
+    while first < trajectories:
+        if plans.room < 0:
+            # the plans outgrew their budget, so every chunk plans the later
+            # steps again: let each of those plans serve more trajectories,
+            # up to a quarter of the budget in amplitudes
+            chunk = max(chunk, _PLAN_BYTES // (64 * width))
         seeds = range(seed + first, seed + min(first + chunk, trajectories))
+        first += len(seeds)
         final, amps, _ = _trajectories(walk, support, plans, start, spec, seeds, False)
         p = _row_bincount(graph.half_edge_vertex[final], np.abs(amps[:-1].T) ** 2, n)
         # running sums in trajectory order, the bits a serial loop adds up

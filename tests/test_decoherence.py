@@ -1176,8 +1176,10 @@ def test_step_plans_keep_the_first_steps_that_fit(budget, kept):
 
 
 def test_long_line_ensemble_keeps_its_plans_under_the_budget():
-    # 1,000 steps on a line plan 16 MB of positions; with a 1 MiB budget the
-    # two chunks hold 1 MiB of them and plan the rest step by step
+    # 1,000 steps on a line plan 16 MB of positions. With a 1 MiB budget
+    # the first chunk of two trajectories keeps 1 MiB of them; the other
+    # three then step as one chunk (a quarter of the budget holds three
+    # rows of H = 4800), which plans the later steps again once
     g = build_line(2401)
     s = initial_state(g, g.params["origin"], "symmetric")
     spec = DecoherenceSpec(0.01, "both")
@@ -1191,13 +1193,13 @@ def test_long_line_ensemble_keeps_its_plans_under_the_budget():
     with mock.patch.object(decoherence, "_PLAN_BYTES", 1 << 20), \
             mock.patch.object(CoinedWalk, "support_plan", counted):
         tracemalloc.start()
-        mean, stderr = run_ensemble(s, spec, 1000, 3, seed=11)
+        mean, stderr = run_ensemble(s, spec, 1000, 5, seed=11)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     # step t plans 32 (t + 1) bytes: 255 steps fit in 1 MiB
-    assert calls[0] == 255 + 2 * 745
+    assert calls[0] == 1000 + 745
     assert peak < 3 << 20
-    want_mean, want_stderr = serial_ensemble(s, spec, 1000, 3, 11, "default")
+    want_mean, want_stderr = serial_ensemble(s, spec, 1000, 5, 11, "default")
     assert np.array_equal(mean, want_mean)
     assert np.array_equal(stderr, want_stderr)
 
