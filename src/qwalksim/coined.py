@@ -429,6 +429,14 @@ class CoinedWalk:
             shape=(n, n), dtype=np.complex128)
 
 
+def _plan_bytes(plan: tuple) -> int:
+    """Bytes of the positions a ``support_plan`` holds (the coins are the
+    walk's own)."""
+    reached, gather, blocks = plan
+    arrays = [reached, *(gather or ())] + [a for block in blocks for a in block[:3]]
+    return sum(a.nbytes for a in arrays if a is not None)
+
+
 def _row_bincount(labels: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
     """``np.bincount(labels, weights[r], minlength=count)`` for every row r,
     as one bincount over labels r * count + label: each bin still sums its

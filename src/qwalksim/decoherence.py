@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import _sparsetools
 
-from .coined import CoinedWalk, PureState, _row_bincount, _support
+from .coined import CoinedWalk, PureState, _plan_bytes, _row_bincount, _support
 from .errors import InvariantViolationError
 from .graphs import Graph, check_line_headroom
 from .streams import RowStreams, uniform
@@ -392,14 +392,6 @@ def _collapse_rows(amps: np.ndarray, rows: np.ndarray, draws: np.ndarray,
     norm = np.sqrt(probs[np.arange(len(rows)), outcome])
     amps[:-1, rows] = (np.where(labels == outcome[:, None], picked, 0.0) / norm[:, None]).T
     return outcome
-
-
-def _plan_bytes(plan: tuple) -> int:
-    """Bytes of the positions a ``support_plan`` holds (the coins are the
-    walk's own)."""
-    reached, gather, blocks = plan
-    arrays = [reached, *(gather or ())] + [a for block in blocks for a in block[:3]]
-    return sum(a.nbytes for a in arrays if a is not None)
 
 
 class _StepPlans:
