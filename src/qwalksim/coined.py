@@ -227,6 +227,11 @@ class CoinedWalk:
             self._readers = np.full((graph.half_edge_count, 2), n, dtype=np.int32)
             self._readers[read, again.astype(np.intp)] = rows[by_source]
 
+    def _undefined_coin(self, degree: int, why: str = " but amplitude occupies such a vertex"):
+        """The error for a step that needs a coin the family does not define."""
+        return UnsupportedDegreeError(
+            f"{self.coin_family} coin undefined for degree {degree}{why}")
+
     def step_amplitudes(self, amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One step, coin toss then shift: each coin output is written
         straight to its shifted half-edge. Degree 2 goes through the gather
@@ -250,9 +255,7 @@ class CoinedWalk:
             else:
                 block = amps[idx]
                 if np.any(block):
-                    raise UnsupportedDegreeError(
-                        f"{self.coin_family} coin undefined for degree "
-                        f"{idx.shape[-1]} but amplitude occupies such a vertex")
+                    raise self._undefined_coin(idx.shape[-1])
                 out[moved] = block
         return out
 
@@ -338,9 +341,7 @@ class CoinedWalk:
         for src, touched, dest, coin_t in blocks:
             if coin_t is None:
                 if np.any(held[src]):
-                    raise UnsupportedDegreeError(
-                        f"{self.coin_family} coin undefined for degree "
-                        f"{src.shape[-1]} but amplitude occupies such a vertex")
+                    raise self._undefined_coin(src.shape[-1])
                 continue
             # take lays each state's (m, d) block out C-contiguous, as in
             # step_amplitudes; one stacked (R·m, d) matmul would round a
@@ -415,9 +416,8 @@ class CoinedWalk:
             vals.append(coef)
         for idx, moved, coin_t in self._block_plan:
             if coin_t is None:
-                raise UnsupportedDegreeError(
-                    f"{self.coin_family} coin undefined for degree "
-                    f"{idx.shape[1]}; cannot assemble a full step operator")
+                raise self._undefined_coin(idx.shape[1],
+                                           "; cannot assemble a full step operator")
             m, d = idx.shape
             rows.append(np.broadcast_to(moved[:, None, :], (m, d, d)).ravel())
             cols.append(np.broadcast_to(idx[:, :, None], (m, d, d)).ravel())
@@ -431,7 +431,14 @@ class CoinedWalk:
 
 def _plan_bytes(plan: tuple) -> int:
     """Bytes of the positions a ``support_plan`` holds (the coins are the
-    walk's own)."""
+    walk's own).
+
+    Positions are int32: 16 bytes per reached half-edge of a degree-2
+    vertex (its place in the set, two sources and a gather-table row). A
+    block degree whose vertices the set touches takes 4 bytes per
+    half-edge of that degree, since its matmul keeps the full step's
+    shape, and at most 12 per reached half-edge.
+    """
     reached, gather, blocks = plan
     arrays = [reached, *(gather or ())] + [a for block in blocks for a in block[:3]]
     return sum(a.nbytes for a in arrays if a is not None)

@@ -22,6 +22,12 @@ least doubled when a set first needs more room and never beyond H^2
 entries, besides the real dephasing factors on the last two sets; a
 ``DensityState`` holds only S and its |S|x|S| block.
 
+Both routes walk the same sets, S_{t+1} being the rows of U with a nonzero
+in a column of S_t, through one plan sequence, ``_StepPlans``. Each keeps
+the plan format of its reference's bits: ``_step_plan`` restricts U's CSR
+arrays (the full-range density step), ``CoinedWalk.support_plan`` indexes
+the gather table and block plans of ``step_amplitudes``.
+
 Trajectory randomness comes from ``numpy.random.default_rng`` (the PCG64
 generator), so records are bit-reproducible for a fixed seed across
 platforms. Trajectory i of an ensemble uses seed ``seed + i``.
@@ -51,6 +57,7 @@ chunks hold up to 4 MiB of amplitudes, so that fewer of them plan again.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -230,47 +237,71 @@ def _sparse_product(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
     return out
 
 
-class _SupportMap:
-    """Where a state supported on the half-edges S can be one step later.
+def _step_plan(u, u_conj, entry_rows: np.ndarray, sector_ids: np.ndarray, p: float,
+               support: np.ndarray) -> tuple:
+    """Plan one density step from the ascending half-edges S.
 
-    ``plan(support)`` takes S as ascending indices and returns the rows S'
-    of U that have a nonzero in a column of S, the rows S' and columns S of
-    U and of conj(U) as CSR arrays with columns renumbered 0..|S|-1 in
-    ascending order, and the dephasing factors on S'xS'. Each row keeps its
-    terms in U's order, so a product with the block skips only terms that
-    multiply zero rows of the state. The last two plans are kept: on a
-    bipartite graph the sets alternate between two halves of the half-edges.
+    Returns the rows S' of U that have a nonzero in a column of S, the rows
+    S' and columns S of U and of conj(U) as CSR arrays with columns
+    renumbered 0..|S|-1 in ascending order, and the dephasing factors on
+    S'xS'. ``entry_rows`` is the row of each stored entry of U. Each row
+    keeps its terms in U's order, so a product with the block skips only
+    terms that multiply zero rows of the state.
     """
-
-    def __init__(self, u, u_conj, sector_ids: np.ndarray, p: float):
-        self.u, self.u_conj, self.sector_ids, self.p = u, u_conj, sector_ids, p
-        self.entry_rows = np.repeat(np.arange(u.shape[0]), np.diff(u.indptr))
-        self.recent: dict[bytes, tuple] = {}
-
-    def plan(self, support: np.ndarray) -> tuple:
-        key = support.tobytes()
-        plan = self.recent.get(key)
-        if plan is None:
-            plan = _step_plan(self, support)
-            if len(self.recent) == 2:
-                del self.recent[next(iter(self.recent))]
-            self.recent[key] = plan
-        return plan
-
-
-def _step_plan(supports: _SupportMap, support: np.ndarray) -> tuple:
-    """``_SupportMap.plan`` for a set not among the last two."""
-    u, n = supports.u, supports.u.shape[0]
+    n = u.shape[0]
     column = np.full(n, -1, dtype=u.indices.dtype)
     column[support] = np.arange(len(support))
     keep = column[u.indices] >= 0
-    counts = np.bincount(supports.entry_rows[keep], minlength=n)
+    counts = np.bincount(entry_rows[keep], minlength=n)
     support_next = np.flatnonzero(counts)
     indptr = np.concatenate(([0], np.cumsum(counts[support_next]))).astype(u.indices.dtype)
     indices = column[u.indices[keep]]
-    data, data_conj = u.data[keep], supports.u_conj.data[keep]
-    factors = _dephasing_block(supports.sector_ids[support_next], supports.p)
+    data, data_conj = u.data[keep], u_conj.data[keep]
+    factors = _dephasing_block(sector_ids[support_next], p)
     return support_next, indptr, indices, data, data_conj, factors
+
+
+class _StepPlans:
+    """``build(S_t)`` for the sets S_0 = ``support``, S_1, ... of a walk,
+    S_{t+1} being ``build(S_t)[0]``, in step order on every pass. A pass
+    never ends: callers take their steps with ``itertools.islice``.
+    ``support`` has the dtype of the sets ``build`` returns, since a set is
+    known by its bytes.
+
+    A set equal to one of the last two planned reuses its plan, so a walk
+    whose sets alternate or stay put, as on a bipartite graph, plans them
+    once. The first pass keeps the plans of the first steps while their
+    ``_plan_bytes`` fit in ``budget``; every pass plans the later steps
+    again and keeps none of them, so memory stays bounded however long the
+    walk. With no budget nothing is kept or weighed. A collapse only
+    shrinks a state's support, so one plan per step serves every
+    trajectory of a run.
+    """
+
+    def __init__(self, build, support: np.ndarray, budget: int = 0):
+        self.build, self.start = build, support
+        self.kept: list = []
+        self.room = budget if budget else -1  # negative with none, or once a plan did not fit
+        self.recent: dict[bytes, tuple] = {}
+
+    def __iter__(self):
+        yield from self.kept
+        support = self.kept[-1][0] if self.kept else self.start
+        while True:
+            key = support.tobytes()
+            plan = self.recent.get(key)
+            if plan is None:
+                plan = self.build(support)
+                if self.room >= 0:
+                    self.room -= _plan_bytes(plan)
+                if len(self.recent) == 2:
+                    del self.recent[next(iter(self.recent))]
+                self.recent[key] = plan
+            if self.room >= 0:
+                # while every plan fits, a reused one is kept already
+                self.kept.append(plan)
+            yield plan
+            support = plan[0]
 
 
 def _room(flat: np.ndarray, size: int, cap: int) -> np.ndarray:
@@ -287,8 +318,9 @@ def _density_blocks(rho0: DensityState, spec: DecoherenceSpec, coin: str):
     The density matrix after the step is ``block`` on the rows and columns
     ``support`` (ascending half-edge indices) and zero elsewhere. The set
     starts at ``rho0.support`` and each step maps it to the rows of U that
-    touch it (``_SupportMap``); the step then works on the set alone, which
-    the full-range step would only multiply by zeros. Every entry comes out
+    touch it, through the ``_step_plan`` plans of a ``_StepPlans``, which
+    keeps none of them; the step then works on the set alone, which the
+    full-range step would only multiply by zeros. Every entry comes out
     with the bits of the full-range step: a sparse row product starts each
     sum at +0 and never reaches -0, so the zero terms it skips change nothing.
 
@@ -306,15 +338,15 @@ def _density_blocks(rho0: DensityState, spec: DecoherenceSpec, coin: str):
     graph = rho0.graph
     n = graph.half_edge_count
     u = CoinedWalk(graph, coin).step_matrix()
-    supports = _SupportMap(u, u.conj(), _sector_ids(graph, spec.target), spec.p)
-    support = rho0.support
+    entry_rows = np.repeat(np.arange(n), np.diff(u.indptr))
+    build = functools.partial(_step_plan, u, u.conj(), entry_rows,
+                              _sector_ids(graph, spec.target), spec.p)
     held_flat = np.array(rho0.block, dtype=np.complex128).ravel()
     spare = np.empty(0, dtype=np.complex128)
     held = held_flat.reshape(rho0.block.shape)  # rho, or rho^T when `transposed`
     transposed = False
-    while True:
-        support_next, indptr, indices, data, data_conj, factors = supports.plan(support)
-        w, w_next = len(support), len(support_next)
+    for support, indptr, indices, data, data_conj, factors in _StepPlans(build, rho0.support):
+        w, w_next = len(held), len(support)
         first, second = (data_conj, data) if transposed else (data, data_conj)
         spare = _room(spare, w_next * max(w, w_next), n * n)
         half = _sparse_product(indptr, indices, first, held,
@@ -326,7 +358,6 @@ def _density_blocks(rho0: DensityState, spec: DecoherenceSpec, coin: str):
                                spare[:w_next * w_next].reshape(w_next, w_next))
         held *= factors
         held_flat, spare = spare, held_flat
-        support = support_next
         transposed = not transposed
         yield support, held.T if transposed else held
 
@@ -355,29 +386,26 @@ def _chunk_rows(width: int) -> int:
 
 
 def _collapse_rows(amps: np.ndarray, rows: np.ndarray, draws: np.ndarray,
-                   graph: Graph, support: np.ndarray, target: str) -> np.ndarray:
+                   graph: Graph, labels: np.ndarray, target: str) -> np.ndarray:
     """Measure the target register of the listed trajectories, collapsing
     them in place.
 
-    ``amps`` holds the states on the ascending half-edges ``support``, one
-    column per trajectory, as ``CoinedWalk.step_support`` lays them out; its
-    last row stays zero. A trajectory's outcome is
+    ``amps`` holds the states on a set of ascending half-edges, one column
+    per trajectory, as ``CoinedWalk.step_support`` lays them out; its last
+    row stays zero. ``labels`` are the set's outcome labels, those the
+    channel dephases by (``_sector_ids``). A trajectory's outcome is
     ``searchsorted(cum, draw * cum[-1], side="right")`` over its cumulated
     outcome probabilities; counting the entries not above the threshold is
     the same index. The half-edges outside the set hold zeros, so every sum
     has the bits it has over all H of them. Returns each outcome: the
-    measured half-edge's place in ``support``, or the measured vertex or
-    coin.
+    measured half-edge's place in the set, or the measured vertex or coin.
     """
     picked = amps[:-1, rows].T
     weights = np.abs(picked) ** 2
     if target == "both":
         probs = weights
     else:
-        labels = graph.half_edge_vertex[support]
-        count = graph.num_vertices
-        if target == "coin":
-            labels, count = support - graph.offsets[labels], int(graph.degrees.max())
+        count = int(graph.degrees.max()) if target == "coin" else graph.num_vertices
         probs = _row_bincount(labels, weights, count)
     cum = np.cumsum(probs, axis=1)
     outcome = (cum <= (draws * cum[:, -1])[:, None]).sum(axis=1)
@@ -394,62 +422,15 @@ def _collapse_rows(amps: np.ndarray, rows: np.ndarray, draws: np.ndarray,
     return outcome
 
 
-class _StepPlans:
-    """``walk.support_plan`` of each of ``steps`` steps from the ascending
-    half-edges ``support``, in step order on every pass. A collapse only
-    shrinks a state's support, so the sets reached without one hold every
-    trajectory of every chunk, and one plan per step serves a whole run.
-
-    A plan holds positions only, as int32: 16 bytes per reachable
-    half-edge of a degree-2 vertex (its place in the set, two sources and a
-    gather-table row). A block degree whose vertices the set touches takes
-    4 bytes per half-edge of that degree, since its matmul keeps the full
-    step's shape, and at most 12 per reachable half-edge. The
-    first pass keeps the plans of the first steps while they fit in
-    ``budget`` bytes; every pass plans the later steps again as it reaches
-    them and keeps none of them, so memory stays bounded however long the
-    walk. A set equal to one of the last two planned reuses its plan, so a
-    walk whose sets alternate or stay put, as on a cycle, plans them once.
-    """
-
-    def __init__(self, walk: CoinedWalk, support: np.ndarray, steps: int, budget: int):
-        self.walk, self.steps = walk, steps
-        self.start = support.astype(np.int32)
-        self.kept: list = []
-        self.room = budget  # negative once a plan did not fit
-        self.recent: dict[bytes, tuple] = {}
-
-    def __len__(self) -> int:
-        return self.steps
-
-    def __iter__(self):
-        yield from self.kept
-        support = self.kept[-1][0] if self.kept else self.start
-        for _ in range(len(self.kept), self.steps):
-            key = support.tobytes()
-            plan = self.recent.get(key)
-            if plan is None:
-                plan = self.walk.support_plan(support)
-                if self.room >= 0:
-                    self.room -= _plan_bytes(plan)
-                if len(self.recent) == 2:
-                    del self.recent[next(iter(self.recent))]
-                self.recent[key] = plan
-            if self.room >= 0:
-                # while every plan fits, a reused one is kept already
-                self.kept.append(plan)
-            yield plan
-            support = plan[0]
-
-
-def _trajectories(walk: CoinedWalk, support: np.ndarray, plans: _StepPlans, start: np.ndarray,
+def _trajectories(walk: CoinedWalk, plans: _StepPlans, steps: int, start: np.ndarray,
                   spec: DecoherenceSpec, seeds, keep_record: bool):
-    """Run one measured trajectory per seed, as the columns of one array.
+    """Run one measured trajectory per seed for ``steps`` steps, as the
+    columns of one array.
 
     Every trajectory starts as ``start``, the amplitudes on the ascending
-    half-edges ``support`` (zero elsewhere), and step t is
-    ``walk.step_support`` on the t-th plan of ``plans`` (a ``_StepPlans``
-    from ``support``). Trajectory r, column r, is that of
+    half-edges ``plans.start`` (zero elsewhere), and step t is
+    ``walk.step_support`` on the t-th plan of ``plans``, a ``_StepPlans`` of
+    ``walk.support_plan``. Trajectory r, column r, is that of
     ``default_rng(seeds[r])``. Each step draws one uniform to decide whether
     to measure and, when it fires, one more for the outcome, in that order,
     so a trajectory reads its stream exactly as a lone one would. Returns
@@ -458,7 +439,7 @@ def _trajectories(walk: CoinedWalk, support: np.ndarray, plans: _StepPlans, star
     measurement records.
     """
     graph = walk.graph
-    rows, steps = len(seeds), len(plans)
+    rows, support = len(seeds), plans.start
     amps = np.zeros((len(support) + 1, rows), dtype=np.complex128)
     amps[:-1] = start[:, None]
     record = None
@@ -467,15 +448,16 @@ def _trajectories(walk: CoinedWalk, support: np.ndarray, plans: _StepPlans, star
         record[:, :, 0] = np.arange(1, steps + 1)
         record[:, :, 1] = 0
     streams = RowStreams(seeds, uniform, max(1, min(2 * steps, _DRAW_BLOCK)))
+    sector_ids = _sector_ids(graph, spec.target)
     everyone = np.arange(rows)
-    for t, plan in enumerate(plans):
+    for t, plan in enumerate(itertools.islice(plans, steps)):
         amps = walk.step_support(plan, amps)
         support = plan[0]
         fired = everyone[streams.next(everyone) < spec.p]
         if fired.size == 0:
             continue
-        outcome = _collapse_rows(amps, fired, streams.next(fired), graph, support,
-                                 spec.target)
+        outcome = _collapse_rows(amps, fired, streams.next(fired), graph,
+                                 sector_ids[support], spec.target)
         if keep_record:
             record[fired, t, 1] = 1
             if spec.target == "both":
@@ -504,8 +486,8 @@ def evolve_trajectory(state0: PureState, spec: DecoherenceSpec, steps: int,
     graph = state0.graph
     check_line_headroom(graph.kind, graph.num_vertices, _support(state0), steps)
     walk = CoinedWalk(graph, coin)
-    support = np.flatnonzero(state0.amplitudes)
-    support, held, record = _trajectories(walk, support, _StepPlans(walk, support, steps, 0),
+    support = np.flatnonzero(state0.amplitudes).astype(np.int32)
+    support, held, record = _trajectories(walk, _StepPlans(walk.support_plan, support), steps,
                                           state0.amplitudes[support], spec, [seed], keep_record)
     amps = np.zeros(graph.half_edge_count, dtype=np.complex128)
     amps[support] = held[:-1, 0]
@@ -526,10 +508,10 @@ def run_ensemble(state0: PureState, spec: DecoherenceSpec, steps: int,
     graph = state0.graph
     check_line_headroom(graph.kind, graph.num_vertices, _support(state0), steps)
     walk = CoinedWalk(graph, coin)
-    support = np.flatnonzero(state0.amplitudes)
+    support = np.flatnonzero(state0.amplitudes).astype(np.int32)
     width = graph.half_edge_count
     chunk = _chunk_rows(width)
-    plans = _StepPlans(walk, support, steps, _PLAN_BYTES if trajectories > chunk else 0)
+    plans = _StepPlans(walk.support_plan, support, _PLAN_BYTES if trajectories > chunk else 0)
     start = state0.amplitudes[support]
     n = graph.num_vertices
     total = np.zeros(n)
@@ -543,7 +525,7 @@ def run_ensemble(state0: PureState, spec: DecoherenceSpec, steps: int,
             chunk = max(chunk, _PLAN_BYTES // (64 * width))
         seeds = range(seed + first, seed + min(first + chunk, trajectories))
         first += len(seeds)
-        final, amps, _ = _trajectories(walk, support, plans, start, spec, seeds, False)
+        final, amps, _ = _trajectories(walk, plans, steps, start, spec, seeds, False)
         p = _row_bincount(graph.half_edge_vertex[final], np.abs(amps[:-1].T) ** 2, n)
         # running sums in trajectory order, the bits a serial loop adds up
         total = np.cumsum(np.vstack((total, p)), axis=0)[-1]

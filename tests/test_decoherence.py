@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 from unittest import mock
@@ -645,15 +646,22 @@ def test_density_step_on_graphs_that_do_not_localise(graph_name, coin, target):
     assert_same_bits_as_full_range(start, spec, coin, 6)
 
 
+def density_plan(graph, coin, spec):
+    """``_step_plan`` bound as a density run binds it."""
+    u = CoinedWalk(graph, coin).step_matrix()
+    entry_rows = np.repeat(np.arange(u.shape[0]), np.diff(u.indptr))
+    return functools.partial(decoherence._step_plan, u, u.conj(), entry_rows,
+                             decoherence._sector_ids(graph, spec.target), spec.p)
+
+
 def test_full_support_runs_on_the_step_operator_itself():
     g = build_cycle(7)
     u = CoinedWalk(g).step_matrix()
     u_conj = u.conj()
     n = g.half_edge_count
     spec = DecoherenceSpec(0.3)
-    supports = decoherence._SupportMap(u, u_conj, decoherence._sector_ids(g, spec.target),
-                                       spec.p)
-    support_next, indptr, indices, data, data_conj, factors = supports.plan(np.arange(n))
+    support_next, indptr, indices, data, data_conj, factors = \
+        density_plan(g, "default", spec)(np.arange(n))
     assert np.array_equal(support_next, np.arange(n))
     # the general plan on the full set is U's own arrays, bytes and dtypes
     for got, want in ((indptr, u.indptr), (indices, u.indices), (data, u.data),
@@ -662,14 +670,13 @@ def test_full_support_runs_on_the_step_operator_itself():
     assert same_bits(factors, full_factors(g, spec))
 
 
-def test_support_map_grows_to_the_rows_that_touch_the_set():
+def test_density_plan_grows_to_the_rows_that_touch_the_set():
     g = build_line(21)
     u = CoinedWalk(g).step_matrix()
     n = g.half_edge_count
     spec = DecoherenceSpec(0.3, "position")
     factors = full_factors(g, spec)
-    supports = decoherence._SupportMap(u, u.conj(), decoherence._sector_ids(g, spec.target),
-                                       spec.p)
+    plan = density_plan(g, "default", spec)
     dense = u.toarray()
     rng = np.random.default_rng(3)
     sets = [[0], [3], [18, 19, 20, 21], [n - 1], [], list(range(n - 1)),
@@ -677,8 +684,7 @@ def test_support_map_grows_to_the_rows_that_touch_the_set():
             sorted(rng.choice(n, 15, replace=False))]
     for support in map(np.array, sets):
         support = support.astype(np.int64)
-        support_next, indptr, indices, data, data_conj, block_factors = \
-            supports.plan(support)
+        support_next, indptr, indices, data, data_conj, block_factors = plan(support)
         touched = np.flatnonzero(np.any(dense[:, support] != 0, axis=1))
         assert np.array_equal(support_next, touched)
         shape = (len(support_next), len(support))
@@ -695,9 +701,9 @@ def test_restricted_rows_keep_the_stored_term_order():
     # row's kept terms must come in U's order for the sums to round alike
     g = build_hypercube(3)
     u = CoinedWalk(g).step_matrix()
-    supports = decoherence._SupportMap(u, u.conj(), np.arange(g.half_edge_count), 0.3)
     support = np.array([0, 1, 2, 9, 10, 11, 14])
-    support_next, indptr, indices, data, _, _ = supports.plan(support)
+    support_next, indptr, indices, data, _, _ = \
+        density_plan(g, "default", DecoherenceSpec(0.3, "both"))(support)
     for r, row in enumerate(support_next):
         cols = u.indices[u.indptr[row]:u.indptr[row + 1]]
         kept = np.isin(cols, support)
@@ -788,6 +794,48 @@ def test_cycle_builds_each_plan_once():
     rho0 = to_density(initial_state(g, 0, unit_coin(g, 0, 9)))
     distinct = {s.tobytes() for s in support_sets(rho0, spec, 49)}
     assert count_plan_builds(rho0, spec, 50) == len(distinct) > 2
+
+
+def test_density_runs_keep_no_plan():
+    # a reused plan never charges a budget, so a density iterator, which
+    # never ends, must run with none: it keeps the last two sets' plans
+    g = build_cycle(16)
+    rho0 = to_density(initial_state(g, 0, unit_coin(g, 0, 9)))
+    with mock.patch.object(decoherence._StepPlans, "__init__", autospec=True,
+                           side_effect=decoherence._StepPlans.__init__) as made:
+        for _ in itertools.islice(iter_density_steps(rho0, DecoherenceSpec(0.05)), 10 ** 4):
+            pass
+    plans = made.call_args.args[0]
+    assert plans.kept == [] and len(plans.recent) <= 2
+
+
+def plan_sets(build, start, steps):
+    plans = decoherence._StepPlans(build, start)
+    return [start] + [plan[0] for plan in itertools.islice(plans, steps)]
+
+
+@pytest.mark.parametrize("graph_name", sorted(STEP_GRAPHS))
+def test_density_and_trajectory_plans_walk_the_same_sets(graph_name):
+    # S_{t+1} is the rows of U with a nonzero in a column of S_t, whether
+    # read off the CSR step matrix or off the gather table and block
+    # plans; a zero coin entry (the Grover coin's diagonal at degree 2)
+    # reaches nothing on either side
+    g = STEP_GRAPHS[graph_name]()
+    h = g.half_edge_count
+    v = g.num_vertices // 2
+    state = initial_state(g, v, unit_coin(g, v, 3))
+    pure = to_density(state).support
+    assert np.array_equal(pure, np.flatnonzero(state.amplitudes))
+    subset = np.sort(np.random.default_rng(8).choice(h, h // 3, replace=False))
+    coins = [coin for coin in COIN_FAMILIES if coin_defined(g, coin)]
+    assert "grover" in coins
+    for coin in coins:
+        build = density_plan(g, coin, DecoherenceSpec(0.3))
+        walk = CoinedWalk(g, coin)
+        for start in (pure, subset):
+            want = plan_sets(build, start, 2 * h)
+            got = plan_sets(walk.support_plan, start.astype(np.int32), 2 * h)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1084,7 +1132,7 @@ def test_batched_trajectories_match_serial_loop(name, family, target, p, steps, 
         walk = CoinedWalk(g, family)
         support = np.flatnonzero(s.amplitudes)
         final, held, records = decoherence._trajectories(
-            walk, support, decoherence._StepPlans(walk, support, steps, 0),
+            walk, decoherence._StepPlans(walk.support_plan, support), steps,
             s.amplitudes[support], spec, range(seed, seed + trajectories), True)
         amps = spread(final, held, g.half_edge_count)
         for i, (want_amps, want_record) in enumerate(reference):
@@ -1146,7 +1194,9 @@ def test_step_plans_hold_16_bytes_per_reached_half_edge():
     # its place in the set, its two sources and its gather-table row
     g = build_line(101)
     s = initial_state(g, g.params["origin"], "symmetric")
-    plans = list(decoherence._StepPlans(CoinedWalk(g), np.flatnonzero(s.amplitudes), 50, 0))
+    start = np.flatnonzero(s.amplitudes).astype(np.int32)
+    plans = list(itertools.islice(
+        decoherence._StepPlans(CoinedWalk(g).support_plan, start), 50))
     reached = 0
     for support, (src, terms, dest), blocks in plans:
         assert support.dtype == src.dtype == terms.dtype == np.int32
@@ -1164,11 +1214,12 @@ def test_step_plans_keep_the_first_steps_that_fit(budget, kept):
     # the later steps again, to the same positions
     g = build_line(101)
     s = initial_state(g, g.params["origin"], "symmetric")
-    plans = decoherence._StepPlans(CoinedWalk(g), np.flatnonzero(s.amplitudes), 50, budget)
-    first = list(plans)
+    start = np.flatnonzero(s.amplitudes).astype(np.int32)
+    plans = decoherence._StepPlans(CoinedWalk(g).support_plan, start, budget)
+    first = list(itertools.islice(plans, 50))
     assert len(plans.kept) == kept
     assert sum(map(decoherence._plan_bytes, plans.kept)) <= budget
-    second = list(plans)
+    second = list(itertools.islice(plans, 50))
     assert all(a is b for a, b in zip(first[:kept], second))
     for a, b in zip(first, second):
         assert np.array_equal(a[0], b[0])
