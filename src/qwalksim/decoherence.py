@@ -49,10 +49,14 @@ whose uniforms are drawn ahead in blocks of up to ``_DRAW_BLOCK`` and read
 through a per-row cursor, one per step for "measure now?" plus one per
 collapse, so a trajectory reads exactly what it would alone, and
 ``evolve_trajectory`` is the same kernel run on a single trajectory. A
-chunk's row count follows from H: it holds at most ``_CHUNK_BYTES`` (192
-KiB) of amplitudes, temporaries of up to twice that, and rows x 2 KiB of
-pre-drawn uniforms. Once the plans outgrow ``_PLAN_BYTES``, the later
-chunks hold up to 4 MiB of amplitudes, so that fewer of them plan again.
+chunk holds at most ``_CHUNK_BYTES`` (192 KiB) of amplitudes on the widest
+set of its walk, max |S_t| over t <= steps, which a run of more than one
+chunk reads off the first pass of its plans, and at most as much of
+per-vertex distributions, besides temporaries of up to a few times that
+and rows x 2 KiB of pre-drawn uniforms. Plans that outgrow
+``_PLAN_BYTES`` leave the later sets unknown: the chunks then hold up to
+``_CHUNK_BYTES`` on all H half-edges, and those after the first up to 4 MiB,
+so that fewer of them plan again.
 """
 
 from __future__ import annotations
@@ -80,13 +84,15 @@ MEASUREMENT_TARGETS = ("position", "coin", "both")
 # sentinel in measurement records for a register that was not measured
 NOT_MEASURED = -1
 
-# Trajectories step together as one (|S| + 1, rows) complex array, |S| <= H,
-# and rows x H complex numbers take at most this many bytes. A step
-# allocates a few temporaries of up to twice that size; past about 384 KiB
-# the allocator stops reusing them and every step page-faults (line(101),
-# 200 half-edges: 2 us per trajectory-step at 32-96 rows, 8 us at 128
-# rows); 192 KiB also keeps the peak memory of a run at what the serial
-# loop needed.
+# Trajectories step together as one (|S_t| + 1, rows) complex array, and
+# rows x max(max |S_t|, n / 2) complex numbers take at most this many bytes,
+# so the rows' (rows, n) float64 position distributions fit in it too (rows
+# x H when the plan budget leaves the later sets unknown). A step allocates
+# a few temporaries of up to twice that size, and the running sums copy the
+# distributions three more times. On line(101), 50 steps from the middle
+# (|S_t| <= 100), a trajectory-step took 2.0-2.4 us at 32 rows, 1.1-1.6 us
+# at 61, 0.8-1.1 us at 122 and 0.8-0.9 us at 200 (five runs, each the best
+# of 15-40 chunks, 2-vCPU Xeon guest): past about 120 rows, more gain little.
 _CHUNK_BYTES = 3 << 16
 # uniform draws each trajectory's stream reads ahead (2 KiB a trajectory)
 _DRAW_BLOCK = 256
@@ -381,7 +387,7 @@ def iter_density_steps(rho0: DensityState, spec: DecoherenceSpec,
 
 
 def _chunk_rows(width: int) -> int:
-    """Trajectories stepped together, from the half-edge count of the graph."""
+    """Trajectories stepped together on sets of at most ``width`` half-edges."""
     return max(1, _CHUNK_BYTES // (16 * max(width, 1)))
 
 
@@ -510,19 +516,27 @@ def run_ensemble(state0: PureState, spec: DecoherenceSpec, steps: int,
     walk = CoinedWalk(graph, coin)
     support = np.flatnonzero(state0.amplitudes).astype(np.int32)
     width = graph.half_edge_count
+    n = graph.num_vertices
     chunk = _chunk_rows(width)
     plans = _StepPlans(walk.support_plan, support, _PLAN_BYTES if trajectories > chunk else 0)
+    if trajectories > chunk:
+        # the chunks are held on S_0..S_steps alone: once the first pass has
+        # kept every step's plan, size them by the widest of those sets. A
+        # plan past the budget stops the pass, and the first chunk reuses it
+        widest = len(support)
+        for plan in itertools.islice(plans, steps):
+            if plans.room < 0:
+                break
+            widest = max(widest, len(plan[0]))
+        if plans.room >= 0:
+            # a row's final distribution and position collapses take n
+            # float64, as many bytes as n / 2 complex amplitudes
+            chunk = _chunk_rows(max(widest, -(-n // 2)))
     start = state0.amplitudes[support]
-    n = graph.num_vertices
     total = np.zeros(n)
     total_sq = np.zeros(n)
     first = 0
     while first < trajectories:
-        if plans.room < 0:
-            # the plans outgrew their budget, so every chunk plans the later
-            # steps again: let each of those plans serve more trajectories,
-            # up to a quarter of the budget in amplitudes
-            chunk = max(chunk, _PLAN_BYTES // (64 * width))
         seeds = range(seed + first, seed + min(first + chunk, trajectories))
         first += len(seeds)
         final, amps, _ = _trajectories(walk, plans, steps, start, spec, seeds, False)
@@ -530,6 +544,11 @@ def run_ensemble(state0: PureState, spec: DecoherenceSpec, steps: int,
         # running sums in trajectory order, the bits a serial loop adds up
         total = np.cumsum(np.vstack((total, p)), axis=0)[-1]
         total_sq = np.cumsum(np.vstack((total_sq, p * p)), axis=0)[-1]
+        if plans.room < 0:
+            # the plans outgrew their budget, so every chunk plans the later
+            # steps again: let each of those plans serve more trajectories,
+            # up to a quarter of the budget in amplitudes
+            chunk = max(chunk, _PLAN_BYTES // (64 * width))
     mean = total / trajectories
     var = np.maximum(total_sq / trajectories - mean ** 2, 0.0)
     stderr = np.sqrt(var / trajectories)

@@ -1047,6 +1047,19 @@ def held_on(support, amps):
     return held
 
 
+def widest_set(walk, start, steps):
+    """The most half-edges a chunk from ``start`` is held on in ``steps``
+    steps, max |S_t| over t <= steps."""
+    start = np.asarray(start, dtype=np.int32)
+    return max(map(len, plan_sets(walk.support_plan, start, steps)))
+
+
+def chunk_width(walk, start, steps):
+    """The width ``run_ensemble`` sizes its chunks by: the widest set, or
+    half the vertex count when the rows' float64 distributions take more."""
+    return max(widest_set(walk, start, steps), -(-walk.graph.num_vertices // 2))
+
+
 def spread(support, held, n):
     """The full-width rows of the states held on ``support``, +0 elsewhere."""
     amps = np.zeros((held.shape[1], n), dtype=np.complex128)
@@ -1127,10 +1140,11 @@ def test_batched_trajectories_match_serial_loop(name, family, target, p, steps, 
         return
     # tiny chunks and draw blocks: several chunks per ensemble, and rows
     # that refill their blocks at different steps
-    with mock.patch.object(decoherence, "_CHUNK_BYTES", 16 * g.half_edge_count * chunk_rows), \
+    walk = CoinedWalk(g, family)
+    support = np.flatnonzero(s.amplitudes)
+    width = chunk_width(walk, support, steps)
+    with mock.patch.object(decoherence, "_CHUNK_BYTES", 16 * width * chunk_rows), \
             mock.patch.object(decoherence, "_DRAW_BLOCK", block):
-        walk = CoinedWalk(g, family)
-        support = np.flatnonzero(s.amplitudes)
         final, held, records = decoherence._trajectories(
             walk, decoherence._StepPlans(walk.support_plan, support), steps,
             s.amplitudes[support], spec, range(seed, seed + trajectories), True)
@@ -1153,7 +1167,8 @@ def test_ensemble_matches_serial_across_default_chunk():
     g = build_line(101)
     s = initial_state(g, g.params["origin"], "symmetric")
     spec = DecoherenceSpec(0.1, "both")
-    trajectories = decoherence._chunk_rows(g.half_edge_count) + 2
+    width = chunk_width(CoinedWalk(g), np.flatnonzero(s.amplitudes), 20)
+    trajectories = decoherence._chunk_rows(width) + 2
     mean, stderr = run_ensemble(s, spec, 20, trajectories, seed=17)
     want_mean, want_stderr = serial_ensemble(s, spec, 20, trajectories, 17, "default")
     assert np.array_equal(mean, want_mean)
@@ -1163,11 +1178,13 @@ def test_ensemble_matches_serial_across_default_chunk():
 @pytest.mark.parametrize("g,steps", [(build_line(41), 12), (build_cycle(7), 30)],
                          ids=["line", "cycle"])
 def test_ensemble_plans_each_step_once_for_all_chunks(g, steps):
-    # four chunks of three rows share one plan per step; a set met again
-    # (the cycle's, once they cover it) reuses its plan
+    # four chunks of three rows, sized by the widest set they are held on,
+    # share one plan per step; a set met again (the cycle's, once they
+    # cover it) reuses its plan
     s = initial_state(g, start_of(g), "uniform")
     walk = CoinedWalk(g)
     sets, support = set(), np.flatnonzero(s.amplitudes).astype(np.int32)
+    width = chunk_width(walk, support, steps)
     for _ in range(steps):
         sets.add(support.tobytes())
         support = walk.support_plan(support)[0]
@@ -1178,10 +1195,13 @@ def test_ensemble_plans_each_step_once_for_all_chunks(g, steps):
         calls[0] += 1
         return plan(*args)
     spec = DecoherenceSpec(0.2, "both")
-    with mock.patch.object(decoherence, "_CHUNK_BYTES", 16 * g.half_edge_count * 3), \
-            mock.patch.object(CoinedWalk, "support_plan", counted):
-        assert -(-10 // decoherence._chunk_rows(g.half_edge_count)) == 4
+    with mock.patch.object(decoherence, "_CHUNK_BYTES", 16 * width * 3), \
+            mock.patch.object(CoinedWalk, "support_plan", counted), \
+            mock.patch.object(decoherence, "_trajectories",
+                              wraps=decoherence._trajectories) as chunks:
+        assert -(-10 // decoherence._chunk_rows(width)) == 4
         mean, stderr = run_ensemble(s, spec, steps, 10, seed=5)
+    assert [len(call.args[5]) for call in chunks.call_args_list] == [3, 3, 3, 1]
     assert calls[0] == len(sets)
     assert len(sets) == steps if g.kind == "line" else len(sets) < steps
     want_mean, want_stderr = serial_ensemble(s, spec, steps, 10, 5, "default")
@@ -1253,6 +1273,92 @@ def test_long_line_ensemble_keeps_its_plans_under_the_budget():
     want_mean, want_stderr = serial_ensemble(s, spec, 1000, 5, 11, "default")
     assert np.array_equal(mean, want_mean)
     assert np.array_equal(stderr, want_stderr)
+
+
+def test_ensemble_sizes_its_chunks_by_the_widest_set():
+    # 50 steps from the middle of line(101) reach at most 100 of its 200
+    # half-edges, so 200 trajectories step as chunks of 122 and 78 rows,
+    # each held within the chunk bytes besides its zero row. Plans past a
+    # smaller budget leave the sets past it unknown: chunks of H rows
+    g = build_line(101)
+    s = initial_state(g, g.params["origin"], "symmetric")
+    spec = DecoherenceSpec(0.1, "both")
+    assert widest_set(CoinedWalk(g), np.flatnonzero(s.amplitudes), 50) == 100
+    assert decoherence._chunk_rows(g.half_edge_count) == 61
+    step, build = CoinedWalk.step_support, CoinedWalk.support_plan
+    held, calls = [], [0]
+
+    def stepped(self, plan, amps):
+        out = step(self, plan, amps)
+        held.extend((amps, out))
+        return out
+
+    def counted(*args):
+        calls[0] += 1
+        return build(*args)
+    want_mean, want_stderr = serial_ensemble(s, spec, 50, 200, 7, "default")
+    for budget, sizes, builds in [(decoherence._PLAN_BYTES, [122, 78], 50),
+                                  (20_000, [61, 61, 61, 17], 50 + 3 * 16)]:
+        held.clear()
+        calls[0] = 0
+        with mock.patch.object(decoherence, "_PLAN_BYTES", budget), \
+                mock.patch.object(CoinedWalk, "step_support", stepped), \
+                mock.patch.object(CoinedWalk, "support_plan", counted), \
+                mock.patch.object(decoherence, "_trajectories",
+                                  wraps=decoherence._trajectories) as chunks:
+            mean, stderr = run_ensemble(s, spec, 50, 200, seed=7)
+        assert [len(call.args[5]) for call in chunks.call_args_list] == sizes
+        assert len(held) == 2 * 50 * len(sizes)
+        assert max(a.nbytes - 16 * a.shape[1] for a in held) <= decoherence._CHUNK_BYTES
+        # step t plans 32 (t + 1) bytes: 34 steps fit in 20,000, and each
+        # chunk after the first plans the other 16 again
+        assert calls[0] == builds
+        assert np.array_equal(mean, want_mean)
+        assert np.array_equal(stderr, want_stderr)
+
+
+def test_short_walk_on_a_long_line_keeps_its_distributions_in_the_chunk_bytes():
+    # 2 steps from the middle of line(2001) reach 4 of its 4,000
+    # half-edges, but each row's distribution takes 8 bytes a vertex: the
+    # chunks are sized by half the vertex count, 12 rows, not by the set
+    g = build_line(2001)
+    s = initial_state(g, g.params["origin"], "symmetric")
+    spec = DecoherenceSpec(0.5, "position")
+    assert widest_set(CoinedWalk(g), np.flatnonzero(s.amplitudes), 2) == 4
+    assert decoherence._chunk_rows(-(-g.num_vertices // 2)) == 12
+    peaks = []
+    for trajectories in (1, 300):
+        with mock.patch.object(decoherence, "_trajectories",
+                               wraps=decoherence._trajectories) as chunks:
+            tracemalloc.start()
+            mean, stderr = run_ensemble(s, spec, 2, trajectories, seed=9)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    assert max(len(call.args[5]) for call in chunks.call_args_list) == 12
+    # over a lone trajectory's run: the distributions, their squares and
+    # the running sums' two copies, each within the chunk bytes
+    assert peaks[1] - peaks[0] <= 4 * decoherence._CHUNK_BYTES
+    want_mean, want_stderr = serial_ensemble(s, spec, 2, 300, 9, "default")
+    assert np.array_equal(mean, want_mean)
+    assert np.array_equal(stderr, want_stderr)
+
+
+def test_one_chunk_ensemble_keeps_no_plan():
+    # a run that fits one chunk of H rows plans with no budget and never
+    # weighs a plan; one more trajectory gives the plans their budget
+    g = build_line(101)
+    s = initial_state(g, g.params["origin"], "symmetric")
+    spec = DecoherenceSpec(0.1, "both")
+    assert decoherence._chunk_rows(g.half_edge_count) == 61
+    for trajectories, budget, weighed in [(61, 0, False), (62, decoherence._PLAN_BYTES, True)]:
+        with mock.patch.object(decoherence._StepPlans, "__init__", autospec=True,
+                               side_effect=decoherence._StepPlans.__init__) as made, \
+                mock.patch.object(decoherence, "_plan_bytes",
+                                  wraps=decoherence._plan_bytes) as plan_bytes:
+            run_ensemble(s, spec, 50, trajectories, seed=3)
+        assert made.call_count == 1 and made.call_args.args[3] == budget
+        assert plan_bytes.called == weighed
+        assert len(made.call_args.args[0].kept) == (50 if weighed else 0)
 
 
 def test_row_streams_refill_per_row():
