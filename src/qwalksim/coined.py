@@ -17,9 +17,10 @@ next row of a fresh (rows, H) array of at most 256 rows and 64 KiB (one
 row if a row is larger; the cap of the blocks ``stats.mixing_time``
 reads), and yields read-only rows, so a write to a state cannot diverge
 from the steps already taken after it. A yielded state's
-``position_distribution`` is its row of the block's distributions, which
-one ``bincount`` takes for the whole block on the first request, bit for
-bit the per-row ``bincount``; ``evolve`` takes none. A step that meets
+``position_distribution`` is its read-only row view of the block's
+distributions, which one ``bincount`` takes for the whole block on the
+first request, bit for bit the per-row ``bincount``, and which are listed
+as row views once then; ``evolve`` takes none. A step that meets
 an undefined coin (``UnsupportedDegreeError``) raises at the item its
 state would have been, after the states before it, and the iterator never
 steps past ``steps`` nor more than one block past the last item read.
@@ -366,15 +367,19 @@ class CoinedWalk:
         row of a fresh (rows, H) array of at most 256 rows and 64 KiB (one
         row if a row is larger), never past ``steps``; so at most one block
         is stepped ahead of the last state read. The states are read-only
-        rows of it, and their ``position_distribution`` is the block's row
-        of distributions, taken for the whole block by one ``bincount`` on
-        the first request. A step that raises ``UnsupportedDegreeError``
-        ends the block: the states before it are yielded, then the error is
-        raised where its state would have been.
+        rows of it, and their ``position_distribution`` is a read-only row
+        view of the block's distributions: one ``bincount`` takes them for
+        the whole block on the first request, and their row views are
+        listed once then, so each later request is a list index. A step
+        that raises ``UnsupportedDegreeError`` ends the block: the states
+        before it are yielded, then the error is raised where its state
+        would have been.
         """
         g = state.graph
         check_line_headroom(g.kind, g.num_vertices, _support(state), steps)
         per_block = _block_rows(16 * g.half_edge_count)
+        # bound once: each is looked up per row otherwise
+        step, graph, new_row = self.step_amplitudes, self.graph, _BlockRow.__new__
         amps = state.amplitudes
         done = 0
         while done < steps:
@@ -382,17 +387,17 @@ class CoinedWalk:
             error = None
             for filled, out in enumerate(rows):
                 try:
-                    amps = self.step_amplitudes(amps, out)
+                    amps = step(amps, out)
                 except UnsupportedDegreeError as exc:
                     error = exc
                     rows = rows[:filled]
                     break
             rows.flags.writeable = False
-            block = _StepBlock(self.graph, rows)
+            block = _StepBlock(graph, rows)
             for k, row in enumerate(rows):
                 # unchecked: the step itself has just made the row
-                row_state = _BlockRow.__new__(_BlockRow)
-                row_state.graph, row_state.amplitudes = self.graph, row
+                row_state = new_row(_BlockRow)
+                row_state.graph, row_state.amplitudes = graph, row
                 row_state._block, row_state._row = block, k
                 yield row_state
             if error is not None:
@@ -464,11 +469,14 @@ class _StepBlock:
         self.rows = rows
 
     @functools.cached_property
-    def distributions(self) -> np.ndarray:
+    def distributions(self) -> list:
+        """Each row's distribution, a read-only view into one (rows, V)
+        array; listed once, so that a state's request is a list index, not
+        an array slice."""
         dist = _row_bincount(self.graph.half_edge_vertex, np.abs(self.rows) ** 2,
                              self.graph.num_vertices)
         dist.flags.writeable = False
-        return dist
+        return list(dist)
 
 
 class _BlockRow(PureState):
@@ -476,7 +484,7 @@ class _BlockRow(PureState):
 
     def position_distribution(self) -> np.ndarray:
         """Probability of finding the walker at each vertex (coin traced out),
-        a read-only row of the block's distributions."""
+        a read-only row view of the block's distributions."""
         return self._block.distributions[self._row]
 
 

@@ -15,9 +15,11 @@ further than ``NORMALIZATION_TOL`` from 1, raises
 ``mixing_time`` reads its series in blocks of at most 256 items and 64 KiB
 (one item, if an item is larger). It reads no item that a loop taking one
 item at a time would not read: not past the last item its answer depends
-on, nor past ``t_max``. Besides two buffers of one block each, it keeps
-8 bytes of TV history per item read. Its values are bit-identical to a
-loop that keeps one running sum and calls ``total_variation`` per item.
+on, nor past ``t_max``. Each block is gathered into a fresh (items, V)
+float array by one ``np.array`` call over the items read; besides that
+block it keeps one scratch block of the same size and 8 bytes of TV
+history per item read. Its values are bit-identical to a loop that keeps
+one running sum and calls ``total_variation`` per item.
 """
 
 from __future__ import annotations
@@ -80,6 +82,11 @@ class Distribution:
     def __len__(self) -> int:
         return len(self.probabilities)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The probabilities, so that ``np.array`` stacks distributions as
+        rows (``mixing_time`` gathers a block of its series that way)."""
+        return np.array(self.probabilities, dtype=dtype, copy=copy)
+
 
 def _as_probs(d) -> np.ndarray:
     if isinstance(d, Distribution):
@@ -132,7 +139,8 @@ def mixing_time(step_distributions: Iterable, target, epsilon: float = DEFAULT_E
 
     The series is read in blocks (see the module docstring), and no
     further than a loop reading one item at a time would read. An item
-    whose shape differs from the target's raises ValueError.
+    whose shape differs from the target's raises ValueError once the rest
+    of its block is read.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
@@ -174,16 +182,19 @@ class _RunningTV:
     ``cumsum`` down its rows (the same additions in the same order), and
     each row is reduced as a 1-D sum. A block holds at most
     ``_MIXING_BLOCK_ROWS`` items and ``_MIXING_BLOCK_BYTES`` (or one item,
-    if an item is larger); it and one scratch block of the same size are
-    the only allocations besides the TV history, 8 bytes per item read.
+    if an item is larger). Each read takes its items with one ``islice``
+    and stacks them with one ``np.array`` call into a fresh block, whose
+    shape is checked once; a ragged block is searched item by item only to
+    name the first wrong shape. Besides each fresh block, one scratch
+    block of the same size and the TV history, 8 bytes per item read, are
+    the only allocations.
     """
 
     def __init__(self, items: Iterable, target: np.ndarray):
         self._items: Iterator = iter(items)
         self._target = target
         rows = _block_rows(8 * target.size)
-        self._block = np.empty((rows,) + target.shape)
-        self._scratch = np.empty_like(self._block)
+        self._scratch = np.empty((rows,) + target.shape)
         self._running = np.zeros(target.shape)
         self._tv = np.empty(rows)
         self._exhausted = False
@@ -196,23 +207,24 @@ class _RunningTV:
     def extend_to(self, t: int) -> bool:
         """Read exactly up to item ``t``; False if the series ends first."""
         while self.count < t and not self._exhausted:
-            self._read_block(min(len(self._block), t - self.count))
+            self._read_block(min(len(self._scratch), t - self.count))
         return self.count >= t
 
     def _read_block(self, want: int) -> None:
-        block, target = self._block, self._target
-        read = 0
-        for item in itertools.islice(self._items, want):
-            probs = _as_probs(item)
-            if probs.shape != target.shape:
-                raise ValueError(
-                    f"mismatched position spaces: {probs.shape} vs {target.shape}")
-            block[read] = probs
-            read += 1
+        target = self._target
+        items = list(itertools.islice(self._items, want))
+        read = len(items)
         self._exhausted = read < want
         if read == 0:
             return
-        rows, scratch = block[:read], self._scratch[:read]
+        try:
+            rows = np.array(items, dtype=float)
+        except ValueError:  # numpy's own error for a ragged block
+            _check_shapes(items, target.shape)
+            raise
+        if rows.shape[1:] != target.shape:
+            _check_shapes(items, target.shape)
+        scratch = self._scratch[:read]
         rows[0] += self._running
         np.cumsum(rows, axis=0, out=rows)
         self._running[...] = rows[-1]
@@ -227,6 +239,15 @@ class _RunningTV:
             self._tv = grown
         self._tv[self.count:self.count + read] = tv
         self.count += read
+
+
+def _check_shapes(items: list, shape: tuple) -> None:
+    """Raise for the first item whose shape is not ``shape``, as a loop
+    checking one item at a time would."""
+    for item in items:
+        probs = _as_probs(item)
+        if probs.shape != shape:
+            raise ValueError(f"mismatched position spaces: {probs.shape} vs {shape}")
 
 
 def occupied_sites(d, tol: float = 1e-12) -> np.ndarray:

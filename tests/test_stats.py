@@ -1,5 +1,6 @@
 import itertools
 import logging
+import re
 from unittest import mock
 
 import numpy as np
@@ -355,6 +356,80 @@ def test_mixing_time_matches_serial_loop_on_walks(n, engine):
     assert got == want
     assert (want is None) == (engine == "pure" and n == 16)
     assert blocked.read == reference.read
+
+
+# --- the block reader's item forms, against the per-step loop ----------------
+
+def point_series(bad, at, length=8):
+    """Point masses on vertex 0 of three, never near uniform (so the reader
+    takes blocks of 1, 2, 4, ... items up to ``length``), with ``bad`` in
+    place of item ``at``."""
+    series = [np.array([1.0, 0.0, 0.0])] * length
+    series[at] = bad
+    return series
+
+
+@pytest.mark.parametrize("bad", [np.full(2, 0.5), np.full(4, 0.25)])
+def test_mixing_time_names_a_ragged_item_inside_a_block(bad):
+    # numpy's own "inhomogeneous shape" error must not surface, and the
+    # message names the item's shape however far into its block it sits
+    target = np.full(3, 1.0 / 3.0)
+    message = re.escape(f"mismatched position spaces: {bad.shape} vs (3,)")
+    # the 3rd of 5 items, all read at once
+    with pytest.raises(ValueError, match=message):
+        stats._RunningTV(point_series(bad, 2, 5), target).extend_to(5)
+    # through mixing_time: items 1, 2-3, 4-7 and 8 are read together
+    for at in range(8):
+        with pytest.raises(ValueError):
+            serial_mixing_time(iter(point_series(bad, at)), target, 0.01, 8)
+        with pytest.raises(ValueError, match=message):
+            mixing_time(iter(point_series(bad, at)), target, 0.01, 8)
+
+
+def test_mixing_time_rejects_a_2d_item():
+    target = np.full(3, 1.0 / 3.0)
+    row = np.array([[1.0, 0.0, 0.0]])
+    # every item 2-D (numpy stacks them without complaint), or one 2-D item
+    # as the 2nd of a 2-item read and the 3rd of a 4-item read
+    for series in ([row] * 8, point_series(row, 2), point_series(row, 5)):
+        with pytest.raises(ValueError) as serial:
+            serial_mixing_time(iter(series), target, 0.01, 8)
+        with pytest.raises(ValueError) as blocked:
+            mixing_time(iter(series), target, 0.01, 8)
+        assert str(blocked.value) == str(serial.value) == \
+            "mismatched position spaces: (1, 3) vs (3,)"
+
+
+def item_forms(form):
+    """A series and target in one of the forms ``mixing_time`` accepts, and
+    epsilon at a TV the series reaches."""
+    if form == "int":
+        # point masses walking round four vertices: uniform every 4th step
+        return [np.eye(4, dtype=np.int64)[t % 4] for t in range(60)], np.full(4, 0.25), 0.1
+    target, series = wandering_series(5, 60, 7)
+    epsilon = serial_tv(series, target)[30]
+    if form == "distribution":
+        return [Distribution(p) for p in series], Distribution(target), epsilon
+    if form == "list":
+        return [p.tolist() for p in series], target.tolist(), epsilon
+    # every third item float32
+    return [p.astype(np.float32) if t % 3 == 0 else p for t, p in enumerate(series)], \
+        target, epsilon
+
+
+@pytest.mark.parametrize("form", ["distribution", "list", "int", "float32"])
+def test_mixing_time_reads_every_item_form_as_the_serial_loop(form):
+    series, target, epsilon = item_forms(form)
+    probs = _as_probs(target)
+    blocks = stats._RunningTV(series, probs)
+    assert blocks.extend_to(len(series))
+    assert np.array_equal(blocks.tv, serial_tv([_as_probs(p) for p in series], probs))
+    for t_max in (20, 60):
+        reference, blocked = Counting(series), Counting(series)
+        want = serial_mixing_time(reference, target, epsilon, t_max)
+        assert mixing_time(blocked, target, epsilon, t_max) == want
+        assert blocked.read == reference.read
+    assert want is not None
 
 
 # --- flatness -------------------------------------------------------------
