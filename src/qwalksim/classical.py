@@ -9,28 +9,36 @@ and for the quantum classical-limit checks. ``evolve_classical_exact``
 returns a ``stats.Distribution``: the state at step ``steps`` of the
 sequence whose later states ``iter_classical_distributions`` yields.
 
-The sampled engines are batched. Walks move together as one vector of
-current vertices, walk i on its own stream ``default_rng(seed + i)``
-(``RowStreams``), so each walk is the one a serial loop of
-``nbrs[rng.integers(len(nbrs))]`` calls gives, bit for bit. Each walk's
-stream is drawn ahead ``_DRAW_BLOCK`` full-range uint32 values at a time
-(1 KiB a walk), or fewer for a walk of fewer moves, and read through a
-per-row cursor; a walk that runs out, as a long hitting-time walk does,
-draws its next block. A chunk holds ``_DRAW_BYTES`` (256 KiB) of
-pre-drawn uint32s, so its row count follows from the block: 256 walks of
-a hitting time, thousands of a short histogram walk. Scalar
-``integers(k)`` draws exactly like this: degree k = 1 consumes nothing;
-otherwise it takes one uint32 x and, by Lemire's rule, returns (x*k) >> 32
-unless the low 32 bits of x*k fall below (2^32 - k) mod k, in which case
-it rejects x and takes the next draw. Mixed degrees (glued trees, a
-line's ends) therefore consume the stream unevenly, which the per-row
-cursor follows. ``sample_walk`` is the same engine on one row.
+The sampled engines keep each walk's stream: walk i draws from
+``default_rng(seed + i)`` (``RowStreams``), so each walk is the one a
+serial loop of ``nbrs[rng.integers(len(nbrs))]`` calls gives, bit for
+bit. Each walk's stream is drawn ahead ``_DRAW_BLOCK`` full-range uint32
+values at a time (1 KiB a walk), or fewer for a walk of fewer moves, and
+read through a per-row cursor; a walk that runs out, as a long
+hitting-time walk does, draws its next block. A chunk holds
+``_DRAW_BYTES`` (256 KiB) of pre-drawn uint32s, so its row count follows
+from the block: 256 walks of a hitting time, thousands of a short
+histogram walk. Scalar ``integers(k)`` draws exactly like this: degree
+k = 1 consumes nothing; otherwise it takes one uint32 x and, by Lemire's
+rule, returns (x*k) >> 32 unless the low 32 bits of x*k fall below
+(2^32 - k) mod k, in which case it rejects x and takes the next draw.
+Mixed degrees (glued trees, a line's ends) therefore consume the stream
+unevenly, which the per-row cursor follows.
+
+A chunk moves in one of two ways. While at least ``_LOCKSTEP_ROWS`` of
+its walks are still moving, they move together as one vector of current
+vertices, a few numpy calls a step. Below that, each remaining walk is
+handed to a scalar walker that moves it alone in Python ints, from its
+vertex and its stream's cursor on. So a hitting-time chunk moves in
+lockstep until most of its walks have arrived and walks its slow tail one
+at a time; a histogram chunk of fewer walks, and ``sample_walk``'s single
+walk, move alone throughout.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +55,13 @@ _DRAW_BYTES = 1 << 18
 # uint32 draws each walk's stream reads ahead (1 KiB a walk)
 _DRAW_BLOCK = 256
 _UINT32_MAX = 2 ** 32 - 1
+# Fewest walks a chunk moves in lockstep; fewer move alone. A lockstep step
+# costs about 17-25 us of numpy calls however few walks it moves, a scalar
+# move about 0.32 us with its share of the row's refills (glued_trees(4),
+# in process, one BLAS thread), so lockstep pays from about 50-80 walks up.
+# Walking every walk alone would take 256 walks censored at 2,000 moves on
+# cycle(2001) from 53 ms to 196 ms.
+_LOCKSTEP_ROWS = 64
 
 
 def _shares(g: Graph) -> np.ndarray:
@@ -113,6 +128,40 @@ def _bounded_draws(streams: RowStreams, rows: np.ndarray, k: np.ndarray) -> np.n
     return choice
 
 
+def _vertex_moves(nbrs: Sequence[int]) -> tuple[int, int, Sequence[int]]:
+    """A vertex's degree k, Lemire's rejection threshold (2^32 - k) mod k, and neighbors."""
+    k = len(nbrs)
+    return k, (2 ** 32 - k) % k, nbrs
+
+
+class _Moves(dict):
+    """``_vertex_moves`` of each vertex as Python ints, read from the
+    half-edge table the first time a scalar walker stands on it."""
+
+    def __init__(self, g: Graph):
+        super().__init__()
+        self._heads, self._offsets = g.heads, g.offsets
+
+    def __missing__(self, v: int) -> tuple[int, int, Sequence[int]]:
+        moves = self[v] = _vertex_moves(self._heads[self._offsets[v]:self._offsets[v + 1]].tolist())
+        return moves
+
+
+def _walk_alone(moves: Mapping, v: int, draws: Iterator[int]) -> Iterator[int]:
+    """The vertices one walker visits after v, each move chosen from its own
+    uint32 draws as ``_bounded_draws`` chooses it; a degree-1 vertex draws nothing."""
+    while True:
+        k, threshold, nbrs = moves[v]
+        if k == 1:
+            v = nbrs[0]
+        else:
+            m = next(draws) * k
+            while m & _UINT32_MAX < threshold:
+                m = next(draws) * k
+            v = nbrs[m >> 32]
+        yield v
+
+
 class _Walkers:
     """Independent seeded walkers on one graph, one row each.
 
@@ -124,6 +173,7 @@ class _Walkers:
         self._degree = g.degrees.astype(np.uint64)
         self._offsets = g.offsets
         self._heads = g.heads
+        self._moves = _Moves(g)
         self._streams = RowStreams(seeds, uint32, _draw_block(moves) // 2)
         self.at = np.full(len(seeds), start, dtype=np.int64)
 
@@ -132,6 +182,38 @@ class _Walkers:
         here = self.at[rows]
         choice = _bounded_draws(self._streams, rows, self._degree[here])
         self.at[rows] = self._heads[self._offsets[here] + choice]
+
+    def alone(self, row: int) -> Iterator[int]:
+        """The vertices row ``row`` visits from here on, moved by the scalar
+        walker; ``move`` must not move the row again."""
+        return _walk_alone(self._moves, int(self.at[row]), self._streams.row_draws(row))
+
+    def run(self, moves: int, target: int | None = None) -> np.ndarray:
+        """Move every row ``moves`` times, or until it stands on ``target``;
+        return the move at which each row reached the target, 0 for none.
+
+        Rows move in lockstep while at least ``_LOCKSTEP_ROWS`` are moving,
+        then one at a time, each from its own vertex and stream cursor.
+        """
+        hit_at = np.zeros(len(self.at), dtype=np.int64)
+        active = np.arange(len(self.at))
+        step = 0
+        while active.size >= _LOCKSTEP_ROWS and step < moves:
+            step += 1
+            self.move(active)
+            if target is not None:
+                arrived = self.at[active] == target
+                hit_at[active[arrived]] = step
+                active = active[~arrived]
+        if step == moves:
+            return hit_at
+        for row in active.tolist():
+            for t, v in zip(range(step + 1, moves + 1), self.alone(row)):
+                if v == target:
+                    hit_at[row] = t
+                    break
+            self.at[row] = v
+        return hit_at
 
 
 def _check_walk_start(g: Graph, start: int, steps: int) -> None:
@@ -146,14 +228,9 @@ def _check_walk_start(g: Graph, start: int, steps: int) -> None:
 def sample_walk(g: Graph, start: int, steps: int, seed: int) -> np.ndarray:
     """One seeded walk path of length steps+1, uniform neighbor choice each move."""
     _check_walk_start(g, start, steps)
-    path = np.empty(steps + 1, dtype=np.int64)
-    path[0] = start
-    walkers = _Walkers(g, start, [seed], steps)
-    row = np.zeros(1, dtype=np.intp)
-    for k in range(1, steps + 1):
-        walkers.move(row)
-        path[k] = walkers.at[0]
-    return path
+    walk = _Walkers(g, start, [seed], steps).alone(0)
+    return np.fromiter(itertools.chain((start,), itertools.islice(walk, steps)),
+                       dtype=np.int64, count=steps + 1)
 
 
 def sample_endpoint_histogram(g: Graph, start: int, steps: int,
@@ -168,9 +245,7 @@ def sample_endpoint_histogram(g: Graph, start: int, steps: int,
     counts = np.zeros(g.num_vertices)
     for seeds in _chunks(num_samples, seed, steps):
         walkers = _Walkers(g, start, seeds, steps)
-        everyone = np.arange(len(seeds))
-        for _ in range(steps):
-            walkers.move(everyone)
+        walkers.run(steps)
         counts += np.bincount(walkers.at, minlength=g.num_vertices)
     return counts / num_samples
 
@@ -221,18 +296,10 @@ def hitting_time(g: Graph, start: int, target: int, seed: int,
     hits = []
     censored = 0
     for seeds in _chunks(num_samples, seed, cap):
-        walkers = _Walkers(g, start, seeds, cap)
-        hit_at = np.zeros(len(seeds), dtype=np.int64)
-        active = np.arange(len(seeds))
-        for step in range(1, cap + 1):
-            walkers.move(active)
-            arrived = walkers.at[active] == target
-            hit_at[active[arrived]] = step
-            active = active[~arrived]
-            if active.size == 0:
-                break
-        hits.extend(hit_at[hit_at > 0].tolist())
-        censored += active.size
+        hit_at = _Walkers(g, start, seeds, cap).run(cap, target)
+        arrived = hit_at[hit_at > 0]
+        hits.extend(arrived.tolist())
+        censored += len(seeds) - arrived.size
     if not hits:
         return HittingTimeResult(None, None, 0, censored, cap)
     mean = float(np.mean(hits))

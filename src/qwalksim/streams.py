@@ -41,12 +41,17 @@ Two conversions turn a (rows, n) block of raw outputs into draws:
 an output; ``uint32`` is the full-range 32-bit draw, the low half and then
 the high half of each output, which is what numpy's buffered 32-bit draws
 give for a generator that is only ever read in pairs.
+
+A row can also leave the batch: ``RowStreams.row_draws`` hands over its
+draws from the cursor on as Python scalars, the rest of its block and then
+its own one-row refills, for a caller that reads one row at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -267,3 +272,23 @@ class RowStreams:
             cursor[spent] = 0
         self._cursor[rows] = cursor + 1
         return self._buffer[rows, cursor]
+
+    def row_draws(self, row: int) -> Iterator:
+        """Row ``row``'s draws from its cursor on, as Python scalars.
+
+        They are the rest of the row's block, then one block after another
+        of the row's own refills, each converted to a list on its own: the
+        draws ``next`` would give the row, bit for bit. A one-row refill
+        costs about the same numpy calls at any length, so these take
+        ``MAX_BLOCK`` outputs at a time. The row is the iterator's from
+        then on; ``next`` must not read it again.
+        """
+        rest = self._buffer[row, self._cursor[row]:].tolist()
+        refills = self._refills(self._state[row:row + 1].copy(), self._inc[row:row + 1])
+        return itertools.chain(rest, itertools.chain.from_iterable(refills))
+
+    def _refills(self, state: np.ndarray, inc: np.ndarray) -> Iterator[list]:
+        """One row's blocks of draws, from its (1, 2) state and increment on."""
+        while True:
+            raw, state = _advance(state, inc, MAX_BLOCK)
+            yield self._convert(raw)[0].tolist()

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwalksim import classical
+from qwalksim import classical, streams
 from qwalksim.classical import (HittingTimeResult, evolve_classical_exact,
                                 hitting_time, hitting_time_exact,
                                 iter_classical_distributions,
@@ -379,12 +379,15 @@ SAMPLING_GRAPHS = {
 def test_batched_sampling_matches_serial_loop(name, data, steps, seed, samples,
                                               chunk, block):
     # small chunks and draw blocks put walks in several chunks and make
-    # rows refill their blocks mid-walk
+    # rows refill their blocks mid-walk; a drawn crossover moves some
+    # chunks in lockstep and walks the others one at a time
     g = SAMPLING_GRAPHS[name]()
     start = data.draw(st.integers(0, g.num_vertices - 1))
     target = data.draw(st.integers(0, g.num_vertices - 1))
     cap = data.draw(st.integers(1, 60))
-    with mock.patch.object(classical, "_DRAW_BLOCK", block):
+    crossover = data.draw(st.integers(1, samples + 1))
+    with mock.patch.object(classical, "_DRAW_BLOCK", block), \
+            mock.patch.object(classical, "_LOCKSTEP_ROWS", crossover):
         path = sample_walk(g, start, steps, seed)
         # a byte budget of `chunk` walks' draw blocks for each call
         with mock.patch.object(classical, "_DRAW_BYTES", 4 * chunk * classical._draw_block(steps)):
@@ -399,6 +402,94 @@ def test_batched_sampling_matches_serial_loop(name, data, steps, seed, samples,
         assert hit == serial_hitting_time(g, start, target, seed, samples, cap)
 
 
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(SAMPLING_GRAPHS)), data=st.data(),
+       seed=st.integers(0, 2 ** 31), samples=st.integers(1, 40), block=st.integers(1, 5))
+def test_hitting_time_hands_walks_over_as_the_serial_loop(name, data, seed, samples, block):
+    # the lockstep phase ends once fewer than a drawn number of walks move,
+    # in the middle of a draw block or after refills, and the rest walk
+    # alone from there; capped walks are censored in either phase
+    g = SAMPLING_GRAPHS[name]()
+    start = data.draw(st.integers(0, g.num_vertices - 1))
+    target = data.draw(st.integers(0, g.num_vertices - 1).filter(lambda v: v != start))
+    cap = data.draw(st.integers(1, 80))
+    crossover = data.draw(st.integers(1, samples + 1))
+    with mock.patch.object(classical, "_DRAW_BLOCK", block), \
+            mock.patch.object(classical, "_LOCKSTEP_ROWS", crossover):
+        got = hitting_time(g, start, target, seed, samples, cap)
+    assert got == serial_hitting_time(g, start, target, seed, samples, cap)
+
+
+def test_hitting_time_hands_over_at_the_default_crossover():
+    g = build_glued_trees(3, GlueSpec("symmetric"))
+    entrance, exit_vertex = glued_trees_entrance_exit(g)
+    walkers = classical._Walkers
+    with mock.patch.object(walkers, "move", autospec=True, side_effect=walkers.move) as move, \
+            mock.patch.object(walkers, "alone", autospec=True, side_effect=walkers.alone) as alone:
+        result = hitting_time(g, entrance, exit_vertex, seed=17, num_samples=300, cap=150)
+    assert result == serial_hitting_time(g, entrance, exit_vertex, 17, 300, 150)
+    assert result.censored > 0 and result.completed > 0
+    # one chunk of 300 walks starts in lockstep, and its slow tail walks alone
+    assert len(next(classical._chunks(300, 17, 150))) == 300
+    assert move.called
+    assert 0 < alone.call_count < classical._LOCKSTEP_ROWS
+
+
+class Feed:
+    """A one-row stand-in for ``RowStreams`` that reads the given draws."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def next(self, rows):
+        return np.array([next(self.draws) for _ in rows], dtype=np.uint32)
+
+
+def zero_led(seed):
+    """PCG64(seed) with its state set so that its next three uint32 draws are
+    0: a buffered high half of 0, then a raw output of 0 (the next state,
+    M*s + inc mod 2^128, is 0)."""
+    bits = np.random.PCG64(seed)
+    state = bits.state
+    inc = state["state"]["inc"]
+    state["state"]["state"] = -inc * pow(streams._MULTIPLIER, -1, 2 ** 128) % 2 ** 128
+    state["has_uint32"], state["uinteger"] = 1, 0
+    bits.state = state
+    return bits
+
+
+@pytest.mark.parametrize("k, lead", [(3, zero_led), (5, zero_led),
+                                     (3 * 2 ** 30, np.random.PCG64), (2 ** 31 + 1, np.random.PCG64)])
+def test_scalar_walker_follows_numpy_rejection_rule(k, lead):
+    # x = 0 is rejected at degrees 3 and 5 ((2^32 - k) mod k = 1), three
+    # times in a row here; the large bounds reject about a quarter and a
+    # half of all draws. Lemire's rule rejects a draw on a graph with
+    # probability about k / 2^32, so no graph test reaches this branch.
+    bits = lead(31)
+    numpy_rng = np.random.Generator(np.random.PCG64())
+    numpy_rng.bit_generator.state = bits.state
+    draws = np.random.Generator(bits).integers(0, 2 ** 32 - 1, size=1200, dtype=np.uint32,
+                                               endpoint=True).tolist()
+    if lead is zero_led:
+        assert draws[:3] == [0, 0, 0]
+
+    class EveryVertex(dict):
+        # neighbors 0..k-1 everywhere, so each vertex visited is its move's choice
+        def __missing__(self, v):
+            return classical._vertex_moves(range(k))
+
+    moves = 300
+    fed = iter(draws)
+    got = list(itertools.islice(classical._walk_alone(EveryVertex(), 0, fed), moves))
+    assert got == [numpy_rng.integers(k) for _ in range(moves)]
+    feed = Feed(draws)
+    row, bound = np.zeros(1, dtype=np.intp), np.array([k], dtype=np.uint64)
+    assert [int(classical._bounded_draws(feed, row, bound)[0]) for _ in range(moves)] == got
+    # all three consumed the same draws
+    assert next(fed) == next(feed.draws) == numpy_rng.integers(0, 2 ** 32 - 1, dtype=np.uint32,
+                                                               endpoint=True)
+
+
 def test_batched_sampling_matches_serial_at_default_chunking():
     g = build_glued_trees(5, GlueSpec("random-cycle", 11))
     entrance, exit_vertex = glued_trees_entrance_exit(g)
@@ -406,6 +497,11 @@ def test_batched_sampling_matches_serial_at_default_chunking():
     assert len(next(classical._chunks(2600, 3, 25))) < 2600
     hist = sample_endpoint_histogram(g, entrance, 25, 2600, seed=3)
     assert np.array_equal(hist, serial_histogram(g, entrance, 25, 2600, 3))
+    # 257-step walks read 256 uint32s ahead: a chunk of 256 in lockstep,
+    # then 4 walks below the crossover, each walked alone
+    assert len(next(classical._chunks(260, 3, 257))) == 256
+    hist = sample_endpoint_histogram(g, entrance, 257, 260, seed=3)
+    assert np.array_equal(hist, serial_histogram(g, entrance, 257, 260, 3))
     # walks longer than one draw block, some of them censored
     result = hitting_time(g, entrance, exit_vertex, seed=5, num_samples=40, cap=1100)
     assert result == serial_hitting_time(g, entrance, exit_vertex, 5, 40, 1100)

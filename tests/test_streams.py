@@ -152,3 +152,33 @@ def test_monte_carlo_engines_build_no_numpy_generator():
     generator.assert_not_called()
     pcg64.assert_not_called()
     rng.assert_not_called()
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("kind", sorted(CONVERSIONS))
+def test_row_draws_continue_each_row_through_its_own_refills(kind, block):
+    # rows on both sides of 2^32 read at different rates, then hand over
+    # their draws: the rest of the block and three of the row's own
+    # refills continue numpy's sequence for its seed, as Python scalars
+    convert, numpy_draws = CONVERSIONS[kind]
+    seeds = range(2 ** 32 - 4, 2 ** 32 + 4)
+    rows = RowStreams(seeds, convert, block)
+    pick = np.random.default_rng(5)
+    read = np.zeros(len(seeds), dtype=int)
+    for _ in range(7):
+        listed = np.flatnonzero(pick.random(len(seeds)) < 0.6)
+        rows.next(listed)
+        read[listed] += 1
+    n = 3 * len(convert(np.zeros((1, streams.MAX_BLOCK), dtype=np.uint64))[0]) + 5
+    evens, odds = np.arange(0, len(seeds), 2), np.arange(1, len(seeds), 2)
+    for handed in (evens, odds):
+        for r in handed:
+            draws = rows.row_draws(r)
+            got = [next(draws) for _ in range(n)]
+            assert not any(isinstance(x, np.generic) for x in got)
+            assert np.array_equal(got, numpy_draws(seeds[r], read[r] + n)[read[r]:])
+        # the rows not handed over read on through next
+        if handed is evens:
+            assert np.array_equal(rows.next(odds),
+                                  [numpy_draws(seeds[r], read[r] + 1)[-1] for r in odds])
+            read[odds] += 1
