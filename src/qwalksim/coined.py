@@ -29,22 +29,15 @@ steps past ``steps`` nor more than one block past the last item read.
 share one gather table, indexed by output half-edge: the two half-edges
 each output reads and the coin entries that weigh them. Every other degree
 keeps a block plan: the half-edge block, its shifted target and the coin.
-``step_amplitudes``, the one step kernel, runs a step as one gather, one
-multiply and one add over that table (plus a scatter unless degree 2
-covers every half-edge, as on cycles), and a block matmul per other
-degree, writing each coin output straight to its shifted half-edge.
-``step_support`` runs the same step for a batch of states that are zero
-outside a set S of half-edges, held as the columns of an (|S| + 1, R)
-array whose last row is zero; ``support_plan(S)`` reads S', the set U
-reaches from S, and the positions each term reads off the two plans,
-visiting only the gather-table rows that read a half-edge of S. An
-entry of S' takes the operands and operations that ``step_amplitudes``
-gives it, and the block matmul keeps its per-state shape, so each state
-gets that step's bits. ``step_matrix`` assembles the same two plans as a
-sparse matrix. The tests hold the two-pass form, a coin toss over every
-vertex then a shift, built from per-vertex loops (``ReferenceLayout`` in
-``tests/test_half_edge_table.py``), and check both steps against it bit
-for bit.
+``step_amplitudes``, the pure walk's step kernel, runs a step as one
+gather, one multiply and one add over that table (plus a scatter unless
+degree 2 covers every half-edge, as on cycles), and a block matmul per
+other degree, writing each coin output straight to its shifted half-edge.
+``step_matrix`` assembles the same two plans as a sparse matrix U, on
+whose rows both decohered routes step (``decoherence``). The tests hold
+the two-pass form, a coin toss over every vertex then a shift, built from
+per-vertex loops (``ReferenceLayout`` in ``tests/test_half_edge_table.py``),
+and check the step against it bit for bit.
 """
 
 from __future__ import annotations
@@ -195,7 +188,6 @@ class CoinedWalk:
         # residue where opposite-sign products should cancel bit-exactly
         # (the interference zeros)
         self._gather = None
-        self._readers = None
         self._block_plan = []
         for d in np.unique(graph.degrees[graph.degrees > 0]).tolist():
             offs = graph.offsets[:-1][graph.degrees == d]
@@ -216,17 +208,6 @@ class CoinedWalk:
             if np.array_equal(dest, np.arange(graph.half_edge_count)):
                 dest = None
             self._gather = (src, coef, len(order), dest)
-            # for support_plan: row h lists the (at most two) table rows
-            # that read half-edge h through a nonzero coin entry, n for
-            # none; a zero entry (the Grover coin's diagonal) reaches nothing
-            n, reads = len(order), coef != 0
-            rows = np.tile(np.arange(n, dtype=np.int32), 2)[reads]
-            read = src[reads]
-            by_source = np.argsort(read, kind="stable")
-            read = read[by_source]
-            again = np.concatenate(([False], read[1:] == read[:-1]))
-            self._readers = np.full((graph.half_edge_count, 2), n, dtype=np.int32)
-            self._readers[read, again.astype(np.intp)] = rows[by_source]
 
     def _undefined_coin(self, degree: int, why: str = " but amplitude occupies such a vertex"):
         """The error for a step that needs a coin the family does not define."""
@@ -258,99 +239,6 @@ class CoinedWalk:
                 if np.any(block):
                     raise self._undefined_coin(idx.shape[-1])
                 out[moved] = block
-        return out
-
-    def support_plan(self, support: np.ndarray) -> tuple:
-        """Plan one ``step_support`` from the ascending half-edges S.
-
-        Returns ``(reached, gather, blocks)``, every index int32.
-        ``reached`` (S') holds, ascending, the half-edges that U reaches
-        from S through a nonzero entry: the rows of ``step_matrix`` with a
-        nonzero in a column of S. ``gather`` is None or ``(src, terms,
-        dest)``: ``terms`` are the gather-table rows whose output lies in
-        S'; ``src`` (2, len(terms)) holds the positions in S of their
-        direction-0 and direction-1 sources (|S|, the zero row, for a
-        source outside S); ``dest`` holds the outputs' positions in S', or
-        is None when they fill S' in order. A degree whose block touches S
-        gives ``(src, touched, dest, coin_t)``. ``src`` holds the positions
-        of every vertex of that degree, so its matmul has the full step's
-        shape, and ``touched`` lists the vertices that touch S (None for
-        all of them). ``dest`` holds the shifted positions in S' of the
-        touched vertices; it is None for an undefined coin, which reaches
-        nothing. The block coins (Grover, DFT) have no zero entry, so a
-        touched vertex reaches all of its shifted half-edges. The gather
-        table is read only at the rows S reaches.
-        """
-        w = len(support)
-        column = np.empty(self.graph.half_edge_count, dtype=np.int32)
-        column.fill(w)
-        column[support] = np.arange(w, dtype=np.int32)
-        gather, blocks, outputs = None, [], []  # outputs: (plan, its shifted half-edges)
-        if self._gather is not None:
-            src, _, n, dest = self._gather
-            read = np.zeros(n + 1, dtype=bool)
-            read[self._readers.take(support, axis=0).ravel()] = True
-            terms = read[:n].nonzero()[0].astype(np.int32)
-            gather = [column[src.reshape(2, n).take(terms, axis=1)], terms, None]
-            outputs.append((gather, terms if dest is None else dest[terms]))
-        for idx, moved, coin_t in self._block_plan:
-            pos = column[idx]
-            touched = pos < w
-            if not touched.any():
-                continue
-            touched = touched.any(axis=1).nonzero()[0].astype(np.int32)
-            if coin_t is None:
-                blocks.append((pos, None, None, None))
-                continue
-            if len(touched) == len(idx):
-                touched = None
-            blocks.append([pos, touched, None, coin_t])
-            outputs.append((blocks[-1], moved if touched is None else moved[touched]))
-        if len(outputs) == 1 and gather is not None:
-            # the table is sorted by output half-edge
-            return outputs[0][1].astype(np.int32, copy=False), gather, blocks
-        reached = np.concatenate([np.empty(0, np.int32)] + [e.ravel() for _, e in outputs])
-        reached = np.sort(reached).astype(np.int32)
-        for plan, e in outputs:
-            plan[2] = np.searchsorted(reached, e).astype(np.int32)
-        return reached, gather, blocks
-
-    def step_support(self, plan: tuple, held: np.ndarray) -> np.ndarray:
-        """One step of states held on S, ``plan`` being
-        ``support_plan(S)``. Column r of the (|S| + 1, R) array ``held`` is
-        a state, zero outside S: row i holds its amplitude on half-edge
-        S[i], and the last row is zero. Returns the stepped states, held
-        the same way on S'. Each entry takes the operands and operations
-        that ``step_amplitudes`` gives it, so it has that step's bits, and
-        that step gives zeros outside S'. A state stepped at full width all
-        along may hold -0 where the set holds +0, in zeros outside and
-        inside S', which no probability sees. Every state steps with the
-        same plan, so the sources are whole rows of ``held``."""
-        reached, gather, blocks = plan
-        out = np.empty((len(reached) + 1, held.shape[1]), dtype=np.complex128)
-        out[-1] = 0.0
-        if gather is not None:
-            src, terms, dest = gather
-            k = len(terms)
-            x = held.take(src, axis=0)
-            x *= self._gather[1].reshape(2, -1).take(terms, axis=1)[:, :, None]
-            if dest is None:
-                np.add(x[0], x[1], out=out[:k])
-            else:
-                x[0] += x[1]
-                out[dest] = x[0]
-        for src, touched, dest, coin_t in blocks:
-            if coin_t is None:
-                if np.any(held[src]):
-                    raise self._undefined_coin(src.shape[-1])
-                continue
-            # take lays each state's (m, d) block out C-contiguous, as in
-            # step_amplitudes; one stacked (R·m, d) matmul would round a
-            # one-vertex block (m = 1) differently
-            block = held.T.take(src, axis=1) @ coin_t
-            if touched is not None:
-                block = block.take(touched, axis=1)
-            out[dest] = block.transpose(1, 2, 0)
         return out
 
     def evolve(self, state: PureState, steps: int) -> PureState:
@@ -410,8 +298,19 @@ class CoinedWalk:
         Read from the step's own plans: gather term k is entry
         (dest[k], src[k]) with value coef[k], and block entry
         (moved[r, j], idx[r, i]) is coin_t[i, j]. Zero coin entries are
-        left out.
+        left out. A family that leaves some degree's coin undefined has no
+        full step operator and raises ``UnsupportedDegreeError``.
         """
+        for idx, _, coin_t in self._block_plan:
+            if coin_t is None:
+                raise self._undefined_coin(idx.shape[1],
+                                           "; cannot assemble a full step operator")
+        return self._defined_step_matrix()
+
+    def _defined_step_matrix(self) -> scipy.sparse.csr_matrix:
+        """``step_matrix`` with the blocks of undefined coins left out. The
+        columns of their half-edges are empty, and no other column is: a
+        unitary coin has no zero column."""
         n = self.graph.half_edge_count
         rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
         if self._gather is not None:
@@ -421,8 +320,7 @@ class CoinedWalk:
             vals.append(coef)
         for idx, moved, coin_t in self._block_plan:
             if coin_t is None:
-                raise self._undefined_coin(idx.shape[1],
-                                           "; cannot assemble a full step operator")
+                continue
             m, d = idx.shape
             rows.append(np.broadcast_to(moved[:, None, :], (m, d, d)).ravel())
             cols.append(np.broadcast_to(idx[:, :, None], (m, d, d)).ravel())
@@ -432,21 +330,6 @@ class CoinedWalk:
         return scipy.sparse.csr_matrix(
             (vals[nonzero], (rows[nonzero], cols[nonzero])),
             shape=(n, n), dtype=np.complex128)
-
-
-def _plan_bytes(plan: tuple) -> int:
-    """Bytes of the positions a ``support_plan`` holds (the coins are the
-    walk's own).
-
-    Positions are int32: 16 bytes per reached half-edge of a degree-2
-    vertex (its place in the set, two sources and a gather-table row). A
-    block degree whose vertices the set touches takes 4 bytes per
-    half-edge of that degree, since its matmul keeps the full step's
-    shape, and at most 12 per reached half-edge.
-    """
-    reached, gather, blocks = plan
-    arrays = [reached, *(gather or ())] + [a for block in blocks for a in block[:3]]
-    return sum(a.nbytes for a in arrays if a is not None)
 
 
 def _row_bincount(labels: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:

@@ -22,11 +22,16 @@ least doubled when a set first needs more room and never beyond H^2
 entries, besides the real dephasing factors on the last two sets; a
 ``DensityState`` holds only S and its |S|x|S| block.
 
-Both routes walk the same sets, S_{t+1} being the rows of U with a nonzero
-in a column of S_t, through one plan sequence, ``_StepPlans``. Each keeps
-the plan format of its reference's bits: ``_step_plan`` restricts U's CSR
-arrays (the full-range density step), ``CoinedWalk.support_plan`` indexes
-the gather table and block plans of ``step_amplitudes``.
+Both routes step on one plan per set, through one plan sequence,
+``_StepPlans``: ``_step_plan`` restricts U's CSR arrays to the rows
+S_{t+1} and the columns S_t, S_{t+1} being the rows of U with a nonzero in
+a column of S_t, and ``_sparse_product`` multiplies the states held on S_t
+by it. The density route adds the conjugate data and the dephasing
+factors on S_{t+1}xS_{t+1} (``_density_plan``). U leaves out the blocks of
+vertices whose coin the family does not define; a state that holds
+amplitude on one of their half-edges before a step raises the lone
+walker's ``UnsupportedDegreeError``, so a line walk with the Hadamard coin,
+which never reaches the degree-1 ends, runs on every route.
 
 Trajectory randomness comes from ``numpy.random.default_rng`` (the PCG64
 generator), so records are bit-reproducible for a fixed seed across
@@ -35,14 +40,13 @@ platforms. Trajectory i of an ensemble uses seed ``seed + i``.
 The trajectory engine is batched and works on the reachable set S_t, the
 half-edges U reaches in t steps from the start's support. A collapse only
 shrinks a state's support, so one set per step holds every trajectory: a
-chunk is one (|S_t| + 1, rows) complex array, column r being trajectory r,
-whose zero last row every source outside S_t reads. A chunk steps with
-``CoinedWalk.step_support`` on the plan ``CoinedWalk.support_plan`` makes
-for its set (about 16 bytes per reachable half-edge); each kept entry has
-the bits of the full-width ``step_amplitudes`` of the state the chunk
-holds. ``run_ensemble`` plans each step once for all its chunks while the
-plans fit in ``_PLAN_BYTES`` (16 MiB), and each chunk plans the steps
-past them again; a run of one chunk keeps no plan. Only the
+chunk is one (|S_t|, rows) complex array, column r being trajectory r. A
+chunk steps as one sparse product with its set's plan (48 bytes per
+reached half-edge of a degree-2 vertex), so each entry has the bits of the
+full-range product of ``CoinedWalk.step_matrix()`` with the state the
+chunk holds. ``run_ensemble`` plans each step once for all its chunks
+while the plans fit in ``_PLAN_BYTES`` (16 MiB), and each chunk plans the
+steps past them again; a run of one chunk keeps no plan. Only the
 trajectories whose measurement fired are collapsed, together, on the set.
 Each keeps its own PCG64 stream, one row of ``RowStreams``'s state arrays,
 whose uniforms are drawn ahead in blocks of up to ``_DRAW_BLOCK`` and read
@@ -68,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import _sparsetools
 
-from .coined import CoinedWalk, PureState, _plan_bytes, _row_bincount, _support
+from .coined import CoinedWalk, PureState, _row_bincount, _support
 from .errors import InvariantViolationError
 from .graphs import Graph, check_line_headroom
 from .streams import RowStreams, uniform
@@ -84,24 +88,27 @@ MEASUREMENT_TARGETS = ("position", "coin", "both")
 # sentinel in measurement records for a register that was not measured
 NOT_MEASURED = -1
 
-# Trajectories step together as one (|S_t| + 1, rows) complex array, and
+# Trajectories step together as one (|S_t|, rows) complex array, and
 # rows x max(max |S_t|, n / 2) complex numbers take at most this many bytes,
 # so the rows' (rows, n) float64 position distributions fit in it too (rows
 # x H when the plan budget leaves the later sets unknown). A step allocates
-# a few temporaries of up to twice that size, and the running sums copy the
-# distributions three more times. On line(101), 50 steps from the middle
-# (|S_t| <= 100), a trajectory-step took 2.0-2.4 us at 32 rows, 1.1-1.6 us
-# at 61, 0.8-1.1 us at 122 and 0.8-0.9 us at 200 (five runs, each the best
-# of 15-40 chunks, 2-vCPU Xeon guest): past about 120 rows, more gain little.
+# a few temporaries of up to twice that size, and the running sums take
+# the distributions' squares once more. On line(101), 50 steps from the
+# middle (|S_t| <= 100), a trajectory-step took 1.2-2.0 us at 32 rows,
+# 0.7-1.2 us at 61, 0.5 us at 122 and 0.4-0.7 us at 200 (five runs, each the
+# best of 20-125 chunks, 1 BLAS thread, 2-vCPU guest): past about 120 rows,
+# more gain little.
 _CHUNK_BYTES = 3 << 16
 # uniform draws each trajectory's stream reads ahead (2 KiB a trajectory)
 _DRAW_BLOCK = 256
 # A run of more than one chunk keeps the plans of its first steps, up to
 # this many bytes, for all its chunks (``_StepPlans``); each chunk plans the
 # later steps again, and the chunks after the first grow to a quarter of
-# this many bytes of amplitudes, so fewer chunks plan them. The ensemble
-# workload's 50 steps on line(101) take 41 KB, a 400-step line walk 2.6
-# MB; 10,000 steps on a line would take 1.6 GB.
+# this many bytes of amplitudes, so fewer chunks plan them. A plan takes
+# at most 48 bytes per reached half-edge of a degree-2 vertex: the ensemble
+# workload's 50 steps on line(101) take 119 KB, a 400-step line walk 7.7
+# MB, and a walk from the middle of line(4001) outgrows this budget at step
+# 592; 10,000 steps on a line would take 4.8 GB.
 _PLAN_BYTES = 16 << 20
 
 
@@ -243,41 +250,70 @@ def _sparse_product(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
     return out
 
 
-def _step_plan(u, u_conj, entry_rows: np.ndarray, sector_ids: np.ndarray, p: float,
+def _step_plan(u, entry_rows: np.ndarray, undefined: np.ndarray | None,
                support: np.ndarray) -> tuple:
-    """Plan one density step from the ascending half-edges S.
+    """Plan one step from the ascending half-edges S.
 
-    Returns the rows S' of U that have a nonzero in a column of S, the rows
-    S' and columns S of U and of conj(U) as CSR arrays with columns
-    renumbered 0..|S|-1 in ascending order, and the dephasing factors on
-    S'xS'. ``entry_rows`` is the row of each stored entry of U. Each row
-    keeps its terms in U's order, so a product with the block skips only
-    terms that multiply zero rows of the state.
+    Returns the rows S' of U that have a nonzero in a column of S, in the
+    dtype of S; the rows S' and columns S of U as CSR arrays, with columns
+    renumbered 0..|S|-1 in ascending order; and the positions in S of the
+    half-edges that ``undefined`` marks, those whose coin is undefined
+    (None for none). ``entry_rows`` is the row of each stored entry of U.
+    Each row keeps its terms in U's order, so a product with the states
+    skips only terms that multiply their zero rows.
     """
     n = u.shape[0]
     column = np.full(n, -1, dtype=u.indices.dtype)
     column[support] = np.arange(len(support))
     keep = column[u.indices] >= 0
     counts = np.bincount(entry_rows[keep], minlength=n)
-    support_next = np.flatnonzero(counts)
-    indptr = np.concatenate(([0], np.cumsum(counts[support_next]))).astype(u.indices.dtype)
-    indices = column[u.indices[keep]]
-    data, data_conj = u.data[keep], u_conj.data[keep]
-    factors = _dephasing_block(sector_ids[support_next], p)
-    return support_next, indptr, indices, data, data_conj, factors
+    support_next = np.flatnonzero(counts).astype(support.dtype, copy=False)
+    indptr = np.zeros(len(support_next) + 1, dtype=u.indices.dtype)
+    np.cumsum(counts[support_next], out=indptr[1:])
+    blocked = None
+    if undefined is not None and undefined[support].any():
+        blocked = np.flatnonzero(undefined[support])
+    return support_next, indptr, column[u.indices[keep]], u.data[keep], blocked
+
+
+def _restriction(walk: CoinedWalk) -> functools.partial:
+    """``_step_plan`` on the walk's U, which leaves out the blocks of the
+    coins its family does not define: their half-edges are U's empty
+    columns."""
+    u = walk._defined_step_matrix()
+    n = u.shape[0]
+    undefined = np.bincount(u.indices, minlength=n) == 0
+    return functools.partial(_step_plan, u, np.repeat(np.arange(n), np.diff(u.indptr)),
+                             undefined if undefined.any() else None)
+
+
+def _density_plan(build, sector_ids: np.ndarray, p: float, support: np.ndarray) -> tuple:
+    """``build(S)``, a ``_step_plan``, with the data of conj(U) on the same
+    entries and the dephasing factors on S'xS'."""
+    plan = build(support)
+    return (*plan, plan[3].conj(), _dephasing_block(sector_ids[plan[0]], p))
+
+
+def _refuse_undefined(walk: CoinedWalk, occupied: np.ndarray) -> None:
+    """Raise the lone walker's error, naming the lowest degree, if any of
+    the half-edges ``occupied``, whose coin is undefined, holds a nonzero."""
+    if occupied.size:
+        graph = walk.graph
+        degree = graph.degrees[graph.half_edge_vertex[occupied]].min()
+        raise walk._undefined_coin(int(degree))
 
 
 class _StepPlans:
     """``build(S_t)`` for the sets S_0 = ``support``, S_1, ... of a walk,
     S_{t+1} being ``build(S_t)[0]``, in step order on every pass. A pass
-    never ends: callers take their steps with ``itertools.islice``.
-    ``support`` has the dtype of the sets ``build`` returns, since a set is
-    known by its bytes.
+    never ends: callers take their steps with ``itertools.islice``. A set
+    is known by its bytes, so ``build`` returns each in the dtype of
+    ``support``.
 
     A set equal to one of the last two planned reuses its plan, so a walk
     whose sets alternate or stay put, as on a bipartite graph, plans them
     once. The first pass keeps the plans of the first steps while their
-    ``_plan_bytes`` fit in ``budget``; every pass plans the later steps
+    arrays' bytes fit in ``budget``; every pass plans the later steps
     again and keeps none of them, so memory stays bounded however long the
     walk. With no budget nothing is kept or weighed. A collapse only
     shrinks a state's support, so one plan per step serves every
@@ -299,7 +335,7 @@ class _StepPlans:
             if plan is None:
                 plan = self.build(support)
                 if self.room >= 0:
-                    self.room -= _plan_bytes(plan)
+                    self.room -= sum(a.nbytes for a in plan if a is not None)
                 if len(self.recent) == 2:
                     del self.recent[next(iter(self.recent))]
                 self.recent[key] = plan
@@ -324,11 +360,13 @@ def _density_blocks(rho0: DensityState, spec: DecoherenceSpec, coin: str):
     The density matrix after the step is ``block`` on the rows and columns
     ``support`` (ascending half-edge indices) and zero elsewhere. The set
     starts at ``rho0.support`` and each step maps it to the rows of U that
-    touch it, through the ``_step_plan`` plans of a ``_StepPlans``, which
-    keeps none of them; the step then works on the set alone, which the
-    full-range step would only multiply by zeros. Every entry comes out
-    with the bits of the full-range step: a sparse row product starts each
-    sum at +0 and never reaches -0, so the zero terms it skips change nothing.
+    touch it, through the ``_density_plan`` plans of a ``_StepPlans``,
+    which keeps none of them; the step then works on the set alone, which
+    the full-range step would only multiply by zeros. Every entry comes
+    out with the bits of the full-range step: a sparse row product starts
+    each sum at +0 and never reaches -0, so the zero terms it skips change
+    nothing. A step from a state with a nonzero row on a half-edge whose
+    coin is undefined raises instead.
 
     Each step is exact for any square matrix, Hermitian or not:
     (U rho)^T = rho^T U^T, and conj(U) rho^T U^T = (U rho U†)^T. So a sparse
@@ -343,15 +381,20 @@ def _density_blocks(rho0: DensityState, spec: DecoherenceSpec, coin: str):
     """
     graph = rho0.graph
     n = graph.half_edge_count
-    u = CoinedWalk(graph, coin).step_matrix()
-    entry_rows = np.repeat(np.arange(n), np.diff(u.indptr))
-    build = functools.partial(_step_plan, u, u.conj(), entry_rows,
+    walk = CoinedWalk(graph, coin)
+    build = functools.partial(_density_plan, _restriction(walk),
                               _sector_ids(graph, spec.target), spec.p)
     held_flat = np.array(rho0.block, dtype=np.complex128).ravel()
     spare = np.empty(0, dtype=np.complex128)
     held = held_flat.reshape(rho0.block.shape)  # rho, or rho^T when `transposed`
     transposed = False
-    for support, indptr, indices, data, data_conj, factors in _StepPlans(build, rho0.support):
+    last = rho0.support
+    for support, indptr, indices, data, blocked, data_conj, factors in _StepPlans(build, last):
+        if blocked is not None:
+            # a nonzero row or column of a half-edge U cannot step
+            occupied = held[blocked].any(axis=1) | held[:, blocked].any(axis=0)
+            _refuse_undefined(walk, last[blocked[occupied]])
+        last = support
         w, w_next = len(held), len(support)
         first, second = (data_conj, data) if transposed else (data, data_conj)
         spare = _room(spare, w_next * max(w, w_next), n * n)
@@ -396,17 +439,17 @@ def _collapse_rows(amps: np.ndarray, rows: np.ndarray, draws: np.ndarray,
     """Measure the target register of the listed trajectories, collapsing
     them in place.
 
-    ``amps`` holds the states on a set of ascending half-edges, one column
-    per trajectory, as ``CoinedWalk.step_support`` lays them out; its last
-    row stays zero. ``labels`` are the set's outcome labels, those the
-    channel dephases by (``_sector_ids``). A trajectory's outcome is
+    ``amps`` holds the states on a set of ascending half-edges, one row per
+    half-edge and one column per trajectory. ``labels`` are the set's
+    outcome labels, those the channel dephases by (``_sector_ids``). A
+    trajectory's outcome is
     ``searchsorted(cum, draw * cum[-1], side="right")`` over its cumulated
     outcome probabilities; counting the entries not above the threshold is
     the same index. The half-edges outside the set hold zeros, so every sum
     has the bits it has over all H of them. Returns each outcome: the
     measured half-edge's place in the set, or the measured vertex or coin.
     """
-    picked = amps[:-1, rows].T
+    picked = amps[:, rows].T
     weights = np.abs(picked) ** 2
     if target == "both":
         probs = weights
@@ -424,7 +467,7 @@ def _collapse_rows(amps: np.ndarray, rows: np.ndarray, draws: np.ndarray,
         amps[outcome, rows] = kept / np.hypot(kept.real, kept.imag)
         return outcome
     norm = np.sqrt(probs[np.arange(len(rows)), outcome])
-    amps[:-1, rows] = (np.where(labels == outcome[:, None], picked, 0.0) / norm[:, None]).T
+    amps[:, rows] = (np.where(labels == outcome[:, None], picked, 0.0) / norm[:, None]).T
     return outcome
 
 
@@ -434,20 +477,18 @@ def _trajectories(walk: CoinedWalk, plans: _StepPlans, steps: int, start: np.nda
     columns of one array.
 
     Every trajectory starts as ``start``, the amplitudes on the ascending
-    half-edges ``plans.start`` (zero elsewhere), and step t is
-    ``walk.step_support`` on the t-th plan of ``plans``, a ``_StepPlans`` of
-    ``walk.support_plan``. Trajectory r, column r, is that of
+    half-edges ``plans.start`` (zero elsewhere), and step t is the sparse
+    product with the t-th plan of ``plans``, a ``_StepPlans`` of
+    ``_restriction(walk)``. Trajectory r, column r, is that of
     ``default_rng(seeds[r])``. Each step draws one uniform to decide whether
     to measure and, when it fires, one more for the outcome, in that order,
     so a trajectory reads its stream exactly as a lone one would. Returns
-    the last set, the final (|set| + 1, len(seeds)) amplitudes held on it
-    (a zero last row) and, with ``keep_record``, the (len(seeds), steps, 4)
-    measurement records.
+    the last set, the final (|set|, len(seeds)) amplitudes held on it and,
+    with ``keep_record``, the (len(seeds), steps, 4) measurement records.
     """
     graph = walk.graph
     rows, support = len(seeds), plans.start
-    amps = np.zeros((len(support) + 1, rows), dtype=np.complex128)
-    amps[:-1] = start[:, None]
+    amps = np.repeat(start[:, None], rows, axis=1)
     record = None
     if keep_record:
         record = np.full((rows, steps, 4), NOT_MEASURED, dtype=np.int64)
@@ -456,9 +497,13 @@ def _trajectories(walk: CoinedWalk, plans: _StepPlans, steps: int, start: np.nda
     streams = RowStreams(seeds, uniform, max(1, min(2 * steps, _DRAW_BLOCK)))
     sector_ids = _sector_ids(graph, spec.target)
     everyone = np.arange(rows)
-    for t, plan in enumerate(itertools.islice(plans, steps)):
-        amps = walk.step_support(plan, amps)
-        support = plan[0]
+    for t, (reached, indptr, indices, data, blocked) in enumerate(
+            itertools.islice(plans, steps)):
+        if blocked is not None:
+            _refuse_undefined(walk, support[blocked[amps[blocked].any(axis=1)]])
+        amps = _sparse_product(indptr, indices, data, amps,
+                               np.empty((len(reached), rows), dtype=np.complex128))
+        support = reached
         fired = everyone[streams.next(everyone) < spec.p]
         if fired.size == 0:
             continue
@@ -483,20 +528,22 @@ def evolve_trajectory(state0: PureState, spec: DecoherenceSpec, steps: int,
     Returns the final pure state and, when ``keep_record`` is set, an
     integer array with one ``step, measured, position, coin`` row per step
     (-1 marks a register that was not measured). Deterministic per seed;
-    it is the ensemble kernel run on a single row. The amplitudes equal
-    those of the walker stepped over all H half-edges by
-    ``step_amplitudes``, and on the line and cycle have its bytes; where
-    a vertex's degree is not 2, a zero amplitude may be +0 where that
-    walker holds -0. Probabilities and records are the same bytes.
+    it is the ensemble kernel run on a single row. The amplitudes have the
+    bits of the walker stepped over all H half-edges by the product with
+    ``CoinedWalk.step_matrix()``, and, on a graph of degree-2 vertices with
+    a real coin, the values of ``step_amplitudes``; a zero amplitude may be
+    +0 where that walker holds -0. Elsewhere they may differ from
+    ``step_amplitudes`` in the last bits, as a sum of more than two terms
+    or a product with a complex coin may round otherwise there.
     """
     graph = state0.graph
     check_line_headroom(graph.kind, graph.num_vertices, _support(state0), steps)
     walk = CoinedWalk(graph, coin)
     support = np.flatnonzero(state0.amplitudes).astype(np.int32)
-    support, held, record = _trajectories(walk, _StepPlans(walk.support_plan, support), steps,
+    support, held, record = _trajectories(walk, _StepPlans(_restriction(walk), support), steps,
                                           state0.amplitudes[support], spec, [seed], keep_record)
     amps = np.zeros(graph.half_edge_count, dtype=np.complex128)
-    amps[support] = held[:-1, 0]
+    amps[support] = held[:, 0]
     return PureState(graph, amps), None if record is None else record[0]
 
 
@@ -518,7 +565,7 @@ def run_ensemble(state0: PureState, spec: DecoherenceSpec, steps: int,
     width = graph.half_edge_count
     n = graph.num_vertices
     chunk = _chunk_rows(width)
-    plans = _StepPlans(walk.support_plan, support, _PLAN_BYTES if trajectories > chunk else 0)
+    plans = _StepPlans(_restriction(walk), support, _PLAN_BYTES if trajectories > chunk else 0)
     if trajectories > chunk:
         # the chunks are held on S_0..S_steps alone: once the first pass has
         # kept every step's plan, size them by the widest of those sets. A
@@ -540,10 +587,13 @@ def run_ensemble(state0: PureState, spec: DecoherenceSpec, steps: int,
         seeds = range(seed + first, seed + min(first + chunk, trajectories))
         first += len(seeds)
         final, amps, _ = _trajectories(walk, plans, steps, start, spec, seeds, False)
-        p = _row_bincount(graph.half_edge_vertex[final], np.abs(amps[:-1].T) ** 2, n)
-        # running sums in trajectory order, the bits a serial loop adds up
-        total = np.cumsum(np.vstack((total, p)), axis=0)[-1]
-        total_sq = np.cumsum(np.vstack((total_sq, p * p)), axis=0)[-1]
+        p = _row_bincount(graph.half_edge_vertex[final], np.abs(amps.T) ** 2, n)
+        # running sums in trajectory order, the bits a serial loop adds up,
+        # each taken in place down the rows of its chunk
+        for terms, running in ((p * p, total_sq), (p, total)):
+            terms[0] += running
+            np.cumsum(terms, axis=0, out=terms)
+            running[:] = terms[-1]
         if plans.room < 0:
             # the plans outgrew their budget, so every chunk plans the later
             # steps again: let each of those plans serve more trajectories,

@@ -10,7 +10,7 @@ import scipy
 from qwalksim import classical, cli, coined, continuous, decoherence, stats
 from qwalksim.decoherence import DENSITY_DIMENSION_LIMIT
 from qwalksim.errors import ConfigError, InvariantViolationError
-from qwalksim.graphs import (Graph, GlueSpec, build_cycle, build_glued_trees,
+from qwalksim.graphs import (Graph, GlueSpec, build_cycle, build_glued_trees, build_line,
                              glued_trees_entrance_exit)
 
 
@@ -238,6 +238,52 @@ def test_walk_density_above_limit_exits_2(tmp_path, capsys):
     assert run(["walk", "--graph", "cycle", "--n", "513", "--steps", "1",
                 "--p", "0.1", "-o", str(out)]) == 2
     assert f"limit {DENSITY_DIMENSION_LIMIT}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_walk_hadamard_line_runs_on_every_route(tmp_path):
+    # the line rule keeps the walker off the degree-1 ends, where the
+    # Hadamard coin is undefined, so the density route runs as the pure and
+    # trajectory routes do; its distribution lies within 5 standard errors
+    # of a 2,000-trajectory ensemble
+    argv = ["walk", "--graph", "line", "--steps", "5", "--p", "0.1", "--coin", "hadamard"]
+    paths = {route: str(tmp_path / f"{route}.csv") for route in ("density", "ensemble", "pure")}
+    assert run(argv + ["-o", paths["density"]]) == 0
+    assert run(argv + ["--trajectories", "2000", "--seed", "1", "-o", paths["ensemble"]]) == 0
+    assert run(argv[:-4] + ["--coin", "hadamard", "-o", paths["pure"]]) == 0
+    g = build_line(11)
+
+    def by_vertex(path):
+        # rows list the reached positions x, vertex x + 5
+        dist = np.zeros(g.num_vertices)
+        for x, p in read_csv(path)[1]:
+            dist[int(float(x)) + 5] = float(p)
+        return dist
+    density, sampled = by_vertex(paths["density"]), by_vertex(paths["ensemble"])
+    mean, stderr = decoherence.run_ensemble(
+        coined.initial_state(g, 5, "basis0"), decoherence.DecoherenceSpec(0.1), 5, 2000,
+        1, "hadamard")
+    assert np.allclose(sampled, mean, rtol=1e-12, atol=1e-15)
+    # a bin's variance is at most q(1 - q) / M, which covers bins with no sample
+    floor = np.sqrt(density * (1 - density) / 2000)
+    assert np.all(np.abs(density - mean) <= 5 * np.maximum(stderr, floor) + 1e-12)
+    assert read_meta(paths["density"])["summary"]["density_check"]["trace_deviation"] < 1e-12
+
+
+@pytest.mark.parametrize("graph", [["--graph", "hypercube", "--dimension", "3"],
+                                   ["--graph", "glued-trees", "--depth", "3"]],
+                         ids=["hypercube3", "glued-trees3"])
+@pytest.mark.parametrize("route", [[], ["--p", "0.1"],
+                                   ["--p", "0.1", "--trajectories", "3", "--seed", "1"]],
+                         ids=["pure", "density", "trajectories"])
+def test_walk_hadamard_off_degree_2_exits_2(tmp_path, capsys, graph, route):
+    # the walker reaches a vertex of degree 3, where the Hadamard coin is
+    # undefined: every route refuses with the lone walker's message
+    out = tmp_path / "walk.csv"
+    assert run(["walk", *graph, "--steps", "4", "--coin", "hadamard", *route,
+                "-o", str(out)]) == 2
+    assert "hadamard coin undefined for degree 3 but amplitude occupies such a vertex" in \
+        capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -19,7 +19,7 @@ from qwalksim.decoherence import (DENSITY_DIMENSION_LIMIT, NOT_MEASURED,
                                   iter_density_steps,
                                   MEASUREMENT_TARGETS, run_ensemble, to_density)
 from qwalksim.errors import InvariantViolationError, UnsupportedDegreeError
-from qwalksim.graphs import (GlueSpec, build_cycle, build_glued_trees,
+from qwalksim.graphs import (Graph, GlueSpec, build_cycle, build_glued_trees,
                              build_hypercube, build_line)
 from qwalksim.streams import RowStreams, uniform
 
@@ -432,6 +432,31 @@ def coin_defined(graph, coin):
     return True
 
 
+def defined_step(graph, coin):
+    """The full-range step of the decohered routes, and the half-edges whose
+    coin is undefined: ``step_matrix()`` where the family defines every
+    coin. The Hadamard family defines only degree 2: there it is the default
+    family's matrix (the Hadamard coin at degree 2) with the other
+    half-edges' columns emptied, the rest in the same order."""
+    if coin_defined(graph, coin):
+        return CoinedWalk(graph, coin).step_matrix(), np.empty(0, np.int64)
+    assert coin == "hadamard"
+    undefined = np.flatnonzero(graph.degrees[graph.half_edge_vertex] != 2)
+    u = CoinedWalk(graph, "default").step_matrix()
+    u.data[np.isin(u.indices, undefined)] = 0.0
+    u.eliminate_zeros()
+    return u, undefined
+
+
+def refuse_undefined(graph, coin, occupied):
+    """The lone walker's error if any half-edge ``occupied`` lists, each
+    with an undefined coin, holds amplitude."""
+    if occupied.size:
+        degree = graph.degrees[graph.half_edge_vertex[occupied]].min()
+        raise UnsupportedDegreeError(
+            f"{coin} coin undefined for degree {degree} but amplitude occupies such a vertex")
+
+
 @pytest.mark.parametrize("target", MEASUREMENT_TARGETS)
 @pytest.mark.parametrize("coin", COIN_FAMILIES)
 @pytest.mark.parametrize("graph_name", sorted(STEP_GRAPHS))
@@ -521,13 +546,16 @@ def test_yielded_states_own_their_support_blocks():
 
 def full_range_density_matrices(rho0, spec, coin):
     graph = rho0.graph
-    u = CoinedWalk(graph, coin).step_matrix()
+    u, undefined = defined_step(graph, coin)
     u_conj = u.conj()
     factors = full_factors(graph, spec)
     held = dense(rho0)
     turned = np.empty(held.shape, dtype=np.complex128)
     transposed = False
     while True:
+        # a nonzero row or column on a vertex without a coin cannot step
+        refuse_undefined(graph, coin, undefined[held[undefined].any(axis=1)
+                                                | held[:, undefined].any(axis=0)])
         first, second = (u_conj, u) if transposed else (u, u_conj)
         np.copyto(turned, (first @ held).T)
         held = second @ turned
@@ -543,14 +571,17 @@ def bits(matrix):
 def assert_same_bits_as_full_range(rho0, spec, coin, steps):
     reference = full_range_density_matrices(rho0, spec, coin)
     windowed = iter_density_steps(rho0, spec, coin)
-    if not coin_defined(rho0.graph, coin):
-        with pytest.raises(UnsupportedDegreeError):
-            next(reference)
-        with pytest.raises(UnsupportedDegreeError):
-            next(windowed)
-        return
     for _ in range(steps):
-        assert np.array_equal(bits(dense(next(windowed))), bits(next(reference)))
+        try:
+            want = next(reference)
+        except UnsupportedDegreeError as exc:
+            # the state holds amplitude on a vertex whose coin is undefined:
+            # the windowed step raises the same error at the same step
+            with pytest.raises(UnsupportedDegreeError) as got:
+                next(windowed)
+            assert str(got.value) == str(exc)
+            return
+        assert np.array_equal(bits(dense(next(windowed))), bits(want))
 
 
 def line_start(g, kind, rng):
@@ -620,6 +651,35 @@ def test_coherence_without_diagonal_starts_the_window():
                                    "default", 12)
 
 
+@pytest.mark.parametrize("entry", [(0, 5), (5, 0)], ids=["row", "column"])
+def test_density_refuses_a_row_or_column_on_a_vertex_without_a_coin(entry):
+    # half-edge 0 is the degree-1 end of the line, where the Hadamard coin
+    # is undefined; U has no column for it, so a step would drop the entry
+    g = build_line(9)
+    m = np.zeros((g.half_edge_count, g.half_edge_count), dtype=complex)
+    m[entry] = 1.0
+    with pytest.raises(UnsupportedDegreeError, match="degree 1 but amplitude occupies"):
+        next(iter_density_steps(DensityState(g, m), DecoherenceSpec(0.2), "hadamard"))
+    assert_same_bits_as_full_range(DensityState(g, m), DecoherenceSpec(0.2), "hadamard", 1)
+
+
+def test_decohered_routes_name_the_lowest_undefined_degree():
+    # a star has a degree-3 centre and degree-1 leaves, neither with a
+    # Hadamard coin: every route names degree 1, the first the lone
+    # walker's step meets
+    g = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    s = PureState(g, np.full(6, 1 / np.sqrt(6), dtype=complex))
+    with pytest.raises(UnsupportedDegreeError, match="degree 1 ") as pure:
+        CoinedWalk(g, "hadamard").step_amplitudes(s.amplitudes)
+    spec = DecoherenceSpec(0.5)
+    for run in (lambda: evolve_trajectory(s, spec, 1, seed=1, coin="hadamard"),
+                lambda: run_ensemble(s, spec, 1, 3, 1, "hadamard"),
+                lambda: evolve_density(to_density(s), spec, 1, "hadamard")):
+        with pytest.raises(UnsupportedDegreeError) as got:
+            run()
+        assert str(got.value) == str(pure.value)
+
+
 def test_zero_matrix_stays_zero():
     g = build_line(9)
     m = np.zeros((g.half_edge_count, g.half_edge_count), dtype=complex)
@@ -647,10 +707,9 @@ def test_density_step_on_graphs_that_do_not_localise(graph_name, coin, target):
 
 
 def density_plan(graph, coin, spec):
-    """``_step_plan`` bound as a density run binds it."""
-    u = CoinedWalk(graph, coin).step_matrix()
-    entry_rows = np.repeat(np.arange(u.shape[0]), np.diff(u.indptr))
-    return functools.partial(decoherence._step_plan, u, u.conj(), entry_rows,
+    """``_density_plan`` bound as a density run binds it."""
+    return functools.partial(decoherence._density_plan,
+                             decoherence._restriction(CoinedWalk(graph, coin)),
                              decoherence._sector_ids(graph, spec.target), spec.p)
 
 
@@ -660,9 +719,9 @@ def test_full_support_runs_on_the_step_operator_itself():
     u_conj = u.conj()
     n = g.half_edge_count
     spec = DecoherenceSpec(0.3)
-    support_next, indptr, indices, data, data_conj, factors = \
+    support_next, indptr, indices, data, blocked, data_conj, factors = \
         density_plan(g, "default", spec)(np.arange(n))
-    assert np.array_equal(support_next, np.arange(n))
+    assert np.array_equal(support_next, np.arange(n)) and blocked is None
     # the general plan on the full set is U's own arrays, bytes and dtypes
     for got, want in ((indptr, u.indptr), (indices, u.indices), (data, u.data),
                       (data_conj, u_conj.data)):
@@ -684,7 +743,8 @@ def test_density_plan_grows_to_the_rows_that_touch_the_set():
             sorted(rng.choice(n, 15, replace=False))]
     for support in map(np.array, sets):
         support = support.astype(np.int64)
-        support_next, indptr, indices, data, data_conj, block_factors = plan(support)
+        support_next, indptr, indices, data, blocked, data_conj, block_factors = plan(support)
+        assert blocked is None
         touched = np.flatnonzero(np.any(dense[:, support] != 0, axis=1))
         assert np.array_equal(support_next, touched)
         shape = (len(support_next), len(support))
@@ -702,7 +762,7 @@ def test_restricted_rows_keep_the_stored_term_order():
     g = build_hypercube(3)
     u = CoinedWalk(g).step_matrix()
     support = np.array([0, 1, 2, 9, 10, 11, 14])
-    support_next, indptr, indices, data, _, _ = \
+    support_next, indptr, indices, data, *_ = \
         density_plan(g, "default", DecoherenceSpec(0.3, "both"))(support)
     for r, row in enumerate(support_next):
         cols = u.indices[u.indptr[row]:u.indptr[row + 1]]
@@ -816,10 +876,10 @@ def plan_sets(build, start, steps):
 
 @pytest.mark.parametrize("graph_name", sorted(STEP_GRAPHS))
 def test_density_and_trajectory_plans_walk_the_same_sets(graph_name):
-    # S_{t+1} is the rows of U with a nonzero in a column of S_t, whether
-    # read off the CSR step matrix or off the gather table and block
-    # plans; a zero coin entry (the Grover coin's diagonal at degree 2)
-    # reaches nothing on either side
+    # one builder plans both routes, and a set keeps the dtype of the
+    # start: int32 for trajectories. S_{t+1} is the rows of U with a
+    # nonzero in a column of S_t; a zero coin entry (the Grover coin's
+    # diagonal at degree 2) reaches nothing
     g = STEP_GRAPHS[graph_name]()
     h = g.half_edge_count
     v = g.num_vertices // 2
@@ -831,11 +891,15 @@ def test_density_and_trajectory_plans_walk_the_same_sets(graph_name):
     assert "grover" in coins
     for coin in coins:
         build = density_plan(g, coin, DecoherenceSpec(0.3))
-        walk = CoinedWalk(g, coin)
+        u = dense_step_operator(g, coin)
         for start in (pure, subset):
             want = plan_sets(build, start, 2 * h)
-            got = plan_sets(walk.support_plan, start.astype(np.int32), 2 * h)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+            got = plan_sets(decoherence._restriction(CoinedWalk(g, coin)),
+                            start.astype(np.int32), 2 * h)
+            assert all(a.dtype == np.int32 and np.array_equal(a, b)
+                       for a, b in zip(got, want, strict=True))
+            for now, after in zip(want, want[1:]):
+                assert np.array_equal(after, np.flatnonzero(np.any(u[:, now] != 0, axis=1)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -865,6 +929,40 @@ def test_trajectory_without_measurement_matches_pure():
     assert record.shape == (10, 4)
     assert np.all(record[:, 1] == 0)
     assert np.all(record[:, 2:] == NOT_MEASURED)
+
+
+UNMEASURED_GRAPHS = {
+    "line": (lambda: build_line(81), 30),
+    "cycle": (lambda: build_cycle(9), 30),
+    "hypercube6": (lambda: build_hypercube(6), 20),
+    "glued4": (lambda: build_glued_trees(4, GlueSpec("random-cycle", seed=4)), 30),
+}
+
+
+@pytest.mark.parametrize("coin", COIN_FAMILIES)
+@pytest.mark.parametrize("name", sorted(UNMEASURED_GRAPHS))
+def test_unmeasured_trajectory_is_the_lone_walk(name, coin):
+    # at p = 0 a trajectory is the lone walker: the same values on the line
+    # and cycle with a real coin, and within rounding where a complex coin
+    # or a sum of more than two terms may round otherwise. A coin the
+    # family does not define raises the walker's error on both
+    make, steps = UNMEASURED_GRAPHS[name]
+    g = make()
+    v = start_of(g)
+    s = initial_state(g, v, unit_coin(g, v, 11))
+    try:
+        want = CoinedWalk(g, coin).evolve(s, steps).amplitudes
+    except UnsupportedDegreeError as exc:
+        with pytest.raises(UnsupportedDegreeError) as got:
+            evolve_trajectory(s, DecoherenceSpec(0.0), steps, seed=1, coin=coin)
+        assert str(got.value) == str(exc)
+        assert coin == "hadamard" and name in ("hypercube6", "glued4")
+        return
+    got, _ = evolve_trajectory(s, DecoherenceSpec(0.0), steps, seed=1, coin=coin)
+    if name in ("line", "cycle") and coin != "dft":
+        assert np.array_equal(got.amplitudes, want)
+    else:
+        assert np.max(np.abs(got.amplitudes - want)) <= 1e-15
 
 
 def test_trajectory_is_deterministic_per_seed():
@@ -977,9 +1075,10 @@ def test_ensemble_rejects_empty():
 # --- batched trajectories keep every trajectory's seed stream ------------
 #
 # The serial loop below is the trajectory engine as it was before
-# batching: one generator per trajectory, the 1-D step, and one scalar
-# random() call per step plus one per collapse. The batched engine must
-# reproduce it bit for bit, amplitudes and records alike.
+# batching, on the full range: one generator per trajectory, the product
+# of step_matrix() with the whole state, and one scalar random() call per
+# step plus one per collapse. The batched engine must reproduce it bit for
+# bit, amplitudes and records alike.
 
 def serial_collapse(amps, graph, target, rng):
     if target == "both":
@@ -1008,12 +1107,13 @@ def serial_collapse(amps, graph, target, rng):
 
 def serial_trajectory(state0, spec, steps, seed, coin):
     graph = state0.graph
-    walk = CoinedWalk(graph, coin)
+    u, undefined = defined_step(graph, coin)
     rng = np.random.default_rng(seed)
     amps = state0.amplitudes.copy()
     record = np.empty((steps, 4), dtype=np.int64)
     for t in range(1, steps + 1):
-        amps = walk.step_amplitudes(amps)
+        refuse_undefined(graph, coin, undefined[amps[undefined] != 0])
+        amps = u @ amps
         measured = rng.random() < spec.p
         pos = coin_out = NOT_MEASURED
         if measured:
@@ -1040,18 +1140,15 @@ def start_of(graph):
 
 
 def held_on(support, amps):
-    """Full-width rows of amplitudes held on ``support``: one column each,
-    and the zero row."""
-    held = np.zeros((len(support) + 1, len(amps)), dtype=np.complex128)
-    held[:-1] = amps[:, support].T
-    return held
+    """Full-width rows of amplitudes held on ``support``, one column each."""
+    return np.ascontiguousarray(amps[:, support].T)
 
 
 def widest_set(walk, start, steps):
     """The most half-edges a chunk from ``start`` is held on in ``steps``
     steps, max |S_t| over t <= steps."""
     start = np.asarray(start, dtype=np.int32)
-    return max(map(len, plan_sets(walk.support_plan, start, steps)))
+    return max(map(len, plan_sets(decoherence._restriction(walk), start, steps)))
 
 
 def chunk_width(walk, start, steps):
@@ -1063,56 +1160,64 @@ def chunk_width(walk, start, steps):
 def spread(support, held, n):
     """The full-width rows of the states held on ``support``, +0 elsewhere."""
     amps = np.zeros((held.shape[1], n), dtype=np.complex128)
-    amps[:, support] = held[:-1].T
+    amps[:, support] = held.T
     return amps
 
 
 @pytest.mark.parametrize("name", sorted(TRAJECTORY_GRAPHS))
 @pytest.mark.parametrize("family", COIN_FAMILIES)
 def test_step_rows_matches_single_rows(name, family):
-    # five states held on the reachable set S_t take the support step.
-    # Given the same operands (the states spread to full width), the
-    # full-width step has its bits on S_{t+1} and zeros outside. Lone rows
-    # stepped at full width all along have its values; a signed zero may
-    # differ, as they carry -0 outside the set where it holds +0
+    # five states held on the reachable set S_t take the trajectories'
+    # step, the sparse product with their set's plan. Given the same
+    # operands (the states spread to full width), the full-range product
+    # with step_matrix() has its bits on S_{t+1} and zeros outside. Lone
+    # rows stepped by step_amplitudes at full width all along have its
+    # values on the line and cycle with a real coin; elsewhere a sum of
+    # three terms or a complex coin may round otherwise
     g = TRAJECTORY_GRAPHS[name]()
     n = g.half_edge_count
     walk = CoinedWalk(g, family)
+    u, undefined = defined_step(g, family)
+    build = decoherence._restriction(walk)
     rng = np.random.default_rng(3)
     support = np.sort(rng.choice(n, size=4, replace=False))
     singles = np.zeros((5, n), dtype=np.complex128)
     singles[:, support] = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
     singles[:, support[0]] = complex(-0.0, 0.0)
     rows = held_on(support, singles)
-    # only the Hadamard family raises, on vertices of degree other than 2
-    undefined = np.flatnonzero(g.degrees[g.half_edge_vertex] != 2)
     raised = 0
     for _ in range(8):
-        plan = walk.support_plan(support)
+        reached, indptr, indices, data, blocked = build(support)
+        if blocked is not None:
+            assert np.array_equal(support[blocked], np.intersect1d(support, undefined))
         try:
             want = [walk.step_amplitudes(amps) for amps in spread(support, rows, n)]
         except UnsupportedDegreeError as exc:
-            # amplitude sits on a vertex without a coin: the support step
-            # raises the same error; with none there, both go on
+            # amplitude sits on a vertex without a coin: the trajectories'
+            # check raises the same error; with none there, both go on
             with pytest.raises(UnsupportedDegreeError) as batched:
-                walk.step_support(plan, rows)
+                decoherence._refuse_undefined(walk, support[blocked[rows[blocked].any(axis=1)]])
             assert str(batched.value) == str(exc)
             assert np.any(singles[:, undefined])
             singles[:, undefined] = 0.0
             rows = held_on(support, singles)
             raised += 1
             continue
+        full = [u @ amps for amps in spread(support, rows, n)]
         singles = np.array([walk.step_amplitudes(single) for single in singles])
-        rows = walk.step_support(plan, rows)
-        support = plan[0]
+        rows = decoherence._sparse_product(indptr, indices, data, rows,
+                                           np.empty((len(reached), 5), dtype=np.complex128))
+        support = reached
         outside = np.setdiff1d(np.arange(n), support)
-        for r, (full, single) in enumerate(zip(want, singles)):
-            assert same_bits(rows[:-1, r].copy(), full[support])
-            assert np.array_equal(rows[:-1, r], single[support])
-            if name in ("line", "cycle"):
-                assert same_bits(rows[:-1, r].copy(), single[support])
-            assert not np.any(full[outside]) and not np.any(single[outside])
-        assert same_bits(rows[-1], np.zeros(5, np.complex128))
+        for r, (product, step, single) in enumerate(zip(full, want, singles)):
+            assert same_bits(rows[:, r].copy(), product[support])
+            assert not np.any(product[outside]) and not np.any(step[outside])
+            assert not np.any(single[outside])
+            assert np.max(np.abs(rows[:, r] - step[support]), initial=0.0) <= 1e-15
+            if name in ("line", "cycle") and family != "dft":
+                assert np.array_equal(rows[:, r], single[support])
+            else:
+                assert np.max(np.abs(rows[:, r] - single[support]), initial=0.0) <= 1e-14
     # every graph but the cycle has vertices without a Hadamard coin
     assert bool(raised) == (family == "hadamard" and name != "cycle")
 
@@ -1134,9 +1239,10 @@ def test_batched_trajectories_match_serial_loop(name, family, target, p, steps, 
     try:
         reference = [serial_trajectory(s, spec, steps, seed + i, family)
                      for i in range(trajectories)]
-    except UnsupportedDegreeError:
-        with pytest.raises(UnsupportedDegreeError):
+    except UnsupportedDegreeError as exc:
+        with pytest.raises(UnsupportedDegreeError) as batched:
             run_ensemble(s, spec, steps, trajectories, seed, family)
+        assert str(batched.value) == str(exc)
         return
     # tiny chunks and draw blocks: several chunks per ensemble, and rows
     # that refill their blocks at different steps
@@ -1146,16 +1252,14 @@ def test_batched_trajectories_match_serial_loop(name, family, target, p, steps, 
     with mock.patch.object(decoherence, "_CHUNK_BYTES", 16 * width * chunk_rows), \
             mock.patch.object(decoherence, "_DRAW_BLOCK", block):
         final, held, records = decoherence._trajectories(
-            walk, decoherence._StepPlans(walk.support_plan, support), steps,
+            walk, decoherence._StepPlans(decoherence._restriction(walk), support), steps,
             s.amplitudes[support], spec, range(seed, seed + trajectories), True)
         amps = spread(final, held, g.half_edge_count)
         for i, (want_amps, want_record) in enumerate(reference):
             single, record = evolve_trajectory(s, spec, steps, seed + i, family)
-            assert np.array_equal(amps[i], want_amps)
+            assert same_bits(amps[i], want_amps)
             assert np.array_equal(records[i], want_record)
-            assert np.array_equal(single.amplitudes, want_amps)
-            if name in ("line", "cycle"):
-                assert same_bits(single.amplitudes, want_amps)
+            assert same_bits(single.amplitudes, want_amps)
             assert np.array_equal(record, want_record)
         mean, stderr = run_ensemble(s, spec, steps, trajectories, seed, family)
     want_mean, want_stderr = serial_ensemble(s, spec, steps, trajectories, seed, family)
@@ -1185,90 +1289,90 @@ def test_ensemble_plans_each_step_once_for_all_chunks(g, steps):
     walk = CoinedWalk(g)
     sets, support = set(), np.flatnonzero(s.amplitudes).astype(np.int32)
     width = chunk_width(walk, support, steps)
+    build = decoherence._restriction(walk)
     for _ in range(steps):
         sets.add(support.tobytes())
-        support = walk.support_plan(support)[0]
-    plan = CoinedWalk.support_plan
-    calls = [0]
-
-    def counted(*args):
-        calls[0] += 1
-        return plan(*args)
+        support = build(support)[0]
     spec = DecoherenceSpec(0.2, "both")
     with mock.patch.object(decoherence, "_CHUNK_BYTES", 16 * width * 3), \
-            mock.patch.object(CoinedWalk, "support_plan", counted), \
+            mock.patch.object(decoherence, "_step_plan",
+                              wraps=decoherence._step_plan) as planned, \
             mock.patch.object(decoherence, "_trajectories",
                               wraps=decoherence._trajectories) as chunks:
         assert -(-10 // decoherence._chunk_rows(width)) == 4
         mean, stderr = run_ensemble(s, spec, steps, 10, seed=5)
     assert [len(call.args[5]) for call in chunks.call_args_list] == [3, 3, 3, 1]
-    assert calls[0] == len(sets)
+    assert planned.call_count == len(sets)
     assert len(sets) == steps if g.kind == "line" else len(sets) < steps
     want_mean, want_stderr = serial_ensemble(s, spec, steps, 10, 5, "default")
     assert np.array_equal(mean, want_mean)
     assert np.array_equal(stderr, want_stderr)
 
 
-def test_step_plans_hold_16_bytes_per_reached_half_edge():
-    # positions only, as int32: each reached half-edge of each step keeps
-    # its place in the set, its two sources and its gather-table row
+def test_step_plans_hold_at_most_48_bytes_per_reached_half_edge():
+    # a reached half-edge keeps its place in the set and its row pointer
+    # (int32), and one int32 column and complex coefficient per term: two
+    # terms where S_t holds both half-edges of its source vertex, one on the
+    # front of the walk
     g = build_line(101)
     s = initial_state(g, g.params["origin"], "symmetric")
     start = np.flatnonzero(s.amplitudes).astype(np.int32)
     plans = list(itertools.islice(
-        decoherence._StepPlans(CoinedWalk(g).support_plan, start), 50))
-    reached = 0
-    for support, (src, terms, dest), blocks in plans:
-        assert support.dtype == src.dtype == terms.dtype == np.int32
-        assert dest is None and not blocks
-        assert src.shape == (2, len(support)) and terms.shape == support.shape
+        decoherence._StepPlans(decoherence._restriction(CoinedWalk(g)), start), 50))
+    reached = terms = 0
+    for support, indptr, indices, data, blocked in plans:
+        assert support.dtype == indptr.dtype == indices.dtype == np.int32
+        assert data.dtype == np.complex128 and blocked is None
+        assert indptr.shape == (len(support) + 1,) and data.shape == indices.shape
         reached += len(support)
-    assert reached == 2550
-    assert sum(map(decoherence._plan_bytes, plans)) == 16 * reached == 40_800
+        terms += len(indices)
+    assert (reached, terms) == (2550, 4904)
+    assert sum(a.nbytes for plan in plans for a in plan[:4]) == \
+        8 * reached + 4 * 50 + 20 * terms == 118_680
 
 
-@pytest.mark.parametrize("budget,kept", [(0, 0), (1000, 7), (40_799, 49), (40_800, 50)])
+@pytest.mark.parametrize("budget,kept", [(0, 0), (1000, 4), (118_679, 49), (118_680, 50)])
 def test_step_plans_keep_the_first_steps_that_fit(budget, kept):
     # the first pass keeps the plans of the first steps while they fit
-    # (step t plans 32 (t + 1) bytes); a second pass yields those and plans
-    # the later steps again, to the same positions
+    # (step t plans 20 + 96 t bytes, 100 at t = 0); a second pass yields
+    # those and plans the later steps again, to the same sets and entries
     g = build_line(101)
     s = initial_state(g, g.params["origin"], "symmetric")
     start = np.flatnonzero(s.amplitudes).astype(np.int32)
-    plans = decoherence._StepPlans(CoinedWalk(g).support_plan, start, budget)
+    plans = decoherence._StepPlans(decoherence._restriction(CoinedWalk(g)), start, budget)
     first = list(itertools.islice(plans, 50))
     assert len(plans.kept) == kept
-    assert sum(map(decoherence._plan_bytes, plans.kept)) <= budget
+    assert sum(a.nbytes for plan in plans.kept for a in plan[:4]) <= budget
     second = list(itertools.islice(plans, 50))
     assert all(a is b for a, b in zip(first[:kept], second))
     for a, b in zip(first, second):
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[1][0], b[1][0]) and np.array_equal(a[1][1], b[1][1])
+        assert all(np.array_equal(x, y) for x, y in zip(a[:4], b[:4]))
 
 
 def test_long_line_ensemble_keeps_its_plans_under_the_budget():
-    # 1,000 steps on a line plan 16 MB of positions. With a 1 MiB budget
-    # the first chunk of two trajectories keeps 1 MiB of them; the other
-    # three then step as one chunk (a quarter of the budget holds three
-    # rows of H = 4800), which plans the later steps again once
+    # 1,000 steps on a line plan 48 MB. With a 1 MiB budget the first
+    # chunk of two trajectories keeps 1 MiB of them; the other three then
+    # step as one chunk (a quarter of the budget holds three rows of
+    # H = 4800), which plans the later steps again once
     g = build_line(2401)
     s = initial_state(g, g.params["origin"], "symmetric")
     spec = DecoherenceSpec(0.01, "both")
     assert decoherence._chunk_rows(g.half_edge_count) == 2
-    plan = CoinedWalk.support_plan
+    plan = decoherence._step_plan
     calls = [0]
 
     def counted(*args):
+        # a count alone: a mock would keep every set it was called with
         calls[0] += 1
         return plan(*args)
     with mock.patch.object(decoherence, "_PLAN_BYTES", 1 << 20), \
-            mock.patch.object(CoinedWalk, "support_plan", counted):
+            mock.patch.object(decoherence, "_step_plan", counted):
         tracemalloc.start()
         mean, stderr = run_ensemble(s, spec, 1000, 5, seed=11)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-    # step t plans 32 (t + 1) bytes: 255 steps fit in 1 MiB
-    assert calls[0] == 1000 + 745
+    # step t plans 20 + 96 t bytes: 148 steps fit in 1 MiB
+    assert calls[0] == 1000 + 852
     assert peak < 3 << 20
     want_mean, want_stderr = serial_ensemble(s, spec, 1000, 5, 11, "default")
     assert np.array_equal(mean, want_mean)
@@ -1278,41 +1382,31 @@ def test_long_line_ensemble_keeps_its_plans_under_the_budget():
 def test_ensemble_sizes_its_chunks_by_the_widest_set():
     # 50 steps from the middle of line(101) reach at most 100 of its 200
     # half-edges, so 200 trajectories step as chunks of 122 and 78 rows,
-    # each held within the chunk bytes besides its zero row. Plans past a
-    # smaller budget leave the sets past it unknown: chunks of H rows
+    # each held within the chunk bytes. Plans past a smaller budget leave
+    # the sets past it unknown: chunks of H rows
     g = build_line(101)
     s = initial_state(g, g.params["origin"], "symmetric")
     spec = DecoherenceSpec(0.1, "both")
     assert widest_set(CoinedWalk(g), np.flatnonzero(s.amplitudes), 50) == 100
     assert decoherence._chunk_rows(g.half_edge_count) == 61
-    step, build = CoinedWalk.step_support, CoinedWalk.support_plan
-    held, calls = [], [0]
-
-    def stepped(self, plan, amps):
-        out = step(self, plan, amps)
-        held.extend((amps, out))
-        return out
-
-    def counted(*args):
-        calls[0] += 1
-        return build(*args)
     want_mean, want_stderr = serial_ensemble(s, spec, 50, 200, 7, "default")
     for budget, sizes, builds in [(decoherence._PLAN_BYTES, [122, 78], 50),
-                                  (20_000, [61, 61, 61, 17], 50 + 3 * 16)]:
-        held.clear()
-        calls[0] = 0
+                                  (20_000, [61, 61, 61, 17], 50 + 3 * 30)]:
         with mock.patch.object(decoherence, "_PLAN_BYTES", budget), \
-                mock.patch.object(CoinedWalk, "step_support", stepped), \
-                mock.patch.object(CoinedWalk, "support_plan", counted), \
+                mock.patch.object(decoherence, "_sparse_product",
+                                  wraps=decoherence._sparse_product) as stepped, \
+                mock.patch.object(decoherence, "_step_plan",
+                                  wraps=decoherence._step_plan) as planned, \
                 mock.patch.object(decoherence, "_trajectories",
                                   wraps=decoherence._trajectories) as chunks:
             mean, stderr = run_ensemble(s, spec, 50, 200, seed=7)
         assert [len(call.args[5]) for call in chunks.call_args_list] == sizes
-        assert len(held) == 2 * 50 * len(sizes)
-        assert max(a.nbytes - 16 * a.shape[1] for a in held) <= decoherence._CHUNK_BYTES
-        # step t plans 32 (t + 1) bytes: 34 steps fit in 20,000, and each
-        # chunk after the first plans the other 16 again
-        assert calls[0] == builds
+        assert stepped.call_count == 50 * len(sizes)
+        held = [a for call in stepped.call_args_list for a in call.args[3:]]
+        assert max(a.nbytes for a in held) <= decoherence._CHUNK_BYTES
+        # step t plans 20 + 96 t bytes: 20 steps fit in 20,000, and each
+        # chunk after the first plans the other 30 again
+        assert planned.call_count == builds
         assert np.array_equal(mean, want_mean)
         assert np.array_equal(stderr, want_stderr)
 
@@ -1336,7 +1430,7 @@ def test_short_walk_on_a_long_line_keeps_its_distributions_in_the_chunk_bytes():
             tracemalloc.stop()
     assert max(len(call.args[5]) for call in chunks.call_args_list) == 12
     # over a lone trajectory's run: the distributions, their squares and
-    # the running sums' two copies, each within the chunk bytes
+    # the chunk's amplitudes and temporaries, each within the chunk bytes
     assert peaks[1] - peaks[0] <= 4 * decoherence._CHUNK_BYTES
     want_mean, want_stderr = serial_ensemble(s, spec, 2, 300, 9, "default")
     assert np.array_equal(mean, want_mean)
@@ -1350,15 +1444,16 @@ def test_one_chunk_ensemble_keeps_no_plan():
     s = initial_state(g, g.params["origin"], "symmetric")
     spec = DecoherenceSpec(0.1, "both")
     assert decoherence._chunk_rows(g.half_edge_count) == 61
-    for trajectories, budget, weighed in [(61, 0, False), (62, decoherence._PLAN_BYTES, True)]:
+    for trajectories, budget in [(61, 0), (62, decoherence._PLAN_BYTES)]:
         with mock.patch.object(decoherence._StepPlans, "__init__", autospec=True,
-                               side_effect=decoherence._StepPlans.__init__) as made, \
-                mock.patch.object(decoherence, "_plan_bytes",
-                                  wraps=decoherence._plan_bytes) as plan_bytes:
+                               side_effect=decoherence._StepPlans.__init__) as made:
             run_ensemble(s, spec, 50, trajectories, seed=3)
         assert made.call_count == 1 and made.call_args.args[3] == budget
-        assert plan_bytes.called == weighed
-        assert len(made.call_args.args[0].kept) == (50 if weighed else 0)
+        plans = made.call_args.args[0]
+        weighed = sum(a.nbytes for plan in plans.kept for a in plan if a is not None)
+        # with no budget, no room is counted down
+        assert plans.room == (budget - weighed if budget else -1)
+        assert len(plans.kept) == (50 if budget else 0)
 
 
 def test_row_streams_refill_per_row():

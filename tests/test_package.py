@@ -15,7 +15,7 @@ def test_public_names_resolve_and_second_paths_are_gone():
         assert hasattr(qwalksim, name), name
     # second paths to what CoinedWalk and Graph already do, knobs that
     # gained nothing, and names that nothing but their own tests called
-    gone = [(coined, ("coin_toss", "shift", "step", "evolve", "_apply_coin")),
+    gone = [(coined, ("coin_toss", "shift", "step", "evolve", "_apply_coin", "_plan_bytes")),
             (graphs, ("neighbors", "dump_edge_list")),
             (stats, ("central_std_dev", "uniform_distribution", "time_averaged",
                      "flatness_ratio")),
@@ -23,7 +23,7 @@ def test_public_names_resolve_and_second_paths_are_gone():
             (decoherence, ("record_to_csv", "_full_matrix", "_dephasing_factors",
                            "_SupportMap")),
             (coined.CoinedWalk, ("inverse_step_amplitudes", "coin_toss", "shift", "step_rows",
-                                "copies")),
+                                "copies", "support_plan", "step_support")),
             (coined.PureState, ("amplitude", "copy")),
             (decoherence.DensityState, ("purity", "copy")),
             (graphs.Graph, ("coin_offset", "direction_index", "half_edge")),
@@ -35,6 +35,7 @@ def test_public_names_resolve_and_second_paths_are_gone():
             (stats.Distribution(np.ones(1)), ("metadata",)),
             (continuous.Hamiltonian(np.eye(1)), ("basis", "gamma")),
             (decoherence.DensityState(graphs.build_cycle(3), np.eye(6) / 6), ("matrix",)),
+            (coined.CoinedWalk(graphs.build_line(5)), ("_readers",)),
             (cli, ("THREADS_ENV_VAR", "sweep_thread_count"))]
     for owner, names in gone:
         for name in names:
