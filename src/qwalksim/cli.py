@@ -241,8 +241,10 @@ def run_continuous(cfg: WalkConfig, graph: Graph, start: int,
 
     From the glued-trees entrance the walk stays column-uniform, so the
     column chain gives it exactly: column c's probability |a_c|^2 spreads
-    evenly over its N_c vertices. Any other start or graph evolves the full
-    graph's dense Hamiltonian.
+    evenly over its N_c vertices. The chain's grid kernel evaluates only the
+    exit column on the series' and the peak's grids, and every column at the
+    series' last point. Any other start or graph evolves the full graph's
+    dense Hamiltonian.
     """
     if not (cfg.graph == "glued-trees" and start == GLUED_TREES_ENTRANCE):
         h = continuous.hamiltonian(graph, cfg.gamma, cfg.convention)
@@ -257,17 +259,18 @@ def run_continuous(cfg: WalkConfig, graph: Graph, start: int,
     chain = continuous.reduce_columns(
         cfg.depth, GlueSpec(cfg.glue_mode, cfg.glue_seed), cfg.gamma, cfg.convention)
     exit_column = chain.dimension - 1
-    # the distribution is the last row of the exit series' own grid, so the
-    # exit vertex reads the same number in both files
-    times = np.linspace(0.0, cfg.time, continuous.SERIES_POINTS)
-    amps = continuous.evolve_ct_many(chain, np.eye(chain.dimension)[0], times)
     if cfg.exit_series is not None:
         atomic_write(cfg.exit_series, continuous.exit_series_csv(
-            times, np.abs(amps[:, exit_column]) ** 2))
+            *continuous.transfer_series(chain, 0, exit_column, cfg.time)))
     summary["exit_peak_time"], summary["exit_peak_height"] = \
         continuous.first_peak_time(*continuous.transfer_series(
             chain, 0, exit_column, max(cfg.time, 4.0 * cfg.depth)))
-    final = amps[-1]
+    # the last point of the exit series' grid, for every column: the grid
+    # kernel gives a point the same bits whatever else it is asked, so the
+    # exit vertex reads the same number in both files
+    last = continuous.SERIES_POINTS - 1
+    final = continuous._grid_amplitudes(
+        chain, 0, cfg.time, continuous.SERIES_POINTS, slice(None), [last])[0]
     summary["continuous_check"] = {
         "route": "column-chain", "norm_deviation": float(abs(np.linalg.norm(final) - 1.0))}
     per_vertex = np.abs(final) ** 2 / continuous.column_sizes(cfg.depth)
@@ -279,12 +282,15 @@ def format_distribution_csv(dist: stats.Distribution) -> str:
 
     One row per support point, 15 significant digits.
     """
-    positional = dist.coordinates is not None
-    lines = ["x,probability" if positional else "vertex,probability"]
-    for idx in np.flatnonzero(dist.probabilities > 0.0):
-        label = f"{dist.coordinates[idx]:.15g}" if positional else str(int(idx))
-        lines.append(f"{label},{dist.probabilities[idx]:.15g}")
-    return "\n".join(lines) + "\n"
+    support = np.flatnonzero(dist.probabilities > 0.0)
+    if dist.coordinates is not None:
+        header = "x,probability\n"
+        labels = [f"{x:.15g}" for x in dist.coordinates[support].tolist()]
+    else:
+        header, labels = "vertex,probability\n", support.tolist()
+    rows = (f"{label},{p:.15g}\n"
+            for label, p in zip(labels, dist.probabilities[support].tolist()))
+    return "".join([header, *rows])
 
 
 def format_distribution_json(dist: stats.Distribution, metadata: dict) -> str:

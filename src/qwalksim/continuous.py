@@ -3,8 +3,11 @@
 The Hamiltonian is gamma times the graph Laplacian by default (H = g(D - A));
 the pure-adjacency convention (H = -gA) is available as a switch. Evolution
 uses a full dense symmetric eigendecomposition, so any time is exact and
-repeated times reuse the same factorization. ``evolve_ct_many`` is the one
-evolution path; ``evolve_ct`` is its single-time case.
+repeated times reuse the same factorization. ``evolve_ct`` gives every
+amplitude at one time. A series on an evenly spaced time grid goes through
+one grid kernel (``_grid_amplitudes``), which evaluates only the points
+and vertices asked for, without BLAS, and gives a point the same bits
+however it is asked.
 
 For glued trees the walk started at the entrance stays in the
 column-uniform subspace, so a (2*depth+2)-dimensional chain Hamiltonian
@@ -16,15 +19,14 @@ per vertex, so its memory grows with the 2^(depth+2) - 2 vertices (about
 300 MB at depth 18; depth 40 would need 16 TiB). Every other start and
 graph builds the dense Hamiltonian of the full graph, which
 ``hamiltonian`` refuses above ``CONTINUOUS_DIMENSION_LIMIT`` vertices
-before allocating it; ``full_graph_exit_signal`` keeps that route as the
-chain's oracle.
+before allocating it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, GlueSpec, glued_trees_entrance_exit
+from .graphs import Graph, GlueSpec
 
 HAMILTONIAN_CONVENTIONS = ("laplacian", "adjacency")
 
@@ -86,20 +88,8 @@ def hamiltonian(g: Graph, gamma: float = 1.0,
 
 def evolve_ct(h: Hamiltonian, initial: np.ndarray, time: float) -> np.ndarray:
     """Apply exp(-i H t) to the initial amplitude vector."""
-    return evolve_ct_many(h, initial, [time])[0]
-
-
-def evolve_ct_many(h: Hamiltonian, initial: np.ndarray,
-                   times: np.ndarray) -> np.ndarray:
-    """Amplitudes at each requested time, stacked as rows.
-
-    One time runs as a matrix-vector product, several as a matrix product;
-    their BLAS kernels may round a row differently in the last place.
-    """
-    times = np.asarray(times, dtype=float)
-    bad = ~(np.isfinite(times) & (times >= 0))
-    if bad.any():
-        raise ValueError(f"times must be finite and >= 0, got {times[bad][0]}")
+    if not (np.isfinite(time) and time >= 0):
+        raise ValueError(f"time must be finite and >= 0, got {time}")
     initial = np.asarray(initial, dtype=np.complex128)
     if initial.shape != (h.dimension,):
         raise ValueError(
@@ -107,9 +97,34 @@ def evolve_ct_many(h: Hamiltonian, initial: np.ndarray,
     if not np.isclose(np.linalg.norm(initial), 1.0, atol=1e-8):
         raise ValueError("initial amplitudes must be a unit vector")
     vals, vecs = h._eig()
-    coeff = vecs.T @ initial
-    phases = np.exp(-1j * np.outer(times, vals))
-    return (vecs @ (phases * coeff).T).T
+    return vecs @ (np.exp(-1j * vals * time) * (vecs.T @ initial))
+
+
+# width of the fine phase table of the grid kernel: a grid of T points takes
+# about T/W + W exponentials per eigenvalue instead of T
+_PHASE_TABLE_WIDTH = 64
+
+
+def _grid_amplitudes(h: Hamiltonian, source: int, t_max: float, num_times: int,
+                     vertices, indices=None) -> np.ndarray:
+    """Amplitudes on ``vertices`` at t_j = j*dt, j in ``indices`` (default: all
+    ``num_times`` points of the grid on [0, t_max]), from basis vector ``source``.
+
+    a_v(t) = sum_k exp(-i l_k t) V[s, k] V[v, k]; the phase at t_j is
+    coarse[j // W] * fine[j % W], two small exp tables, and the sum over k
+    is a numpy last-axis sum. All of it is elementwise or per row, so a
+    point's bits do not depend on what else is asked, nor on BLAS threads.
+    """
+    vals, vecs = h._eig()
+    dt = t_max / (num_times - 1) if num_times > 1 else 0.0
+    j = np.arange(num_times) if indices is None else np.asarray(indices)
+    width = _PHASE_TABLE_WIDTH
+    coarse_times = np.arange(j.max() // width + 1) * width * dt
+    coarse = np.exp(-1j * np.outer(coarse_times, vals))
+    fine = np.exp(-1j * np.outer(np.arange(width) * dt, vals))
+    phases = coarse[j // width] * fine[j % width]
+    weights = vecs[source] * vecs[vertices]
+    return (phases[:, None, :] * weights).sum(axis=-1)
 
 
 def column_sizes(depth: int) -> np.ndarray:
@@ -185,11 +200,13 @@ def transfer_series(h: Hamiltonian, source: int, target: int, t_max: float,
                     num_times: int = SERIES_POINTS) -> tuple[np.ndarray, np.ndarray]:
     """Probability on basis vector ``target`` over ``num_times`` evenly spaced
     times in [0, t_max], for the walk started on basis vector ``source``."""
-    initial = np.zeros(h.dimension, dtype=np.complex128)
-    initial[source] = 1.0
+    if not (np.isfinite(t_max) and t_max >= 0):
+        raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
+    if num_times < 1:
+        raise ValueError(f"num_times must be >= 1, got {num_times}")
     times = np.linspace(0.0, t_max, num_times)
-    amps = evolve_ct_many(h, initial, times)
-    return times, np.abs(amps[:, target]) ** 2
+    amps = _grid_amplitudes(h, source, t_max, num_times, [target])
+    return times, np.abs(amps[:, 0]) ** 2
 
 
 def first_peak_time(times: np.ndarray, values: np.ndarray,
@@ -217,20 +234,7 @@ def _peak_indices(values: np.ndarray, floor: float) -> np.ndarray:
     return (before[peak] + 1 + last[peak]) // 2
 
 
-def full_graph_exit_signal(graph: Graph, gamma: float = 1.0,
-                           t_max: float | None = None, num_times: int = SERIES_POINTS,
-                           convention: str = "laplacian") -> tuple[np.ndarray, np.ndarray]:
-    """Exit-vertex probability on the full glued-trees graph (oracle for the
-    reduced chain; feasible only at small depth)."""
-    entrance, exit_vertex = glued_trees_entrance_exit(graph)
-    if t_max is None:
-        t_max = 4.0 * graph.params["depth"]
-    h = hamiltonian(graph, gamma, convention)
-    return transfer_series(h, entrance, exit_vertex, t_max, num_times)
-
-
 def exit_series_csv(times: np.ndarray, values: np.ndarray) -> str:
     """Exit-probability series as CSV text with header ``time,exit_probability``."""
-    lines = ["time,exit_probability"]
-    lines.extend(f"{t:.15g},{v:.15g}" for t, v in zip(times, values))
-    return "\n".join(lines) + "\n"
+    rows = (f"{t:.15g},{v:.15g}\n" for t, v in zip(times.tolist(), values.tolist()))
+    return "".join(["time,exit_probability\n", *rows])

@@ -19,8 +19,7 @@ from qwalksim.classical import (evolve_classical_exact, hitting_time_exact,
                                 iter_classical_distributions,
                                 sample_endpoint_histogram)
 from qwalksim.coined import CoinedWalk, initial_state
-from qwalksim.continuous import (evolve_ct, exit_signal, first_peak_time,
-                                 full_graph_exit_signal, hamiltonian)
+from qwalksim.continuous import evolve_ct, exit_signal, first_peak_time, hamiltonian
 from qwalksim.decoherence import (DecoherenceSpec, evolve_density,
                                   iter_density_steps, run_ensemble, to_density)
 from qwalksim.graphs import (GlueSpec, build_cycle, build_glued_trees,
@@ -207,7 +206,7 @@ def test_criterion_5_cycle_mixing():
            f"p=0.01 {t_weak}, even-cycle measured {t_meas16}")
 
 
-def test_criterion_6_glued_trees_separation():
+def test_criterion_6_glued_trees_separation(full_graph_exit_signal):
     started = time.perf_counter()
     # reduced chain certified against the full graph where both fit
     for depth in (1, 2):

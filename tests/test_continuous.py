@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from qwalksim import cli, continuous
 from qwalksim.continuous import (CONTINUOUS_DIMENSION_LIMIT, HAMILTONIAN_CONVENTIONS,
-                                 Hamiltonian, column_sizes, evolve_ct, evolve_ct_many,
-                                 exit_series_csv, exit_signal, first_peak_time,
-                                 full_graph_exit_signal, hamiltonian, reduce_columns)
+                                 SERIES_POINTS, Hamiltonian, _grid_amplitudes,
+                                 column_sizes, evolve_ct, exit_series_csv, exit_signal,
+                                 first_peak_time, hamiltonian, reduce_columns,
+                                 transfer_series)
 from qwalksim.graphs import (GlueSpec, Graph, build_cycle, build_glued_trees,
                              build_hypercube, build_line, glued_trees_entrance_exit)
 
@@ -153,29 +154,33 @@ def test_initial_vector_validation():
 
 
 def test_evolve_many_matches_single_times():
+    # a series on a time grid against one evolve_ct per grid time
     h = hamiltonian(build_cycle(6), gamma=0.9)
-    initial = np.full(6, 1 / np.sqrt(6), dtype=complex)
-    times = np.array([0.0, 0.7, 1.9, 4.2])
-    stacked = evolve_ct_many(h, initial, times)
-    assert stacked.shape == (4, 6)
+    times, values = transfer_series(h, 0, 2, 4.2, 7)
+    amps = _grid_amplitudes(h, 0, 4.2, 7, slice(None))
+    assert amps.shape == (7, 6)
     for k, t in enumerate(times):
-        # one time is a matrix-vector product, several a matrix product;
-        # the two BLAS kernels may round differently in the last place
-        assert np.allclose(stacked[k], evolve_ct(h, initial, t), atol=1e-12)
+        single = evolve_ct(h, np.eye(6)[0], t)
+        assert np.allclose(amps[k], single, rtol=0, atol=1e-12), t
+        assert values[k] == pytest.approx(abs(single[2]) ** 2, abs=1e-12)
 
 
 def test_evolve_many_rejects_negative_times():
     h = hamiltonian(build_cycle(3))
-    with pytest.raises(ValueError):
-        evolve_ct_many(h, np.eye(3)[0], np.array([0.0, -1.0]))
+    with pytest.raises(ValueError, match="t_max must be finite and >= 0"):
+        transfer_series(h, 0, 1, -1.0)
+    with pytest.raises(ValueError, match="t_max must be finite and >= 0"):
+        exit_signal(3, GlueSpec(), t_max=-1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_times_and_gamma_are_refused(bad):
     h = hamiltonian(build_cycle(3))
-    with pytest.raises(ValueError, match="times must be finite"):
-        evolve_ct_many(h, np.eye(3)[0], np.array([0.0, bad]))
-    with pytest.raises(ValueError, match="times must be finite"):
+    with pytest.raises(ValueError, match="t_max must be finite"):
+        transfer_series(h, 0, 1, bad)
+    with pytest.raises(ValueError, match="t_max must be finite"):
+        exit_signal(3, GlueSpec(), t_max=bad)
+    with pytest.raises(ValueError, match="time must be finite"):
         evolve_ct(h, np.eye(3)[0], bad)
     with pytest.raises(ValueError, match="gamma must be finite"):
         hamiltonian(build_cycle(3), gamma=bad)
@@ -184,15 +189,24 @@ def test_non_finite_times_and_gamma_are_refused(bad):
 
 
 def test_evolve_many_validates_initial():
+    # a series starts on a basis vector of the Hamiltonian; a single time
+    # takes any unit vector of its dimension
     h = hamiltonian(build_cycle(3))
+    with pytest.raises(IndexError):
+        transfer_series(h, 3, 0, 1.0)
+    with pytest.raises(IndexError):
+        transfer_series(h, 0, 3, 1.0)
+    with pytest.raises(ValueError, match="num_times must be >= 1"):
+        transfer_series(h, 0, 1, 1.0, 0)
     with pytest.raises(ValueError, match="shape"):
-        evolve_ct_many(h, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        evolve_ct(h, np.array([1.0, 0.0]), 1.0)
     with pytest.raises(ValueError, match="unit"):
-        evolve_ct_many(h, np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0]))
+        evolve_ct(h, np.array([1.0, 1.0, 0.0]), 1.0)
 
 
-# The formulas evolve_ct and evolve_ct_many used before they shared one
-# core; the shared core must give the same bits.
+# References kept beside the kernels they pin: the single-time product
+# evolve_ct runs, and the dense product over every time and vertex that
+# the column chain's series ran before its grid kernel.
 
 def evolve_ct_gemv_reference(h, initial, time):
     vals, vecs = h._eig()
@@ -227,15 +241,75 @@ def test_evolve_ct_equals_gemv_reference(graph, start, convention):
                               evolve_ct_gemv_reference(h, initial, t)), t
 
 
+CHAIN_GLUES = pytest.mark.parametrize(
+    "glue", [GlueSpec("symmetric"), GlueSpec("random-cycle", seed=1)],
+    ids=["symmetric", "random-cycle"])
+
+
 @pytest.mark.parametrize("depth", [3, 7, 40])
-@pytest.mark.parametrize("glue", [GlueSpec("symmetric"), GlueSpec("random-cycle", seed=1)],
-                         ids=["symmetric", "random-cycle"])
+@CHAIN_GLUES
 def test_evolve_ct_many_equals_rows_reference(depth, glue):
-    h = reduce_columns(depth, glue)
-    initial = np.eye(h.dimension)[0]
-    times = np.linspace(0.0, 4.0 * depth, 2001)
-    assert np.array_equal(evolve_ct_many(h, initial, times),
-                          evolve_ct_many_rows_reference(h, initial, times))
+    # the grid kernel against the dense product it replaced: the exit
+    # probability within 1e-13 (2.6e-15 measured), and every column's as
+    # well (5.6e-15 measured)
+    times = np.linspace(0.0, 4.0 * depth, SERIES_POINTS)
+    for convention in HAMILTONIAN_CONVENTIONS:
+        h = reduce_columns(depth, glue, convention=convention)
+        dense = np.abs(evolve_ct_many_rows_reference(h, np.eye(h.dimension)[0], times)) ** 2
+        got_times, exit_probs = exit_signal(depth, glue, convention=convention)
+        assert np.array_equal(got_times, times)
+        assert np.max(np.abs(exit_probs - dense[:, -1])) < 1e-13, convention
+        columns = np.abs(_grid_amplitudes(h, 0, 4.0 * depth, SERIES_POINTS,
+                                          slice(None))) ** 2
+        assert np.max(np.abs(columns - dense)) < 1e-13, convention
+
+
+@pytest.mark.parametrize("depth", [3, 7, 40])
+@CHAIN_GLUES
+def test_grid_point_reads_the_same_bits_however_it_is_asked(depth, glue):
+    # one point alone, a few points, the whole grid; one vertex or all
+    for convention in HAMILTONIAN_CONVENTIONS:
+        h = reduce_columns(depth, glue, convention=convention)
+        t_max, n = 4.0 * depth, h.dimension
+        whole = _grid_amplitudes(h, 0, t_max, SERIES_POINTS, slice(None))
+        for vertex in (0, depth, n - 1):
+            assert np.array_equal(
+                _grid_amplitudes(h, 0, t_max, SERIES_POINTS, [vertex])[:, 0],
+                whole[:, vertex])
+        for indices in ([0], [SERIES_POINTS - 1], [63, 64, 65], [1999, 5, 700]):
+            asked = _grid_amplitudes(h, 0, t_max, SERIES_POINTS, slice(None), indices)
+            assert np.array_equal(asked, whole[indices])
+            asked = _grid_amplitudes(h, 0, t_max, SERIES_POINTS, [n - 1], indices)
+            assert np.array_equal(asked[:, 0], whole[indices, n - 1])
+
+
+@pytest.mark.parametrize("depth", [3, 7, 40])
+@CHAIN_GLUES
+def test_chain_series_matches_matrix_exponential(depth, glue):
+    # independent oracle: scipy's expm of the chain at a few grid times,
+    # both sides of a fine-table boundary and the last point among them
+    indices = [1, 63, 64, 1000, SERIES_POINTS - 1]
+    t_max = 4.0 * depth
+    times = np.linspace(0.0, t_max, SERIES_POINTS)
+    for convention in HAMILTONIAN_CONVENTIONS:
+        h = reduce_columns(depth, glue, convention=convention)
+        asked = _grid_amplitudes(h, 0, t_max, SERIES_POINTS, slice(None), indices)
+        for row, j in zip(asked, indices):
+            via_expm = scipy.linalg.expm(-1j * h.matrix * times[j])[:, 0]
+            assert np.max(np.abs(row - via_expm)) < 1e-13, (convention, j)
+
+
+def test_one_point_and_zero_horizon_series():
+    glue = GlueSpec("random-cycle", seed=3)
+    times, values = exit_signal(3, glue, num_times=1)
+    assert np.array_equal(times, [0.0])
+    assert values.shape == (1,) and values[0] < 1e-28
+    times, values = exit_signal(3, glue, t_max=0.0, num_times=5)
+    assert np.array_equal(times, np.zeros(5))
+    assert np.all(values == values[0]) and values[0] < 1e-28
+    h = reduce_columns(3, glue)
+    _, stay = transfer_series(h, 2, 2, 0.0, 3)
+    assert np.allclose(stay, 1.0, rtol=0, atol=1e-14)
 
 
 # --- glued-trees column reduction ----------------------------------------
@@ -300,12 +374,12 @@ def test_exit_signal_at_depth_40_matches_analytic_chain():
     glue = GlueSpec("random-cycle", seed=7)
     times, values = exit_signal(40, glue)
     h = Hamiltonian(analytic_chain(40, glue.mode))
-    amps = evolve_ct_many(h, np.eye(h.dimension)[0], times)
+    amps = evolve_ct_many_rows_reference(h, np.eye(h.dimension)[0], times)
     assert np.max(np.abs(values - np.abs(amps[:, -1]) ** 2)) < 1e-9
     assert 0.0 < values.max() <= 1.0
 
 
-def test_reduction_matches_full_graph():
+def test_reduction_matches_full_graph(full_graph_exit_signal):
     # oracle: evolve the full graph and compare the exit-vertex probability
     # with the reduced chain's exit column, on the same time grid
     for depth in (1, 2):

@@ -6,27 +6,28 @@ digest recorded before the code it runs was last rewritten: the density
 cases before the density engine learned to skip the rows and columns the
 walker cannot reach yet, the pure cases before the degree-2 step became
 one gather table, and the continuous cycle, classical, trajectory and
-figures cases and both exit series before ``--config`` values went
-through the flags' parser and the exit outputs came to share one column
-chain. The two continuous
-glued-trees distributions (``out.csv`` of ``glued-continuous-exit`` and
-``glued-continuous-random-adjacency``) were recorded when a walk from the
-entrance came to be evolved on the column chain instead of the full
-graph, which moved their last digits; ``tests/test_continuous.py`` holds
-that route to the full graph within 1e-12 per vertex. The two sweep
-summaries (``s_summary.csv`` of ``line-sweep`` and
-``decoherence_summary.csv`` of ``figures``) were recorded when the
-max/min ``flatness_ratio`` column was dropped; each is the earlier file
-with that column cut. A change that moves one bit of a distribution, an
-exit series or a sweep summary fails here.
+figures cases before ``--config`` values went through the flags' parser.
+The four files of the two continuous glued-trees cases (``exit.csv`` and
+``out.csv`` of ``glued-continuous-exit`` and
+``glued-continuous-random-adjacency``) were recorded when the column
+chain's series and distribution came to be evaluated by one grid kernel
+(``continuous._grid_amplitudes``) instead of a matrix product over every
+time and column, which moved the exit series by at most 1.1e-15 and the
+distributions by at most 1.1e-16; ``tests/test_continuous.py`` holds that
+route to a dense product and to the full graph. The two sweep summaries
+(``s_summary.csv`` of ``line-sweep`` and ``decoherence_summary.csv`` of
+``figures``) were recorded when the max/min ``flatness_ratio`` column was
+dropped; each is the earlier file with that column cut. A change that
+moves one bit of a distribution, an exit series or a sweep summary fails
+here.
 
 The density, pure, classical and trajectory engines run sparse steps,
 gather tables, sampling and numpy reductions; the one product among them
 that may reach BLAS is the 1x1 coin block at the two ends of the line.
-The continuous cases call LAPACK's symmetric eigensolver and BLAS
-products on at most 12 vertices (the cycle) or 10 columns (the glued-trees
-chains). Every digest reads the same with OpenBLAS at one thread and at
-two.
+The continuous cases call LAPACK's symmetric eigensolver on at most 12
+vertices (the cycle) or 10 columns (the glued-trees chains); the cycle
+also takes BLAS products, the chains' grid kernel none. Every digest
+reads the same with OpenBLAS at one thread and at two.
 """
 
 import hashlib
@@ -108,18 +109,18 @@ CASES = {
         ["walk", "--walk", "continuous", "--graph", "glued-trees", "--depth", "4",
          "--time", "10", "--exit-series", "exit.csv"],
         {"exit.csv":
-             "19aa42a74af450a2f5cd86917a461538d474d471850f9e29985fbfe75894cb22",
+             "70db787a06c948089a44c839d33bd46cd4477a15f01b100086de6807461e12e0",
          "out.csv":
-             "e1bec848bb4cd5784b271c69ab85e0ecdeafe3f95dd1fe87ceb13f9d14b9230a"},
+             "bb30d8a91d2f70e081d6facb8acceb331ebe2a8637b8f6c17246952027661d27"},
     ),
     "glued-continuous-random-adjacency": (
         ["walk", "--walk", "continuous", "--graph", "glued-trees", "--depth", "3",
          "--glue-mode", "random-cycle", "--glue-seed", "4", "--time", "6",
          "--convention", "adjacency", "--exit-series", "exit.csv"],
         {"exit.csv":
-             "5ac4c5def0af2342d7a4c7e9433ce16deba085e2ec44f75d35dfe78e203df517",
+             "44d9feba8c28bb58140cb67f07fb05628acb8e227a48828069ec9d70a1a5e74d",
          "out.csv":
-             "40ded818d1325788f34f353e2c51e275ed9b084d779e2db0ae5237ba7cb901ce"},
+             "35f86dbb9cdbe38845af892f1b141f13220ede4875cf249483fd3619ca773705"},
     ),
     "line-classical": (
         ["walk", "--walk", "classical", "--graph", "line", "--steps", "40"],

@@ -19,7 +19,8 @@ def test_public_names_resolve_and_second_paths_are_gone():
             (graphs, ("neighbors", "dump_edge_list")),
             (stats, ("central_std_dev", "uniform_distribution", "time_averaged",
                      "flatness_ratio")),
-            (continuous, ("threshold_crossing_time", "entrance_state")),
+            (continuous, ("threshold_crossing_time", "entrance_state", "evolve_ct_many",
+                         "full_graph_exit_signal")),
             (decoherence, ("record_to_csv", "_full_matrix", "_dephasing_factors",
                            "_SupportMap")),
             (coined.CoinedWalk, ("inverse_step_amplitudes", "coin_toss", "shift", "step_rows",
