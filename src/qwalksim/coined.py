@@ -16,23 +16,27 @@ is its last state. It steps a block at a time, each step straight into the
 next row of a fresh (rows, H) array of at most 256 rows and 64 KiB (one
 row if a row is larger; the cap of the blocks ``stats.mixing_time``
 reads), and yields read-only rows, so a write to a state cannot diverge
-from the steps already taken after it. A yielded state's
-``position_distribution`` is its read-only row view of the block's
-distributions, which one ``bincount`` takes for the whole block on the
-first request, bit for bit the per-row ``bincount``, and which are listed
-as row views once then; ``evolve`` takes none. A step that meets
-an undefined coin (``UnsupportedDegreeError``) raises at the item its
-state would have been, after the states before it, and the iterator never
-steps past ``steps`` nor more than one block past the last item read.
+from the steps already taken after it. Each call makes one stepper, a
+step function with scratch of its own (so two live iterators share none),
+and the flat ``bincount`` labels of a block, once. A yielded state, a
+slotted object, has as ``position_distribution`` its read-only row view of
+the block's distributions, which one ``bincount`` over a prefix of those
+labels takes for the whole block on the first request, bit for bit the
+per-row ``bincount``, and which are listed as row views once then;
+``evolve`` takes none. A step that meets an undefined coin
+(``UnsupportedDegreeError``) raises at the item its state would have been,
+after the states before it, and the iterator never steps past ``steps``
+nor more than one block past the last item read.
 
 ``CoinedWalk`` compiles the step once per graph. All degree-2 vertices
 share one gather table, indexed by output half-edge: the two half-edges
 each output reads and the coin entries that weigh them. Every other degree
 keeps a block plan: the half-edge block, its shifted target and the coin.
-``step_amplitudes``, the pure walk's step kernel, runs a step as one
-gather, one multiply and one add over that table (plus a scatter unless
-degree 2 covers every half-edge, as on cycles), and a block matmul per
-other degree, writing each coin output straight to its shifted half-edge.
+The stepper, the pure walk's step kernel, runs a step as one gather, one
+multiply and one add over that table into its scratch (plus a scatter
+unless degree 2 covers every half-edge, as on cycles), and a block matmul
+per other degree, writing each coin output straight to its shifted
+half-edge; ``step_amplitudes`` is one run of a fresh stepper.
 ``step_matrix`` assembles the same two plans as a sparse matrix U, on
 whose rows both decohered routes step (``decoherence``). The tests hold
 the two-pass form, a coin toss over every vertex then a shift, built from
@@ -99,6 +103,8 @@ def coin_matrix(family: str, degree: int) -> np.ndarray:
 
 class PureState:
     """Half-edge amplitude vector tied to a graph."""
+
+    __slots__ = ("graph", "amplitudes")
 
     def __init__(self, graph: Graph, amplitudes: np.ndarray):
         amplitudes = np.asarray(amplitudes, dtype=np.complex128)
@@ -215,31 +221,41 @@ class CoinedWalk:
             f"{self.coin_family} coin undefined for degree {degree}{why}")
 
     def step_amplitudes(self, amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """One step, coin toss then shift: each coin output is written
-        straight to its shifted half-edge. Degree 2 goes through the gather
-        table, term by term; other degrees multiply the (m, d) block by the
-        coin. The step goes into ``out`` (a fresh array if None), which must
-        not overlap ``amps``, and is returned."""
-        if out is None:
-            out = np.empty_like(amps)
-        if self._gather is not None:
-            src, coef, n, dest = self._gather
-            x = amps[src]
-            x *= coef
-            if dest is None:
-                return np.add(x[:n], x[n:], out=out)
-            total = x[:n]
-            total += x[n:]
-            out[dest] = total
-        for idx, moved, coin_t in self._block_plan:
-            if coin_t is not None:
-                out[moved] = amps[idx] @ coin_t
-            else:
-                block = amps[idx]
-                if np.any(block):
-                    raise self._undefined_coin(idx.shape[-1])
-                out[moved] = block
-        return out
+        """One step, coin toss then shift: one run of a fresh stepper
+        (``_stepper``). The step goes into ``out`` (a fresh array if None),
+        which must not overlap ``amps``, and is returned."""
+        return self._stepper()(amps, np.empty_like(amps) if out is None else out)
+
+    def _stepper(self):
+        """A step function ``step(amps, out)`` with scratch of its own, which
+        no other stepper shares: it writes one step of ``amps`` into
+        ``out`` (not overlapping ``amps``) and returns ``out``. Degree 2
+        multiplies the gather table's direction-0 and direction-1 terms
+        into the two halves of the scratch and adds them elementwise; other
+        degrees multiply the (m, d) block by the coin."""
+        gather, plan = self._gather, self._block_plan
+        if gather is not None:
+            src, coef, n, dest = gather
+            terms = np.empty(2 * n, np.complex128)
+            terms0, terms1 = terms[:n], terms[n:]
+
+        def step(amps: np.ndarray, out: np.ndarray) -> np.ndarray:
+            if gather is not None:
+                np.multiply(amps[src], coef, terms)
+                if dest is None:
+                    return np.add(terms0, terms1, out)
+                np.add(terms0, terms1, terms0)
+                out[dest] = terms0
+            for idx, moved, coin_t in plan:
+                if coin_t is not None:
+                    out[moved] = amps[idx] @ coin_t
+                else:
+                    block = amps[idx]
+                    if np.any(block):
+                        raise self._undefined_coin(idx.shape[-1])
+                    out[moved] = block
+            return out
+        return step
 
     def evolve(self, state: PureState, steps: int) -> PureState:
         """The last state of ``iter_steps``; ``state`` itself for zero steps."""
@@ -254,20 +270,23 @@ class CoinedWalk:
         The steps are taken a block at a time, each straight into the next
         row of a fresh (rows, H) array of at most 256 rows and 64 KiB (one
         row if a row is larger), never past ``steps``; so at most one block
-        is stepped ahead of the last state read. The states are read-only
-        rows of it, and their ``position_distribution`` is a read-only row
-        view of the block's distributions: one ``bincount`` takes them for
-        the whole block on the first request, and their row views are
-        listed once then, so each later request is a list index. A step
-        that raises ``UnsupportedDegreeError`` ends the block: the states
-        before it are yielded, then the error is raised where its state
-        would have been.
+        is stepped ahead of the last state read. Each call makes its own
+        stepper (``_stepper``) and the flat labels of a full block
+        (``_row_labels``) once. The states are read-only rows of the block,
+        and their ``position_distribution`` is a read-only row view of the
+        block's distributions: one ``bincount`` over a prefix of those
+        labels takes them for the whole block on the first request, and
+        their row views are listed once then, so each later request is a
+        list index. A step that raises ``UnsupportedDegreeError`` ends
+        the block: the states before it are yielded, then the error is
+        raised where its state would have been.
         """
         g = state.graph
         check_line_headroom(g.kind, g.num_vertices, _support(state), steps)
         per_block = _block_rows(16 * g.half_edge_count)
         # bound once: each is looked up per row otherwise
-        step, graph, new_row = self.step_amplitudes, self.graph, _BlockRow.__new__
+        step, graph, new_row = self._stepper(), self.graph, _BlockRow.__new__
+        labels = _row_labels(graph.half_edge_vertex, graph.num_vertices, min(per_block, steps))
         amps = state.amplitudes
         done = 0
         while done < steps:
@@ -281,7 +300,7 @@ class CoinedWalk:
                     rows = rows[:filled]
                     break
             rows.flags.writeable = False
-            block = _StepBlock(graph, rows)
+            block = _StepBlock(graph, rows, labels)
             for k, row in enumerate(rows):
                 # unchecked: the step itself has just made the row
                 row_state = new_row(_BlockRow)
@@ -332,38 +351,47 @@ class CoinedWalk:
             shape=(n, n), dtype=np.complex128)
 
 
-def _row_bincount(labels: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
+def _row_labels(labels: np.ndarray, count: int, rows: int) -> np.ndarray:
+    """Flat labels ``r * count + labels`` for each row r < ``rows``, the
+    labels of ``_row_bincount`` for up to ``rows`` rows of weights."""
+    return (labels + count * np.arange(rows)[:, None]).ravel()
+
+
+def _row_bincount(flat_labels: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
     """``np.bincount(labels, weights[r], minlength=count)`` for every row r,
-    as one bincount over labels r * count + label: each bin still sums its
+    as one bincount over a prefix of ``_row_labels(labels, count, rows)``
+    (``rows`` at least those of ``weights``): each bin still sums its
     weights in half-edge order, so every row gets its own bincount's bits."""
     rows = weights.shape[0]
-    flat = (labels + count * np.arange(rows)[:, None]).ravel()
-    return np.bincount(flat, weights=weights.ravel(),
+    return np.bincount(flat_labels[:weights.size], weights=weights.ravel(),
                        minlength=rows * count).reshape(rows, count)
 
 
 class _StepBlock:
     """Consecutive states of one walk, the rows of a read-only (rows, H)
     array, whose position distributions are taken together on the first
-    request (``_row_bincount``)."""
+    request (``_row_bincount`` over the iterator's flat labels)."""
 
-    def __init__(self, graph: Graph, rows: np.ndarray):
+    def __init__(self, graph: Graph, rows: np.ndarray, labels: np.ndarray):
         self.graph = graph
         self.rows = rows
+        self.labels = labels
 
     @functools.cached_property
     def distributions(self) -> list:
         """Each row's distribution, a read-only view into one (rows, V)
         array; listed once, so that a state's request is a list index, not
         an array slice."""
-        dist = _row_bincount(self.graph.half_edge_vertex, np.abs(self.rows) ** 2,
-                             self.graph.num_vertices)
+        dist = _row_bincount(self.labels, np.abs(self.rows) ** 2, self.graph.num_vertices)
         dist.flags.writeable = False
         return list(dist)
 
 
 class _BlockRow(PureState):
-    """A state ``iter_steps`` yields: row ``_row`` of ``_block``."""
+    """A state ``iter_steps`` yields: row ``_row`` of ``_block``; slotted,
+    as ``PureState`` is, so making one fills four slots and no dict."""
+
+    __slots__ = ("_block", "_row")
 
     def position_distribution(self) -> np.ndarray:
         """Probability of finding the walker at each vertex (coin traced out),

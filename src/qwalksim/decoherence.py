@@ -72,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import _sparsetools
 
-from .coined import CoinedWalk, PureState, _row_bincount, _support
+from .coined import CoinedWalk, PureState, _row_bincount, _row_labels, _support
 from .errors import InvariantViolationError
 from .graphs import Graph, check_line_headroom
 from .streams import RowStreams, uniform
@@ -455,7 +455,7 @@ def _collapse_rows(amps: np.ndarray, rows: np.ndarray, draws: np.ndarray,
         probs = weights
     else:
         count = int(graph.degrees.max()) if target == "coin" else graph.num_vertices
-        probs = _row_bincount(labels, weights, count)
+        probs = _row_bincount(_row_labels(labels, count, len(rows)), weights, count)
     cum = np.cumsum(probs, axis=1)
     outcome = (cum <= (draws * cum[:, -1])[:, None]).sum(axis=1)
     if target == "both":
@@ -587,7 +587,8 @@ def run_ensemble(state0: PureState, spec: DecoherenceSpec, steps: int,
         seeds = range(seed + first, seed + min(first + chunk, trajectories))
         first += len(seeds)
         final, amps, _ = _trajectories(walk, plans, steps, start, spec, seeds, False)
-        p = _row_bincount(graph.half_edge_vertex[final], np.abs(amps.T) ** 2, n)
+        p = _row_bincount(_row_labels(graph.half_edge_vertex[final], n, len(seeds)),
+                          np.abs(amps.T) ** 2, n)
         # running sums in trajectory order, the bits a serial loop adds up,
         # each taken in place down the rows of its chunk
         for terms, running in ((p * p, total_sq), (p, total)):

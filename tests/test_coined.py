@@ -597,6 +597,101 @@ def test_iter_steps_is_the_step_loop_across_blocks(name, count):
     assert same_bits(final.amplitudes, want[-1][0] if steps else start.amplitudes)
 
 
+@st.composite
+def stepped_walks(draw):
+    """A graph with degrees 0-4, a coin family and two start states: random
+    edge lists, or a cycle (the gather table fills the row in order) or a
+    line (it scatters), started at the origin."""
+    kind = draw(st.sampled_from(["edges", "cycle", "line"]))
+    family = draw(st.sampled_from(COIN_FAMILIES))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "line":
+        g = build_line(draw(st.sampled_from([101, 201])))
+        origin = g.params["origin"]
+        return g, family, [initial_state(g, origin, "symmetric"),
+                           initial_state(g, origin, "basis0")]
+    if kind == "cycle":
+        g = build_cycle(draw(st.integers(3, 24)))
+    else:
+        n = draw(st.integers(2, 10))
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              min_size=1, max_size=30))
+        degree, edges = np.zeros(n, int), set()
+        for u, v in pairs:
+            if u != v and (min(u, v), max(u, v)) not in edges and max(degree[[u, v]]) < 4:
+                edges.add((min(u, v), max(u, v)))
+                degree[[u, v]] += 1
+        if not edges:
+            edges.add((0, 1))
+        g = Graph(n, sorted(edges))
+    starts = []
+    for vertex in rng.choice(np.flatnonzero(g.degrees > 0), 2):
+        coin = rng.normal(size=g.degree(int(vertex))) * np.exp(2j * np.pi * rng.random())
+        starts.append(initial_state(g, int(vertex), coin / np.linalg.norm(coin)))
+    return g, family, starts
+
+
+def read_until_error(items):
+    """The items, and whether the iterator raised ``UnsupportedDegreeError``
+    after them."""
+    got = []
+    try:
+        for item in items:
+            got.append(item)
+    except UnsupportedDegreeError:
+        return got, True
+    return got, False
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk=stepped_walks(), count=st.sampled_from(["zero", "one", "block", "block+1",
+                                                     "blocks"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_iter_steps_is_the_step_loop_on_random_walks(walk, count, seed):
+    g, family, starts = walk
+    walk = CoinedWalk(g, family)
+    assert max(g.degrees) <= 4
+    if g.kind in ("cycle", "line"):
+        assert (walk._gather[3] is None) == (g.kind == "cycle")
+    per_block = stats._block_rows(16 * g.half_edge_count)
+    steps = {"zero": 0, "one": 1, "block": per_block, "block+1": per_block + 1,
+             "blocks": 2 * per_block + 3}[count]
+    want = [read_until_error(reference_steps(walk, s, steps)) for s in starts]
+    for start, expected in zip(starts, want):
+        assert_same_series(read_until_error((s.amplitudes, s.position_distribution())
+                                            for s in walk.iter_steps(start, steps)), expected)
+    # two live iterators of one walk, read in turn with a lone step between
+    # items, each still give their own loop's bits
+    rng = np.random.default_rng(seed)
+    between = random_amplitudes(rng, g.half_edge_count)
+    between[undefined_coin_half_edges(g, family)] = 0.0
+    iterators = [walk.iter_steps(s, steps) for s in starts]
+    states, raised, live = [[], []], [False, False], [0, 1]
+    while live:
+        for i in list(live):
+            try:
+                states[i].append(next(iterators[i]))
+            except (StopIteration, UnsupportedDegreeError) as exc:
+                raised[i] = isinstance(exc, UnsupportedDegreeError)
+                live.remove(i)
+                continue
+            if i == 0:
+                # the first walk's distributions are taken at once, the
+                # second's after both walks end
+                states[i][-1].position_distribution()
+            walk.step_amplitudes(between)
+    for series, error, expected in zip(states, raised, want):
+        assert_same_series(([(s.amplitudes, s.position_distribution()) for s in series],
+                            error), expected)
+
+
+def assert_same_series(got, want):
+    assert len(got[0]) == len(want[0]) and got[1] == want[1]
+    for (amps, dist), (want_amps, want_dist) in zip(got[0], want[0]):
+        assert same_bits(amps, want_amps)
+        assert same_bits(dist, want_dist)
+
+
 def test_iter_steps_raises_at_the_item_whose_step_fails():
     g = build_glued_trees(2, GlueSpec("symmetric"))
     walk = CoinedWalk(g, "hadamard")
@@ -621,13 +716,17 @@ def test_iter_steps_steps_at_most_one_block_ahead(g, steps):
     walk = CoinedWalk(g)
     start = initial_state(g, g.num_vertices // 2, "symmetric")
     per_block = stats._block_rows(16 * g.half_edge_count)
-    step = CoinedWalk.step_amplitudes
+    make_stepper = CoinedWalk._stepper
     calls = [0]
 
-    def counted(*args):
-        calls[0] += 1
-        return step(*args)
-    with mock.patch.object(CoinedWalk, "step_amplitudes", counted):
+    def counted_stepper(self):
+        step = make_stepper(self)
+
+        def counted(*args):
+            calls[0] += 1
+            return step(*args)
+        return counted
+    with mock.patch.object(CoinedWalk, "_stepper", counted_stepper):
         for read in sorted({0, 1, per_block - 1, per_block, per_block + 1, steps - 1, steps}):
             calls[0] = 0
             list(itertools.islice(walk.iter_steps(start, steps), read))
