@@ -252,17 +252,30 @@ def sample_endpoint_histogram(g: Graph, start: int, steps: int,
 
 def hitting_time_exact(g: Graph, start: int, target: int) -> float:
     """Expected steps to first reach the target: with the target absorbing, a dense
-    solve of (I - Q) tau = 1, one row per transient vertex (v - 1 above the target)."""
+    solve of (I - Q) tau = 1 over the target's component, one row per transient
+    vertex of it; a start outside that component is refused."""
     for v in (start, target):
         g.check_vertex(v)
     if start == target:
         return 0.0
-    moves = (g.half_edge_vertex != target) & (g.heads != target)
+    # imported on first use: scipy.sparse.csgraph loads scipy.sparse.linalg (47
+    # modules in all), which no other qwalksim call needs
+    import scipy.sparse.csgraph
+    shares = _shares(g)
+    # the half-edge table is the adjacency matrix's CSR layout
+    adjacency = scipy.sparse.csr_matrix((np.ones(g.half_edge_count), g.heads, g.offsets),
+                                        shape=(g.num_vertices, g.num_vertices))
+    component = scipy.sparse.csgraph.connected_components(adjacency)[1]
+    if component[start] != component[target]:
+        raise ValueError(f"vertex {start} cannot reach vertex {target}: "
+                         "they lie in different components")
+    inside = component == component[target]
+    moves = inside[g.half_edge_vertex] & (g.half_edge_vertex != target) & (g.heads != target)
     tails, heads = g.half_edge_vertex[moves], g.heads[moves]
-    row = np.arange(g.num_vertices) - (np.arange(g.num_vertices) > target)
-    m = np.eye(g.num_vertices - 1, order="F")  # I - Q; LAPACK factors Fortran order in place
-    m[row[tails], row[heads]] -= _shares(g)[tails]
-    tau = scipy.linalg.solve(m, np.ones(g.num_vertices - 1), overwrite_a=True)
+    row = np.cumsum(inside & (np.arange(g.num_vertices) != target)) - 1
+    m = np.eye(row[-1] + 1, order="F")  # I - Q; LAPACK factors Fortran order in place
+    m[row[tails], row[heads]] -= shares[tails]
+    tau = scipy.linalg.solve(m, np.ones(len(m)), overwrite_a=True)
     return float(tau[row[start]])
 
 

@@ -52,15 +52,16 @@ Each keeps its own PCG64 stream, one row of ``RowStreams``'s state arrays,
 whose uniforms are drawn ahead in blocks of up to ``_DRAW_BLOCK`` and read
 through a per-row cursor, one per step for "measure now?" plus one per
 collapse, so a trajectory reads exactly what it would alone, and
-``evolve_trajectory`` is the same kernel run on a single trajectory. A
-chunk holds at most ``_CHUNK_BYTES`` (192 KiB) of amplitudes on the widest
-set of its walk, max |S_t| over t <= steps, which a run of more than one
-chunk reads off the first pass of its plans, and at most as much of
-per-vertex distributions, besides temporaries of up to a few times that
-and rows x 2 KiB of pre-drawn uniforms. Plans that outgrow
-``_PLAN_BYTES`` leave the later sets unknown: the chunks then hold up to
-``_CHUNK_BYTES`` on all H half-edges, and those after the first up to 4 MiB,
-so that fewer of them plan again.
+``evolve_trajectory`` is the same kernel run on a single trajectory.
+
+One rule sizes every chunk, whatever its walk: ``_CHUNK_BYTES`` (4 MiB) //
+(16 max(H, ceil(V / 2), ``_DRAW_BLOCK``)) rows. A chunk's amplitudes, on a
+set of at most H half-edges, and its rows' float64 position distributions
+on the V vertices each take at most ``_CHUNK_BYTES``, and its rows' 2 KiB
+of pre-drawn uniforms at most half of it, besides temporaries of up to a
+few times those. A run therefore holds at most ``_PLAN_BYTES`` of kept
+plans and a few times ``_CHUNK_BYTES`` of chunk arrays, however many
+trajectories it runs.
 """
 
 from __future__ import annotations
@@ -88,27 +89,28 @@ MEASUREMENT_TARGETS = ("position", "coin", "both")
 # sentinel in measurement records for a register that was not measured
 NOT_MEASURED = -1
 
-# Trajectories step together as one (|S_t|, rows) complex array, and
-# rows x max(max |S_t|, n / 2) complex numbers take at most this many bytes,
-# so the rows' (rows, n) float64 position distributions fit in it too (rows
-# x H when the plan budget leaves the later sets unknown). A step allocates
-# a few temporaries of up to twice that size, and the running sums take
-# the distributions' squares once more. On line(101), 50 steps from the
-# middle (|S_t| <= 100), a trajectory-step took 1.2-2.0 us at 32 rows,
-# 0.7-1.2 us at 61, 0.5 us at 122 and 0.4-0.7 us at 200 (five runs, each the
-# best of 20-125 chunks, 1 BLAS thread, 2-vCPU guest): past about 120 rows,
-# more gain little.
-_CHUNK_BYTES = 3 << 16
+# Trajectories step together in chunks of _CHUNK_BYTES // (16 max(H, V / 2,
+# _DRAW_BLOCK)) rows: a chunk's (|S_t|, rows) complex amplitudes and its
+# rows' (rows, V) float64 position distributions each take at most this many
+# bytes, and its pre-drawn uniforms at most half of it. A step allocates a
+# few temporaries of up to twice that size, the running sums take the
+# distributions' squares once more, and a refill of the uniforms takes about
+# five times theirs. Larger chunks share each plan and numpy call among more
+# trajectories: against 192 KiB chunks sized by the widest set, 50 steps on
+# line(101) from the middle took 200 trajectories from 7.5 to 5.9 ms (one
+# chunk, not 122 + 78 rows) and 20,000 from 0.54 to 0.43 s, and 500 steps of
+# 2,000 trajectories on line(1001) from 4.4 to 2.4 s (best of three
+# alternating processes, in process, 1 BLAS thread, 2-vCPU guest).
+_CHUNK_BYTES = 4 << 20
 # uniform draws each trajectory's stream reads ahead (2 KiB a trajectory)
 _DRAW_BLOCK = 256
 # A run of more than one chunk keeps the plans of its first steps, up to
 # this many bytes, for all its chunks (``_StepPlans``); each chunk plans the
-# later steps again, and the chunks after the first grow to a quarter of
-# this many bytes of amplitudes, so fewer chunks plan them. A plan takes
-# at most 48 bytes per reached half-edge of a degree-2 vertex: the ensemble
-# workload's 50 steps on line(101) take 119 KB, a 400-step line walk 7.7
-# MB, and a walk from the middle of line(4001) outgrows this budget at step
-# 592; 10,000 steps on a line would take 4.8 GB.
+# later steps again. A plan takes at most 48 bytes per reached half-edge of
+# a degree-2 vertex: the ensemble workload's 50 steps on line(101) take 119
+# KB, a 400-step line walk 7.7 MB, and a walk from the middle of line(4001)
+# outgrows this budget at step 592; 10,000 steps on a line would take 4.8
+# GB.
 _PLAN_BYTES = 16 << 20
 
 
@@ -429,9 +431,12 @@ def iter_density_steps(rho0: DensityState, spec: DecoherenceSpec,
         yield DensityState._on_support(rho0.graph, support, block.copy())
 
 
-def _chunk_rows(width: int) -> int:
-    """Trajectories stepped together on sets of at most ``width`` half-edges."""
-    return max(1, _CHUNK_BYTES // (16 * max(width, 1)))
+def _chunk_rows(graph: Graph) -> int:
+    """Trajectories stepped together on ``graph``: the rule of ``_CHUNK_BYTES``.
+    A row's distribution takes as many bytes as V / 2 complex numbers, and
+    its pre-drawn uniforms as many as ``_DRAW_BLOCK`` / 2."""
+    width = max(graph.half_edge_count, -(-graph.num_vertices // 2), _DRAW_BLOCK)
+    return max(1, _CHUNK_BYTES // (16 * width))
 
 
 def _collapse_rows(amps: np.ndarray, rows: np.ndarray, draws: np.ndarray,
@@ -562,23 +567,9 @@ def run_ensemble(state0: PureState, spec: DecoherenceSpec, steps: int,
     check_line_headroom(graph.kind, graph.num_vertices, _support(state0), steps)
     walk = CoinedWalk(graph, coin)
     support = np.flatnonzero(state0.amplitudes).astype(np.int32)
-    width = graph.half_edge_count
     n = graph.num_vertices
-    chunk = _chunk_rows(width)
+    chunk = _chunk_rows(graph)
     plans = _StepPlans(_restriction(walk), support, _PLAN_BYTES if trajectories > chunk else 0)
-    if trajectories > chunk:
-        # the chunks are held on S_0..S_steps alone: once the first pass has
-        # kept every step's plan, size them by the widest of those sets. A
-        # plan past the budget stops the pass, and the first chunk reuses it
-        widest = len(support)
-        for plan in itertools.islice(plans, steps):
-            if plans.room < 0:
-                break
-            widest = max(widest, len(plan[0]))
-        if plans.room >= 0:
-            # a row's final distribution and position collapses take n
-            # float64, as many bytes as n / 2 complex amplitudes
-            chunk = _chunk_rows(max(widest, -(-n // 2)))
     start = state0.amplitudes[support]
     total = np.zeros(n)
     total_sq = np.zeros(n)
@@ -595,11 +586,6 @@ def run_ensemble(state0: PureState, spec: DecoherenceSpec, steps: int,
             terms[0] += running
             np.cumsum(terms, axis=0, out=terms)
             running[:] = terms[-1]
-        if plans.room < 0:
-            # the plans outgrew their budget, so every chunk plans the later
-            # steps again: let each of those plans serve more trajectories,
-            # up to a quarter of the budget in amplitudes
-            chunk = max(chunk, _PLAN_BYTES // (64 * width))
     mean = total / trajectories
     var = np.maximum(total_sq / trajectories - mean ** 2, 0.0)
     stderr = np.sqrt(var / trajectories)

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -8,6 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qwalksim
 from qwalksim import classical, streams
 from qwalksim.classical import (HittingTimeResult, evolve_classical_exact,
                                 hitting_time, hitting_time_exact,
@@ -235,6 +239,30 @@ def test_hitting_time_exact_on_cycles():
 ])
 def test_hitting_time_exact_has_the_bits_of_the_dense_solve(g, start, target):
     assert hitting_time_exact(g, start, target) == dense_hitting_time(g, start, target)
+
+
+def test_hitting_time_exact_solves_on_the_target_component():
+    # the component {3, 4} never reaches the target; over every vertex it
+    # made I - Q singular
+    assert hitting_time_exact(Graph(5, [(0, 1), (1, 2), (3, 4)]), 0, 2) == 4.0
+    assert hitting_time_exact(Graph(5, [(0, 1), (1, 2), (3, 4)]), 4, 3) == 1.0
+
+
+def test_hitting_time_exact_refuses_a_start_off_the_target_component():
+    # the dense solve over every vertex killed the interpreter here: a
+    # child interpreter keeps a regression to this one test
+    src = os.path.dirname(os.path.dirname(qwalksim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("from qwalksim.classical import hitting_time_exact\n"
+            "from qwalksim.graphs import Graph\n"
+            "try:\n"
+            "    hitting_time_exact(Graph(4, [(0, 1), (2, 3)]), 0, 3)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("vertex 0 cannot reach vertex 3")
 
 
 def test_hitting_time_exact_same_vertex():

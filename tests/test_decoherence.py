@@ -424,9 +424,10 @@ def dense_step_operator(graph, coin):
 
 
 def coin_defined(graph, coin):
+    # an isolated vertex holds no half-edge, so it needs no coin
     try:
-        for v in range(graph.num_vertices):
-            coin_matrix(coin, graph.degree(v))
+        for degree in np.unique(graph.degrees[graph.degrees > 0]):
+            coin_matrix(coin, int(degree))
     except UnsupportedDegreeError:
         return False
     return True
@@ -1144,17 +1145,11 @@ def held_on(support, amps):
     return np.ascontiguousarray(amps[:, support].T)
 
 
-def widest_set(walk, start, steps):
-    """The most half-edges a chunk from ``start`` is held on in ``steps``
-    steps, max |S_t| over t <= steps."""
-    start = np.asarray(start, dtype=np.int32)
-    return max(map(len, plan_sets(decoherence._restriction(walk), start, steps)))
-
-
-def chunk_width(walk, start, steps):
-    """The width ``run_ensemble`` sizes its chunks by: the widest set, or
-    half the vertex count when the rows' float64 distributions take more."""
-    return max(widest_set(walk, start, steps), -(-walk.graph.num_vertices // 2))
+def chunk_width(graph):
+    """The width ``run_ensemble`` sizes its chunks by: every half-edge, or
+    half the vertex count when the rows' float64 distributions take more,
+    and at least the draw block, for the rows' pre-drawn uniforms."""
+    return max(graph.half_edge_count, -(-graph.num_vertices // 2), decoherence._DRAW_BLOCK)
 
 
 def spread(support, held, n):
@@ -1248,9 +1243,8 @@ def test_batched_trajectories_match_serial_loop(name, family, target, p, steps, 
     # that refill their blocks at different steps
     walk = CoinedWalk(g, family)
     support = np.flatnonzero(s.amplitudes)
-    width = chunk_width(walk, support, steps)
-    with mock.patch.object(decoherence, "_CHUNK_BYTES", 16 * width * chunk_rows), \
-            mock.patch.object(decoherence, "_DRAW_BLOCK", block):
+    with mock.patch.object(decoherence, "_DRAW_BLOCK", block), \
+            mock.patch.object(decoherence, "_CHUNK_BYTES", 16 * chunk_width(g) * chunk_rows):
         final, held, records = decoherence._trajectories(
             walk, decoherence._StepPlans(decoherence._restriction(walk), support), steps,
             s.amplitudes[support], spec, range(seed, seed + trajectories), True)
@@ -1271,8 +1265,7 @@ def test_ensemble_matches_serial_across_default_chunk():
     g = build_line(101)
     s = initial_state(g, g.params["origin"], "symmetric")
     spec = DecoherenceSpec(0.1, "both")
-    width = chunk_width(CoinedWalk(g), np.flatnonzero(s.amplitudes), 20)
-    trajectories = decoherence._chunk_rows(width) + 2
+    trajectories = decoherence._chunk_rows(g) + 2
     mean, stderr = run_ensemble(s, spec, 20, trajectories, seed=17)
     want_mean, want_stderr = serial_ensemble(s, spec, 20, trajectories, 17, "default")
     assert np.array_equal(mean, want_mean)
@@ -1282,24 +1275,21 @@ def test_ensemble_matches_serial_across_default_chunk():
 @pytest.mark.parametrize("g,steps", [(build_line(41), 12), (build_cycle(7), 30)],
                          ids=["line", "cycle"])
 def test_ensemble_plans_each_step_once_for_all_chunks(g, steps):
-    # four chunks of three rows, sized by the widest set they are held on,
-    # share one plan per step; a set met again (the cycle's, once they
-    # cover it) reuses its plan
+    # four chunks of three rows share one plan per step; a set met again
+    # (the cycle's, once they cover it) reuses its plan
     s = initial_state(g, start_of(g), "uniform")
-    walk = CoinedWalk(g)
     sets, support = set(), np.flatnonzero(s.amplitudes).astype(np.int32)
-    width = chunk_width(walk, support, steps)
-    build = decoherence._restriction(walk)
+    build = decoherence._restriction(CoinedWalk(g))
     for _ in range(steps):
         sets.add(support.tobytes())
         support = build(support)[0]
     spec = DecoherenceSpec(0.2, "both")
-    with mock.patch.object(decoherence, "_CHUNK_BYTES", 16 * width * 3), \
+    with mock.patch.object(decoherence, "_CHUNK_BYTES", 16 * chunk_width(g) * 3), \
             mock.patch.object(decoherence, "_step_plan",
                               wraps=decoherence._step_plan) as planned, \
             mock.patch.object(decoherence, "_trajectories",
                               wraps=decoherence._trajectories) as chunks:
-        assert -(-10 // decoherence._chunk_rows(width)) == 4
+        assert -(-10 // decoherence._chunk_rows(g)) == 4
         mean, stderr = run_ensemble(s, spec, steps, 10, seed=5)
     assert [len(call.args[5]) for call in chunks.call_args_list] == [3, 3, 3, 1]
     assert planned.call_count == len(sets)
@@ -1350,14 +1340,13 @@ def test_step_plans_keep_the_first_steps_that_fit(budget, kept):
 
 
 def test_long_line_ensemble_keeps_its_plans_under_the_budget():
-    # 1,000 steps on a line plan 48 MB. With a 1 MiB budget the first
-    # chunk of two trajectories keeps 1 MiB of them; the other three then
-    # step as one chunk (a quarter of the budget holds three rows of
-    # H = 4800), which plans the later steps again once
+    # 1,000 steps on a line plan 48 MB. With a 1 MiB budget and chunks of
+    # two rows of H = 4800, five trajectories step as chunks of 2, 2 and 1:
+    # the first keeps 1 MiB of the plans for all three, and the other two
+    # each plan the later steps again
     g = build_line(2401)
     s = initial_state(g, g.params["origin"], "symmetric")
     spec = DecoherenceSpec(0.01, "both")
-    assert decoherence._chunk_rows(g.half_edge_count) == 2
     plan = decoherence._step_plan
     calls = [0]
 
@@ -1366,33 +1355,40 @@ def test_long_line_ensemble_keeps_its_plans_under_the_budget():
         calls[0] += 1
         return plan(*args)
     with mock.patch.object(decoherence, "_PLAN_BYTES", 1 << 20), \
+            mock.patch.object(decoherence, "_CHUNK_BYTES", 16 * g.half_edge_count * 2), \
             mock.patch.object(decoherence, "_step_plan", counted):
+        assert decoherence._chunk_rows(g) == 2
         tracemalloc.start()
         mean, stderr = run_ensemble(s, spec, 1000, 5, seed=11)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     # step t plans 20 + 96 t bytes: 148 steps fit in 1 MiB
-    assert calls[0] == 1000 + 852
+    assert calls[0] == 1000 + 2 * 852
     assert peak < 3 << 20
     want_mean, want_stderr = serial_ensemble(s, spec, 1000, 5, 11, "default")
     assert np.array_equal(mean, want_mean)
     assert np.array_equal(stderr, want_stderr)
 
 
-def test_ensemble_sizes_its_chunks_by_the_widest_set():
-    # 50 steps from the middle of line(101) reach at most 100 of its 200
-    # half-edges, so 200 trajectories step as chunks of 122 and 78 rows,
-    # each held within the chunk bytes. Plans past a smaller budget leave
-    # the sets past it unknown: chunks of H rows
+def test_ensemble_sizes_its_chunks_by_the_graph():
+    # whatever sets its walk reaches, a chunk on line(101) holds
+    # _CHUNK_BYTES // (16 * _DRAW_BLOCK) rows, as H = 200 is less than the
+    # draw block: 200 trajectories of 50 steps step as one chunk. Chunks
+    # of 61 rows share the plans that fit the budget; step t plans
+    # 20 + 96 t bytes, so 20 steps fit in 20,000, and each chunk after the
+    # first plans the other 30 again
     g = build_line(101)
     s = initial_state(g, g.params["origin"], "symmetric")
     spec = DecoherenceSpec(0.1, "both")
-    assert widest_set(CoinedWalk(g), np.flatnonzero(s.amplitudes), 50) == 100
-    assert decoherence._chunk_rows(g.half_edge_count) == 61
+    assert decoherence._chunk_rows(g) == (4 << 20) // (16 * 256) == 1024
     want_mean, want_stderr = serial_ensemble(s, spec, 50, 200, 7, "default")
-    for budget, sizes, builds in [(decoherence._PLAN_BYTES, [122, 78], 50),
-                                  (20_000, [61, 61, 61, 17], 50 + 3 * 30)]:
-        with mock.patch.object(decoherence, "_PLAN_BYTES", budget), \
+    plan_bytes, chunk_bytes = decoherence._PLAN_BYTES, decoherence._CHUNK_BYTES
+    for plan_budget, chunk_budget, sizes, builds in [
+            (plan_bytes, chunk_bytes, [200], 50),
+            (plan_bytes, 16 * 256 * 61, [61, 61, 61, 17], 50),
+            (20_000, 16 * 256 * 61, [61, 61, 61, 17], 50 + 3 * 30)]:
+        with mock.patch.object(decoherence, "_PLAN_BYTES", plan_budget), \
+                mock.patch.object(decoherence, "_CHUNK_BYTES", chunk_budget), \
                 mock.patch.object(decoherence, "_sparse_product",
                                   wraps=decoherence._sparse_product) as stepped, \
                 mock.patch.object(decoherence, "_step_plan",
@@ -1403,9 +1399,7 @@ def test_ensemble_sizes_its_chunks_by_the_widest_set():
         assert [len(call.args[5]) for call in chunks.call_args_list] == sizes
         assert stepped.call_count == 50 * len(sizes)
         held = [a for call in stepped.call_args_list for a in call.args[3:]]
-        assert max(a.nbytes for a in held) <= decoherence._CHUNK_BYTES
-        # step t plans 20 + 96 t bytes: 20 steps fit in 20,000, and each
-        # chunk after the first plans the other 30 again
+        assert max(a.nbytes for a in held) <= chunk_budget
         assert planned.call_count == builds
         assert np.array_equal(mean, want_mean)
         assert np.array_equal(stderr, want_stderr)
@@ -1413,13 +1407,12 @@ def test_ensemble_sizes_its_chunks_by_the_widest_set():
 
 def test_short_walk_on_a_long_line_keeps_its_distributions_in_the_chunk_bytes():
     # 2 steps from the middle of line(2001) reach 4 of its 4,000
-    # half-edges, but each row's distribution takes 8 bytes a vertex: the
-    # chunks are sized by half the vertex count, 12 rows, not by the set
+    # half-edges, yet the chunks are sized by all of them, 65 rows; each
+    # row's distribution takes 8 bytes a vertex, half of that
     g = build_line(2001)
     s = initial_state(g, g.params["origin"], "symmetric")
     spec = DecoherenceSpec(0.5, "position")
-    assert widest_set(CoinedWalk(g), np.flatnonzero(s.amplitudes), 2) == 4
-    assert decoherence._chunk_rows(-(-g.num_vertices // 2)) == 12
+    assert decoherence._chunk_rows(g) == decoherence._CHUNK_BYTES // (16 * 4000) == 65
     peaks = []
     for trajectories in (1, 300):
         with mock.patch.object(decoherence, "_trajectories",
@@ -1428,7 +1421,7 @@ def test_short_walk_on_a_long_line_keeps_its_distributions_in_the_chunk_bytes():
             mean, stderr = run_ensemble(s, spec, 2, trajectories, seed=9)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
-    assert max(len(call.args[5]) for call in chunks.call_args_list) == 12
+    assert [len(call.args[5]) for call in chunks.call_args_list] == [65] * 4 + [40]
     # over a lone trajectory's run: the distributions, their squares and
     # the chunk's amplitudes and temporaries, each within the chunk bytes
     assert peaks[1] - peaks[0] <= 4 * decoherence._CHUNK_BYTES
@@ -1437,23 +1430,71 @@ def test_short_walk_on_a_long_line_keeps_its_distributions_in_the_chunk_bytes():
     assert np.array_equal(stderr, want_stderr)
 
 
+def test_ensemble_on_a_graph_of_few_edges_sizes_its_chunks_by_half_the_vertices():
+    # a 21-vertex path among 4,001 vertices has H = 40 half-edges, but each
+    # row's distribution takes 8 bytes on every vertex: the chunks hold
+    # _CHUNK_BYTES // (16 * 2001) rows. Sized by H alone, the 1,000
+    # trajectories would step as one chunk of 32 MB of distributions
+    g = Graph(4001, [(v, v + 1) for v in range(20)])
+    s = initial_state(g, 10, "uniform")
+    spec = DecoherenceSpec(0.3, "both")
+    assert decoherence._chunk_rows(g) == decoherence._CHUNK_BYTES // (16 * 2001) == 131
+    peaks = []
+    for trajectories in (1, 1000):
+        with mock.patch.object(decoherence, "_trajectories",
+                               wraps=decoherence._trajectories) as chunks:
+            tracemalloc.start()
+            mean, stderr = run_ensemble(s, spec, 6, trajectories, seed=2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    assert max(len(call.args[5]) for call in chunks.call_args_list) == 131
+    assert peaks[1] - peaks[0] <= 4 * decoherence._CHUNK_BYTES
+    want_mean, want_stderr = serial_ensemble(s, spec, 6, 1000, 2, "default")
+    assert np.array_equal(mean, want_mean)
+    assert np.array_equal(stderr, want_stderr)
+
+
+def test_ensemble_on_a_small_graph_keeps_its_draws_in_the_chunk_bytes():
+    # cycle(7) has H = 14, but each row draws 256 uniforms ahead, 2 KiB,
+    # refilled through temporaries of about five times that: the chunks
+    # hold _CHUNK_BYTES // (16 * _DRAW_BLOCK) rows. Sized by H alone, the
+    # 3,000 trajectories would step as one chunk of 30 MB of refills
+    g = build_cycle(7)
+    s = initial_state(g, 0, "uniform")
+    spec = DecoherenceSpec(0.2, "both")
+    assert decoherence._chunk_rows(g) == decoherence._CHUNK_BYTES // (16 * 256) == 1024
+    peaks = []
+    for trajectories in (1, 3000):
+        with mock.patch.object(decoherence, "_trajectories",
+                               wraps=decoherence._trajectories) as chunks:
+            tracemalloc.start()
+            mean, stderr = run_ensemble(s, spec, 128, trajectories, seed=4)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    assert [len(call.args[5]) for call in chunks.call_args_list] == [1024, 1024, 952]
+    assert peaks[1] - peaks[0] <= 4 * decoherence._CHUNK_BYTES
+    # chunks of 1,000 rows add up the same bits
+    with mock.patch.object(decoherence, "_CHUNK_BYTES", 16 * 256 * 1000):
+        want_mean, want_stderr = run_ensemble(s, spec, 128, 3000, seed=4)
+    assert np.array_equal(mean, want_mean)
+    assert np.array_equal(stderr, want_stderr)
+
+
 def test_one_chunk_ensemble_keeps_no_plan():
-    # a run that fits one chunk of H rows plans with no budget and never
-    # weighs a plan; one more trajectory gives the plans their budget
+    # a run that fits one chunk plans with no budget and keeps no plan; one
+    # more trajectory makes two chunks, which share every step's plan
     g = build_line(101)
     s = initial_state(g, g.params["origin"], "symmetric")
     spec = DecoherenceSpec(0.1, "both")
-    assert decoherence._chunk_rows(g.half_edge_count) == 61
-    for trajectories, budget in [(61, 0), (62, decoherence._PLAN_BYTES)]:
+    chunk = decoherence._chunk_rows(g)
+    for trajectories, budget in [(chunk, 0), (chunk + 1, decoherence._PLAN_BYTES)]:
         with mock.patch.object(decoherence._StepPlans, "__init__", autospec=True,
                                side_effect=decoherence._StepPlans.__init__) as made:
             run_ensemble(s, spec, 50, trajectories, seed=3)
         assert made.call_count == 1 and made.call_args.args[3] == budget
         plans = made.call_args.args[0]
-        weighed = sum(a.nbytes for plan in plans.kept for a in plan if a is not None)
-        # with no budget, no room is counted down
-        assert plans.room == (budget - weighed if budget else -1)
         assert len(plans.kept) == (50 if budget else 0)
+        assert sum(a.nbytes for plan in plans.kept for a in plan if a is not None) <= budget
 
 
 def test_row_streams_refill_per_row():
