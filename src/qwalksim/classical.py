@@ -253,15 +253,18 @@ def sample_endpoint_histogram(g: Graph, start: int, steps: int,
 def hitting_time_exact(g: Graph, start: int, target: int) -> float:
     """Expected steps to first reach the target: with the target absorbing, a dense
     solve of (I - Q) tau = 1 over the target's component, one row per transient
-    vertex of it; a start outside that component is refused."""
+    vertex of it; an isolated start or target, or a start outside that
+    component, is refused. Isolated vertices elsewhere are never visited."""
     for v in (start, target):
         g.check_vertex(v)
     if start == target:
         return 0.0
+    for v in (start, target):
+        if not g.degrees[v]:
+            raise ValueError(f"vertex {v} is an isolated vertex; walk undefined there")
     # imported on first use: scipy.sparse.csgraph loads scipy.sparse.linalg (47
     # modules in all), which no other qwalksim call needs
     import scipy.sparse.csgraph
-    shares = _shares(g)
     # the half-edge table is the adjacency matrix's CSR layout
     adjacency = scipy.sparse.csr_matrix((np.ones(g.half_edge_count), g.heads, g.offsets),
                                         shape=(g.num_vertices, g.num_vertices))
@@ -274,7 +277,7 @@ def hitting_time_exact(g: Graph, start: int, target: int) -> float:
     tails, heads = g.half_edge_vertex[moves], g.heads[moves]
     row = np.cumsum(inside & (np.arange(g.num_vertices) != target)) - 1
     m = np.eye(row[-1] + 1, order="F")  # I - Q; LAPACK factors Fortran order in place
-    m[row[tails], row[heads]] -= shares[tails]
+    m[row[tails], row[heads]] -= 1.0 / g.degrees[tails]  # each move has chance 1/degree
     tau = scipy.linalg.solve(m, np.ones(len(m)), overwrite_a=True)
     return float(tau[row[start]])
 

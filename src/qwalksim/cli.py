@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -205,7 +206,17 @@ def run_walk(cfg: WalkConfig) -> tuple[stats.Distribution, dict]:
         dist = stats.position_distribution(
             classical.evolve_classical_exact(graph, start, cfg.steps))
     elif cfg.walk == "continuous":
-        dist = run_continuous(cfg, graph, start, summary)
+        probs, summary["continuous_check"], chain = continuous.walk_distribution(
+            graph, start, cfg.time, cfg.gamma, cfg.convention)
+        dist = stats.Distribution(probs, graph.coordinates)
+        if chain is not None:  # from the glued-trees entrance: the exit column's series
+            exit_column = chain.dimension - 1
+            summary["exit_peak_time"], summary["exit_peak_height"] = \
+                continuous.first_peak_time(*continuous.transfer_series(
+                    chain, 0, exit_column, max(cfg.time, 4.0 * cfg.depth)))
+            if cfg.exit_series is not None:  # its last row is the exit vertex's probability
+                atomic_write(cfg.exit_series, continuous.exit_series_csv(
+                    *continuous.transfer_series(chain, 0, exit_column, cfg.time)))
     else:
         state = start_state(graph, start, cfg.initial)
         if cfg.p == 0.0:
@@ -233,48 +244,6 @@ def run_walk(cfg: WalkConfig) -> tuple[stats.Distribution, dict]:
         summary["std_dev"] = stats.std_dev(dist)
         summary["flatness_tv"] = stats.flatness_tv(dist)
     return dist, summary
-
-
-def run_continuous(cfg: WalkConfig, graph: Graph, start: int,
-                   summary: dict) -> stats.Distribution:
-    """A continuous walk's distribution at ``cfg.time``.
-
-    From the glued-trees entrance the walk stays column-uniform, so the
-    column chain gives it exactly: column c's probability |a_c|^2 spreads
-    evenly over its N_c vertices. The chain's grid kernel evaluates only the
-    exit column on the series' and the peak's grids, and every column at the
-    series' last point. Any other start or graph evolves the full graph's
-    dense Hamiltonian.
-    """
-    if not (cfg.graph == "glued-trees" and start == GLUED_TREES_ENTRANCE):
-        h = continuous.hamiltonian(graph, cfg.gamma, cfg.convention)
-        initial = np.zeros(graph.num_vertices, dtype=np.complex128)
-        initial[start] = 1.0
-        amps = continuous.evolve_ct(h, initial, cfg.time)
-        summary["continuous_check"] = {
-            "route": "full-graph", "norm_deviation": float(abs(np.linalg.norm(amps) - 1.0))}
-        return stats.Distribution(np.abs(amps) ** 2, graph.coordinates)
-
-    # one column chain, so one eigendecomposition, serves every time grid
-    chain = continuous.reduce_columns(
-        cfg.depth, GlueSpec(cfg.glue_mode, cfg.glue_seed), cfg.gamma, cfg.convention)
-    exit_column = chain.dimension - 1
-    if cfg.exit_series is not None:
-        atomic_write(cfg.exit_series, continuous.exit_series_csv(
-            *continuous.transfer_series(chain, 0, exit_column, cfg.time)))
-    summary["exit_peak_time"], summary["exit_peak_height"] = \
-        continuous.first_peak_time(*continuous.transfer_series(
-            chain, 0, exit_column, max(cfg.time, 4.0 * cfg.depth)))
-    # the last point of the exit series' grid, for every column: the grid
-    # kernel gives a point the same bits whatever else it is asked, so the
-    # exit vertex reads the same number in both files
-    last = continuous.SERIES_POINTS - 1
-    final = continuous._grid_amplitudes(
-        chain, 0, cfg.time, continuous.SERIES_POINTS, slice(None), [last])[0]
-    summary["continuous_check"] = {
-        "route": "column-chain", "norm_deviation": float(abs(np.linalg.norm(final) - 1.0))}
-    per_vertex = np.abs(final) ** 2 / continuous.column_sizes(cfg.depth)
-    return stats.Distribution(per_vertex[graph.labels], graph.coordinates)
 
 
 def format_distribution_csv(dist: stats.Distribution) -> str:
@@ -328,20 +297,34 @@ def config_metadata(cfg: WalkConfig) -> dict:
 
 
 def environment_metadata() -> dict:
-    """The interpreter, numpy and scipy versions, the BLAS library and its threads.
+    """The interpreter, numpy and scipy versions, the BLAS library and its
+    threads, and the SIMD targets of numpy's complex loops.
 
     Stream bits follow numpy's ``SeedSequence`` and PCG64 algorithms, which
-    ``streams`` reproduces, and the BLAS library and its threading can move
-    float bits, so a run records them all. The BLAS name and version come
-    from ``numpy.__config__.CONFIG``, null where numpy does not give them.
+    ``streams`` reproduces, and the BLAS library, its threading and numpy's
+    SIMD dispatch can move float bits, so a run records them all. The BLAS
+    name and version come from ``numpy.__config__.CONFIG``, null where numpy
+    does not give them.
     """
     blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "scipy": scipy.__version__, "blas": blas.get("name"),
-           "blas_version": blas.get("version")}
+           "blas_version": blas.get("version"), "numpy_dispatch": numpy_dispatch()}
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[name] = os.environ.get(name)
     return env
+
+
+@functools.cache
+def numpy_dispatch() -> dict | None:
+    """The SIMD target numpy runs its complex128 ``multiply`` and ``absolute``
+    loops on, null before numpy 2.0; looked up once a process (about 0.4 ms)."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    loops = opt_func_info("^(multiply|absolute)$", "^complex128$")
+    return {name: next(iter(sigs.values()))["current"] for name, sigs in loops.items()}
 
 
 def write_outputs(cfg: WalkConfig, dist: stats.Distribution, summary: dict,

@@ -13,20 +13,22 @@ For glued trees the walk started at the entrance stays in the
 column-uniform subspace, so a (2*depth+2)-dimensional chain Hamiltonian
 (``reduce_columns``) reproduces the full-graph dynamics: column c's
 probability |a_c|^2 spreads evenly over its ``column_sizes`` N_c vertices.
-The chain runs at any depth. The command line runs every walk from the
-entrance this way, but it still builds the full graph to write one row
-per vertex, so its memory grows with the 2^(depth+2) - 2 vertices (about
-300 MB at depth 18; depth 40 would need 16 TiB). Every other start and
-graph builds the dense Hamiltonian of the full graph, which
-``hamiltonian`` refuses above ``CONTINUOUS_DIMENSION_LIMIT`` vertices
-before allocating it.
+The chain runs at any depth. ``walk_distribution`` chooses the route: it
+runs every walk from the entrance this way and returns the chain, whose
+eigendecomposition then serves the caller's exit series
+(``transfer_series``); the command line calls it for every continuous walk.
+It still takes the full graph, to give one probability per vertex, so memory
+grows with the 2^(depth+2) - 2 vertices (about 300 MB at depth 18; depth 40
+would need 16 TiB). Every other start and graph builds the dense
+Hamiltonian of the full graph, which ``hamiltonian`` refuses above
+``CONTINUOUS_DIMENSION_LIMIT`` vertices before allocating it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, GlueSpec
+from .graphs import Graph, GlueSpec, glued_trees_entrance_exit
 
 HAMILTONIAN_CONVENTIONS = ("laplacian", "adjacency")
 
@@ -223,6 +225,33 @@ def transfer_series(h: Hamiltonian, source: int, target: int, t_max: float,
     times = np.linspace(0.0, t_max, num_times)
     amps = _grid_amplitudes(h, source, t_max, num_times, [target])
     return times, np.abs(amps[:, 0]) ** 2
+
+
+def walk_distribution(g: Graph, start: int, time: float, gamma: float = 1.0,
+                      convention: str = "laplacian") -> tuple[np.ndarray, dict, Hamiltonian | None]:
+    """Per-vertex probabilities at ``time`` from ``start``, the route's check
+    and the column chain it ran on (None off the glued-trees entrance).
+
+    On the chain the time is the last point of a ``SERIES_POINTS`` grid on
+    [0, time], so ``transfer_series`` on that grid ends on the same bits.
+    """
+    g.check_vertex(start)
+    if not (np.isfinite(time) and time >= 0):
+        raise ValueError(f"time must be finite and >= 0, got {time}")
+    chain = None
+    if g.kind == "glued_trees" and start == glued_trees_entrance_exit(g)[0]:
+        depth, glue = g.params["depth"], GlueSpec(g.params["glue_mode"], g.params["glue_seed"])
+        chain = reduce_columns(depth, glue, gamma, convention)
+        amps = _grid_amplitudes(chain, 0, time, SERIES_POINTS, slice(None), [SERIES_POINTS - 1])[0]
+        probs = (np.abs(amps) ** 2 / column_sizes(depth))[g.labels]
+    else:
+        initial = np.zeros(g.num_vertices, dtype=np.complex128)
+        initial[start] = 1.0
+        amps = evolve_ct(hamiltonian(g, gamma, convention), initial, time)
+        probs = np.abs(amps) ** 2
+    check = {"route": "full-graph" if chain is None else "column-chain",
+             "norm_deviation": float(abs(np.linalg.norm(amps) - 1.0))}
+    return probs, check, chain
 
 
 def first_peak_time(times: np.ndarray, values: np.ndarray,

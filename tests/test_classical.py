@@ -248,6 +248,15 @@ def test_hitting_time_exact_solves_on_the_target_component():
     assert hitting_time_exact(Graph(5, [(0, 1), (1, 2), (3, 4)]), 4, 3) == 1.0
 
 
+def test_hitting_time_exact_ignores_an_isolated_vertex_it_never_visits():
+    # vertex 2 lies off the target's component, so its degree never matters
+    g = Graph(3, [(0, 1)])
+    assert hitting_time_exact(g, 0, 1) == 1.0
+    for start, target in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="vertex 2 is an isolated vertex"):
+            hitting_time_exact(g, start, target)
+
+
 def test_hitting_time_exact_refuses_a_start_off_the_target_component():
     # the dense solve over every vertex killed the interpreter here: a
     # child interpreter keeps a regression to this one test

@@ -1,6 +1,7 @@
 import json
 import os
 import platform
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,37 @@ def test_environment_reaches_the_metadata_only(tmp_path, monkeypatch):
     monkeypatch.setattr(np.__config__, "CONFIG", {})
     env = cli.environment_metadata()
     assert env["blas"] is None and env["blas_version"] is None
+
+
+def test_numpy_dispatch_reaches_the_metadata_once_a_process(tmp_path, monkeypatch):
+    # the complex128 multiply and absolute loops numpy picks at run time can
+    # move float bits; a walk and a sweep of three runs look them up once
+    introspect = pytest.importorskip("numpy.lib.introspect")
+    lookups, opt_func_info = [], introspect.opt_func_info
+    monkeypatch.setattr(introspect, "opt_func_info",
+                        lambda *args: lookups.append(args) or opt_func_info(*args))
+    cli.numpy_dispatch.cache_clear()
+    try:
+        out = str(tmp_path / "walk.json")
+        assert run(["walk", "--graph", "cycle", "--n", "5", "--steps", "3",
+                    "--format", "json", "-o", out]) == 0
+        outdir = tmp_path / "sweep"
+        assert run(["sweep", "--graph", "cycle", "--n", "5", "--axis", "steps",
+                    "--values", "1,2,3", "--output-dir", str(outdir)]) == 0
+        assert len(lookups) == 1
+        loops = opt_func_info()
+        expected = {"multiply": loops["multiply"]["DDD"]["current"],
+                    "absolute": loops["absolute"]["Dd"]["current"]}
+        for path in (out, str(outdir / "sweep_steps=2.csv"), str(outdir / "sweep_summary.csv")):
+            assert read_meta(path)["environment"]["numpy_dispatch"] == expected
+        assert "numpy_dispatch" not in Path(out).read_text()
+        # a numpy without numpy.lib.introspect (before 2.0) records null
+        monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)
+        cli.numpy_dispatch.cache_clear()
+        assert cli.environment_metadata()["numpy_dispatch"] is None
+    finally:
+        monkeypatch.undo()
+        cli.numpy_dispatch.cache_clear()
 
 
 def test_density_check_residuals_reach_the_metadata_only(tmp_path, capsys):
@@ -377,6 +409,20 @@ def test_exit_series_agrees_with_the_distribution_file(tmp_path, argv):
     assert series_rows[-1][1] == exit_probability
 
 
+def test_continuous_entrance_walk_with_exit_series_builds_one_chain(tmp_path, monkeypatch):
+    # the distribution, the exit peak and the exit series share one chain
+    # and its one eigendecomposition
+    chains, eighs = [], []
+    reduce_columns, eigh = continuous.reduce_columns, np.linalg.eigh
+    monkeypatch.setattr(continuous, "reduce_columns",
+                        lambda *args: chains.append(args) or reduce_columns(*args))
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: eighs.append(1) or eigh(*args))
+    assert run(GLUED_CONTINUOUS + ["--depth", "5", "--time", "6", "--exit-series",
+                                   str(tmp_path / "exit.csv"),
+                                   "-o", str(tmp_path / "walk.csv")]) == 0
+    assert (len(chains), len(eighs)) == (1, 1)
+
+
 def test_dense_route_above_its_limit_exits_2_before_allocating(tmp_path, capsys, monkeypatch):
     # glued_trees(12) has 16,382 vertices: a dense Hamiltonian would take 2.1 GB
     def never(self):
@@ -648,6 +694,17 @@ def test_invariant_failure_exits_3_and_writes_nothing(tmp_path, capsys, monkeypa
         assert run(["walk", *route, "-o", str(out)]) == 3
         assert "numeric invariant failure: probabilities sum to" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    # from the glued-trees entrance the chain's distribution is checked
+    # before the exit series is written
+    grid_amplitudes = continuous._grid_amplitudes
+    monkeypatch.setattr(continuous, "_grid_amplitudes",
+                        lambda *args: 1.01 * grid_amplitudes(*args))
+    assert run(["walk", "--walk", "continuous", "--graph", "glued-trees", "--depth", "3",
+                "--time", "4", "--exit-series", str(tmp_path / "exit.csv"),
+                "-o", str(out)]) == 3
+    assert "numeric invariant failure: probabilities sum to" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_atomic_write_leaves_nothing_when_the_rename_fails(tmp_path, monkeypatch):

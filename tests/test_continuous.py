@@ -10,7 +10,7 @@ from qwalksim.continuous import (CONTINUOUS_DIMENSION_LIMIT, HAMILTONIAN_CONVENT
                                  SERIES_POINTS, Hamiltonian, _grid_amplitudes,
                                  column_sizes, evolve_ct, exit_series_csv, exit_signal,
                                  first_peak_time, hamiltonian, reduce_columns,
-                                 transfer_series)
+                                 transfer_series, walk_distribution)
 from qwalksim.graphs import (GlueSpec, Graph, build_cycle, build_glued_trees,
                              build_hypercube, build_line, glued_trees_entrance_exit)
 
@@ -377,6 +377,64 @@ def test_exit_signal_at_depth_40_matches_analytic_chain():
     amps = evolve_ct_many_rows_reference(h, np.eye(h.dimension)[0], times)
     assert np.max(np.abs(values - np.abs(amps[:, -1]) ** 2)) < 1e-9
     assert 0.0 < values.max() <= 1.0
+
+
+@pytest.mark.parametrize("depth", [3, 7])
+@CHAIN_GLUES
+def test_entrance_walk_runs_the_grid_kernel_on_the_chain(depth, glue):
+    # the grid kernel's last point on [0, t], spread over the column sizes
+    g = build_glued_trees(depth, glue)
+    for convention in HAMILTONIAN_CONVENTIONS:
+        for t in (0.0, 1.7, 14.0):
+            probs, check, chain = walk_distribution(g, 0, t, 0.5, convention)
+            assert np.array_equal(chain.matrix,
+                                  reduce_columns(depth, glue, 0.5, convention).matrix)
+            final = _grid_amplitudes(chain, 0, t, SERIES_POINTS, slice(None),
+                                     [SERIES_POINTS - 1])[0]
+            spread = np.abs(final) ** 2 / column_sizes(depth)
+            assert np.array_equal(probs, spread[g.labels]), (convention, t)
+            assert check == {"route": "column-chain",
+                             "norm_deviation": float(abs(np.linalg.norm(final) - 1.0))}
+            # the exit series on the same grid ends on the exit vertex's bits
+            _, exit_probs = transfer_series(chain, 0, chain.dimension - 1, t)
+            assert exit_probs[-1] == probs[glued_trees_entrance_exit(g)[1]]
+
+
+GLUED_3 = build_glued_trees(3, GlueSpec("random-cycle", seed=2))
+
+
+@pytest.mark.parametrize("graph, start", [
+    (GLUED_3, 5),
+    (build_cycle(9), 0),
+    # the same edges and columns in a graph of another kind: no column chain
+    (Graph(GLUED_3.num_vertices, GLUED_3.edges, labels=GLUED_3.labels), 0),
+], ids=["glued-off-entrance", "cycle", "custom-glued-edges"])
+def test_other_walks_run_evolve_ct_on_the_full_graph(graph, start):
+    for convention in HAMILTONIAN_CONVENTIONS:
+        h = hamiltonian(graph, 0.5, convention)
+        initial = np.zeros(graph.num_vertices, dtype=np.complex128)
+        initial[start] = 1.0
+        for t in (0.0, 2.5):
+            probs, check, chain = walk_distribution(graph, start, t, 0.5, convention)
+            amps = evolve_ct(h, initial, t)
+            assert chain is None
+            assert np.array_equal(probs, np.abs(amps) ** 2), (convention, t)
+            assert check == {"route": "full-graph",
+                             "norm_deviation": float(abs(np.linalg.norm(amps) - 1.0))}
+
+
+def test_walk_distribution_validates_its_arguments():
+    g = build_glued_trees(2, GlueSpec("symmetric"))
+    for start, time, gamma, convention, match in (
+            (14, 1.0, 1.0, "laplacian", "out of range"),
+            (-1, 1.0, 1.0, "laplacian", "out of range"),
+            (0, -1.0, 1.0, "laplacian", "time must be"),
+            (0, float("nan"), 1.0, "laplacian", "time must be"),
+            (1, -1.0, 1.0, "laplacian", "time must be"),
+            (0, 1.0, 0.0, "laplacian", "gamma must be"),
+            (1, 1.0, 1.0, "hopping", "convention must be")):
+        with pytest.raises(ValueError, match=match):
+            walk_distribution(g, start, time, gamma, convention)
 
 
 def test_reduction_matches_full_graph(full_graph_exit_signal):

@@ -28,6 +28,16 @@ The continuous cases call LAPACK's symmetric eigensolver on at most 12
 vertices (the cycle) or 10 columns (the glued-trees chains); the cycle
 also takes BLAS products, the chains' grid kernel none. Every digest
 reads the same with OpenBLAS at one thread and at two.
+
+The digests hold for the SIMD loops numpy dispatched to where they were
+recorded, not only across BLAS threads: numpy 2.4.6 on an x86-64 host with
+AVX-512 runs its complex128 ``multiply`` at X86_V3 and ``absolute`` at
+X86_V4, which every ``.meta.json`` records under
+``environment.numpy_dispatch``. The X86_V3 complex multiply rounds unlike
+numpy's baseline loop (scipy's sparse kernels match the baseline), so with
+``NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR"`` five
+cases fail: ``cycle-pure``, ``line-pure``, ``figures``,
+``glued-continuous-exit`` and ``glued-continuous-random-adjacency``.
 """
 
 import hashlib

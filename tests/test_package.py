@@ -37,7 +37,7 @@ def test_public_names_resolve_and_second_paths_are_gone():
             (continuous.Hamiltonian(np.eye(1)), ("basis", "gamma")),
             (decoherence.DensityState(graphs.build_cycle(3), np.eye(6) / 6), ("matrix",)),
             (coined.CoinedWalk(graphs.build_line(5)), ("_readers",)),
-            (cli, ("THREADS_ENV_VAR", "sweep_thread_count"))]
+            (cli, ("THREADS_ENV_VAR", "sweep_thread_count", "run_continuous"))]
     for owner, names in gone:
         for name in names:
             assert not hasattr(owner, name), (owner, name)
